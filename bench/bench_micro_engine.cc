@@ -306,14 +306,18 @@ runSteadySmoke(const std::string& path)
         platform::Evaluation fast, full;
 
         auto bitIdentical = [&]() {
-            return std::memcmp(&fast.chipPowerWatts,
-                               &full.chipPowerWatts,
-                               sizeof(double)) == 0 &&
-                   std::memcmp(&fast.ipc, &full.ipc,
-                               sizeof(double)) == 0 &&
-                   std::memcmp(&fast.peakToPeakV, &full.peakToPeakV,
-                               sizeof(double)) == 0 &&
-                   fast.sim.cycles == full.sim.cycles;
+            auto same = [](const double& a, const double& b) {
+                return std::memcmp(&a, &b, sizeof(double)) == 0;
+            };
+            return same(fast.chipPowerWatts, full.chipPowerWatts) &&
+                   same(fast.corePowerWatts, full.corePowerWatts) &&
+                   same(fast.ipc, full.ipc) &&
+                   same(fast.peakToPeakV, full.peakToPeakV) &&
+                   same(fast.vMin, full.vMin) &&
+                   same(fast.vMax, full.vMax) &&
+                   same(fast.dieTempC, full.dieTempC) &&
+                   fast.sim.cycles == full.sim.cycles &&
+                   fast.sim.instructions == full.sim.instructions;
         };
 
         // Correctness sweep (untimed): fast must match full bitwise.

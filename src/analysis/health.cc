@@ -88,18 +88,15 @@ HealthWatchdog::raise(int generation, const char* rule,
         }
     }
     _alerts.push_back(alert);
-    if (_listener)
-        _listener(_alerts.back());
 }
 
-void
-HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
-                                      const core::GenerationRecord& rec)
+std::vector<Alert>
+HealthWatchdog::onGenerationEvaluated(const core::GenerationRecord& rec,
+                                      std::uint64_t total_measured,
+                                      std::uint64_t total_cache_hits)
 {
-    (void)pop;
+    const std::size_t alerts_before = _alerts.size();
     ++_generationsSeen;
-    _totalHits += rec.cacheHits;
-    _totalMisses += rec.cacheMisses;
 
     // non_finite_fitness — always armed, always critical: a NaN best
     // poisons selection silently, so it outranks every other rule.
@@ -162,10 +159,10 @@ HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
     // cache_hit_floor: cumulative hit rate after warmup.
     if (!_cacheFired && _rules.cacheHitRateFloor > 0.0 &&
         _generationsSeen > _rules.cacheWarmupGenerations &&
-        _totalHits + _totalMisses > 0) {
+        total_cache_hits + total_measured > 0) {
         const double rate =
-            static_cast<double>(_totalHits) /
-            static_cast<double>(_totalHits + _totalMisses);
+            static_cast<double>(total_cache_hits) /
+            static_cast<double>(total_cache_hits + total_measured);
         if (rate < _rules.cacheHitRateFloor) {
             _cacheFired = true;
             raise(rec.generation, "cache_hit_floor", "warning", rate,
@@ -249,15 +246,8 @@ HealthWatchdog::onGenerationEvaluated(const core::Population& pop,
         }
         _workerBusyTotals = std::move(totals);
     }
-}
-
-core::Engine::GenerationCallback
-HealthWatchdog::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        onGenerationEvaluated(pop, record);
-    };
+    return {_alerts.begin() + static_cast<std::ptrdiff_t>(alerts_before),
+            _alerts.end()};
 }
 
 HealthSummary

@@ -6,10 +6,11 @@
  * of `gest explain`'s post-mortem pathology detection.
  *
  * The watchdog is strictly observational: it reads the per-generation
- * record (plus the coverage ledger's tick and the stats registry's
- * worker counters), never touches the GA RNG or the population, and
- * runs on the coordinator thread after the generation is sealed, so
- * every other artifact is byte-identical with the watchdog on or off.
+ * record (plus the run's cumulative totals and coverage tick, handed in
+ * by the run pipeline, and the stats registry's worker counters), never
+ * touches the GA RNG or the population, and runs on the coordinator
+ * thread after the generation is sealed, so every other artifact is
+ * byte-identical with the watchdog on or off.
  *
  * Each rule *latches*: it raises at most one alert per run, when its
  * condition first holds, so a stuck run produces one actionable line
@@ -24,7 +25,6 @@
 #define GEST_ANALYSIS_HEALTH_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -122,29 +122,21 @@ class HealthWatchdog
     const std::string& csvPath() const { return _csvPath; }
 
     /**
-     * Observe every raised alert (the run driver forwards them to the
-     * telemetry service). Called on the coordinator thread, before the
-     * same generation's telemetry observer runs.
-     */
-    void setAlertListener(std::function<void(const Alert&)> fn)
-    {
-        _listener = std::move(fn);
-    }
-
-    /**
-     * Feed one coverage-ledger tick (the coverage observer runs before
-     * this watchdog's, so the tick for generation N is already in when
-     * onGenerationEvaluated(N) fires). Never calling this leaves the
-     * coverage_stall rule disarmed.
+     * Feed one coverage-ledger tick before onGenerationEvaluated() of
+     * the same generation (the run pipeline steps the ledger first).
+     * Never calling this leaves the coverage_stall rule disarmed.
      */
     void noteCoverage(int generation, std::uint64_t new_cells);
 
-    /** Evaluate every rule against the sealed generation. */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
-
-    /** An engine generation observer bound to this watchdog. */
-    core::Engine::GenerationCallback observer();
+    /**
+     * Evaluate every rule against the sealed generation.
+     * @param total_measured run-cumulative measurements so far
+     * @param total_cache_hits run-cumulative cache hits so far
+     * @return the alerts raised by this generation (usually none)
+     */
+    std::vector<Alert> onGenerationEvaluated(
+        const core::GenerationRecord& record, std::uint64_t total_measured,
+        std::uint64_t total_cache_hits);
 
     const std::vector<Alert>& alerts() const { return _alerts; }
 
@@ -158,7 +150,6 @@ class HealthWatchdog
 
     HealthRules _rules;
     std::string _csvPath;
-    std::function<void(const Alert&)> _listener;
     std::vector<Alert> _alerts;
 
     // Per-rule latches: one alert per run per failure mode.
@@ -178,8 +169,6 @@ class HealthWatchdog
     std::vector<double> _evalRates;  ///< evals/sec per timed generation
 
     // cache_hit_floor state.
-    std::uint64_t _totalHits = 0;
-    std::uint64_t _totalMisses = 0;
     int _generationsSeen = 0;
 
     // coverage_stall state.

@@ -1,13 +1,7 @@
 #include "analysis/recorder.hh"
 
-#include <cstdio>
-#include <sstream>
-
-#include "provenance/manifest.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
-#include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace gest {
 namespace analysis {
@@ -68,94 +62,12 @@ analysisStats()
 
 } // namespace
 
-std::string
-formatStatusJson(const StatusSnapshot& snapshot)
+Recorder::Recorder(const std::string& run_dir,
+                   const isa::InstructionLibrary& lib)
+    : _lib(lib), _ledger(run_dir + "/lineage.csv"),
+      _analytics(run_dir + "/analytics.csv")
 {
-    char buf[1536];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\n"
-        "  \"state\": \"%s\",\n"
-        "  \"generation\": %d,\n"
-        "  \"total_generations\": %d,\n"
-        "  \"best_fitness\": %.17g,\n"
-        "  \"average_fitness\": %.17g,\n"
-        "  \"diversity\": %.6f,\n"
-        "  \"gene_entropy_bits\": %.6f,\n"
-        "  \"pairwise_diversity\": %.6f,\n"
-        "  \"evaluations\": %llu,\n"
-        "  \"cache_hit_rate\": %.6f,\n"
-        "  \"evals_per_sec\": %.3f,\n"
-        "  \"elapsed_seconds\": %.3f,\n"
-        "  \"eta_seconds\": %.3f,\n"
-        "  \"steady_hits\": %llu,\n"
-        "  \"cycles_simulated\": %llu,\n"
-        "  \"cycles_tiled\": %llu,\n",
-        snapshot.running ? "running" : "completed", snapshot.generation,
-        snapshot.totalGenerations, snapshot.bestFitness,
-        snapshot.averageFitness, snapshot.diversity,
-        snapshot.geneEntropyBits, snapshot.pairwiseDiversity,
-        static_cast<unsigned long long>(snapshot.evaluations),
-        snapshot.cacheHitRate, snapshot.evalsPerSec,
-        snapshot.elapsedSeconds, snapshot.etaSeconds,
-        static_cast<unsigned long long>(snapshot.steadyHits),
-        static_cast<unsigned long long>(snapshot.cyclesSimulated),
-        static_cast<unsigned long long>(snapshot.cyclesTiled));
-    std::string payload = buf;
-    // Optional key: runs without provenance keep the pre-digest schema
-    // byte-for-byte, so existing pollers see nothing new.
-    if (snapshot.digestsSealed >= 0) {
-        std::snprintf(buf, sizeof(buf),
-                      "  \"digests_sealed\": %lld,\n",
-                      static_cast<long long>(snapshot.digestsSealed));
-        payload += buf;
-    }
-    // Optional block, same convention: only watched runs say anything
-    // about alerts, and a watched clean run says `"raised": 0` — "no
-    // alerts", not "not watched".
-    if (snapshot.alertsRaised >= 0) {
-        payload += "  \"alerts\": {\n    \"raised\": " +
-                   std::to_string(snapshot.alertsRaised) + ",\n";
-        payload += "    \"last_generation\": " +
-                   std::to_string(snapshot.lastAlertGeneration) + ",\n";
-        payload += "    \"last_rule\": \"" +
-                   jsonEscape(snapshot.lastAlertRule) + "\"\n  },\n";
-    }
-    payload += "  \"git_sha\": \"" + jsonEscape(snapshot.gitSha) +
-               "\",\n";
-    payload += "  \"build\": \"" + jsonEscape(snapshot.build) + "\",\n";
-    payload += "  \"listen\": \"" + jsonEscape(snapshot.listen) +
-               "\"\n}\n";
-    return payload;
-}
-
-void
-fillSteadyCounters(StatusSnapshot& snapshot)
-{
-    // Look up without find-or-create: a run that never touches the
-    // simulated fast path (native measurements, stats off) must not
-    // grow eval.* entries in its stats.txt just by heartbeating.
-    for (const stats::Counter* counter :
-         stats::StatsRegistry::instance().counterList()) {
-        if (counter->name() == "eval.steady_hits")
-            snapshot.steadyHits = counter->value();
-        else if (counter->name() == "eval.cycles_simulated")
-            snapshot.cyclesSimulated = counter->value();
-        else if (counter->name() == "eval.cycles_tiled")
-            snapshot.cyclesTiled = counter->value();
-    }
-}
-
-Recorder::Recorder(std::string run_dir,
-                   const isa::InstructionLibrary& lib,
-                   int total_generations)
-    : _runDir(std::move(run_dir)), _lib(lib),
-      _totalGenerations(total_generations),
-      _ledger(_runDir + "/lineage.csv"),
-      _analytics(_runDir + "/analytics.csv"),
-      _startUs(stats::nowUs())
-{
-    ensureDir(_runDir);
+    ensureDir(run_dir);
 }
 
 void
@@ -248,90 +160,6 @@ Recorder::onGenerationEvaluated(const core::Population& pop,
     s.geneEntropy.set(row.geneEntropyBits);
     s.pairwiseDiversity.set(row.pairwiseDiversity);
     s.fitnessMedian.set(row.fitnessMedian);
-
-    _totalMeasured += record.cacheMisses;
-    _totalCacheHits += record.cacheHits;
-    _sawGeneration = true;
-    _lastGeneration = record.generation;
-    _lastBest = record.bestFitness;
-    _lastAverage = record.averageFitness;
-    _lastDiversity = record.diversity;
-    writeStatus(pop, record, /*running=*/true);
-}
-
-void
-Recorder::writeStatus(const core::Population& pop,
-                      const core::GenerationRecord& record, bool running)
-{
-    (void)pop;
-    const double elapsed_s = (stats::nowUs() - _startUs) / 1e6;
-    const int done = record.generation + 1;
-    const double per_generation_s =
-        done > 0 ? elapsed_s / static_cast<double>(done) : 0.0;
-    const std::uint64_t resolved = _totalMeasured + _totalCacheHits;
-
-    StatusSnapshot snapshot;
-    snapshot.running = running;
-    snapshot.generation = record.generation;
-    snapshot.totalGenerations = _totalGenerations;
-    snapshot.bestFitness = record.bestFitness;
-    snapshot.averageFitness = record.averageFitness;
-    snapshot.diversity = record.diversity;
-    snapshot.geneEntropyBits =
-        _rows.empty() ? 0.0 : _rows.back().geneEntropyBits;
-    snapshot.pairwiseDiversity =
-        _rows.empty() ? 0.0 : _rows.back().pairwiseDiversity;
-    snapshot.evaluations = _totalMeasured;
-    snapshot.cacheHitRate =
-        resolved > 0 ? static_cast<double>(_totalCacheHits) /
-                           static_cast<double>(resolved)
-                     : 0.0;
-    snapshot.evalsPerSec =
-        elapsed_s > 0.0 ? static_cast<double>(_totalMeasured) / elapsed_s
-                        : 0.0;
-    snapshot.elapsedSeconds = elapsed_s;
-    snapshot.etaSeconds =
-        running && _totalGenerations > done
-            ? per_generation_s *
-                  static_cast<double>(_totalGenerations - done)
-            : 0.0;
-    fillSteadyCounters(snapshot);
-    if (_digestProvider)
-        snapshot.digestsSealed =
-            static_cast<std::int64_t>(_digestProvider());
-    if (_healthProvider) {
-        const HealthSummary health = _healthProvider();
-        snapshot.alertsRaised =
-            static_cast<std::int64_t>(health.alerts);
-        snapshot.lastAlertGeneration = health.lastGeneration;
-        snapshot.lastAlertRule = health.lastRule;
-    }
-    snapshot.gitSha = provenance::currentGitSha();
-    snapshot.build = provenance::currentBuildFingerprint();
-    snapshot.listen = _listenAddress;
-
-    const std::string payload = formatStatusJson(snapshot);
-    // Atomic replace: a poller either sees the previous heartbeat or
-    // this one, never a torn file.
-    writeFileAtomic(statusPath(), payload);
-    if (_statusListener)
-        _statusListener(payload);
-}
-
-void
-Recorder::finish()
-{
-    if (!_sawGeneration)
-        return;
-    core::GenerationRecord last;
-    last.generation = _lastGeneration;
-    last.bestFitness = _lastBest;
-    last.averageFitness = _lastAverage;
-    last.diversity = _lastDiversity;
-    core::Population empty;
-    writeStatus(empty, last, /*running=*/false);
-    debug("analytics recorded in ", _runDir,
-          "/lineage.csv, analytics.csv and status.json");
 }
 
 } // namespace analysis

@@ -1,103 +1,36 @@
 /**
  * @file
- * The run-wide evolution-analytics recorder the engine reports to.
+ * The run-wide evolution-analytics recorder.
  *
- * One Recorder per GA run, attached with Engine::setAnalytics(). The
- * engine calls the record*() hooks as individuals come into existence
- * (they never touch the GA RNG, so results are bit-identical with the
- * recorder attached or not) and onGenerationEvaluated() once per
- * evaluated generation, which:
+ * One Recorder per GA run. Engine::setAnalytics() attaches it for the
+ * record*() birth hooks, which the engine calls as individuals come
+ * into existence (they never touch the GA RNG, so results are
+ * bit-identical with the recorder attached or not). The run pipeline
+ * calls onGenerationEvaluated() once per evaluated generation, which:
  *
  *  - seals the generation's births into `lineage.csv` (LineageLedger);
  *  - computes and appends one `analytics.csv` row (instruction-class
  *    mix, gene entropy, pairwise diversity, fitness quartiles,
  *    operator efficacy);
  *  - mirrors the headline values into the stats registry
- *    (`analysis.*` gauges/counters, subject to stats::enabled());
- *  - atomically replaces `status.json`, a heartbeat external monitors
- *    can poll without parsing logs (see docs/analytics.md).
+ *    (`analysis.*` gauges/counters, subject to stats::enabled()).
+ *
+ * The status.json heartbeat is the run pipeline's (run/pipeline.hh).
  */
 
 #ifndef GEST_ANALYSIS_RECORDER_HH
 #define GEST_ANALYSIS_RECORDER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/analytics.hh"
-#include "analysis/health.hh"
 #include "analysis/lineage.hh"
 #include "core/engine.hh"
 
 namespace gest {
 namespace analysis {
-
-/**
- * Everything one status.json heartbeat says, in composable form. The
- * Recorder fills one per sealed generation; the telemetry service
- * builds its own when a run listens without analytics. Keeping the
- * fields and the renderer (formatStatusJson) in one place guarantees
- * the /status endpoint and the status.json file speak one schema.
- */
-struct StatusSnapshot
-{
-    bool running = true;
-    int generation = 0;
-    int totalGenerations = 0;
-    double bestFitness = 0.0;
-    double averageFitness = 0.0;
-    double diversity = 0.0;
-    double geneEntropyBits = 0.0;
-    double pairwiseDiversity = 0.0;
-    std::uint64_t evaluations = 0;
-    double cacheHitRate = 0.0;
-    double evalsPerSec = 0.0;
-    double elapsedSeconds = 0.0;
-    double etaSeconds = 0.0;
-
-    /** Steady-state fast-path counters (eval.*; 0 with stats off). */
-    std::uint64_t steadyHits = 0;
-    std::uint64_t cyclesSimulated = 0;
-    std::uint64_t cyclesTiled = 0;
-
-    /**
-     * Population digests sealed by the provenance ledger so far; -1
-     * (key omitted) when the run records no provenance. Because the
-     * provenance observer runs after the recorder each generation,
-     * mid-run heartbeats lag one generation; finish() reports the
-     * exact final count.
-     */
-    std::int64_t digestsSealed = -1;
-
-    /**
-     * GA health-watchdog summary; alertsRaised = -1 (block omitted)
-     * when the run is not watched, so unwatched runs keep the previous
-     * schema byte-for-byte.
-     */
-    std::int64_t alertsRaised = -1;
-    int lastAlertGeneration = -1;
-    std::string lastAlertRule;
-
-    /** Build identity of the serving binary (always present). */
-    std::string gitSha;
-    std::string build;
-
-    /** host:port of the live telemetry server; empty when serverless. */
-    std::string listen;
-};
-
-/** Render a snapshot as the status.json / GET /status payload. */
-std::string formatStatusJson(const StatusSnapshot& snapshot);
-
-/**
- * Copy the PR 5 steady-state fast-path counters (eval.steady_hits,
- * eval.cycles_simulated, eval.cycles_tiled) out of the stats registry
- * into @p snapshot, so external monitors see fast-path behavior from
- * the heartbeat alone. Zeros when stats recording is off.
- */
-void fillSteadyCounters(StatusSnapshot& snapshot);
 
 class Recorder
 {
@@ -107,10 +40,9 @@ class Recorder
      *        (created if absent)
      * @param lib the library individuals reference (must outlive the
      *        recorder)
-     * @param total_generations the run's generation budget (ETA)
      */
-    Recorder(std::string run_dir, const isa::InstructionLibrary& lib,
-             int total_generations);
+    Recorder(const std::string& run_dir,
+             const isa::InstructionLibrary& lib);
 
     /**
      * Record a generation-0 individual. @p resumed marks individuals
@@ -132,87 +64,19 @@ class Recorder
 
     /**
      * Seal the generation: flush lineage rows, append the analytics
-     * row, update stats gauges and replace status.json.
+     * row and update the stats gauges.
      */
     void onGenerationEvaluated(const core::Population& pop,
                                const core::GenerationRecord& record);
 
-    /** Write the final status.json with state "completed". */
-    void finish();
-
-    const std::string& runDir() const { return _runDir; }
-    std::string statusPath() const { return _runDir + "/status.json"; }
-
-    /**
-     * Record the live telemetry server's bound address; subsequent
-     * heartbeats carry it as "listen" so monitors (and the check_*
-     * validators) can discover the scrape endpoint from the file.
-     */
-    void setListenAddress(std::string address)
-    {
-        _listenAddress = std::move(address);
-    }
-
-    /**
-     * Observe every status.json payload as it is written (the
-     * telemetry service mirrors it as GET /status without touching
-     * disk). Called on the engine's coordinator thread.
-     */
-    void setStatusListener(std::function<void(const std::string&)> fn)
-    {
-        _statusListener = std::move(fn);
-    }
-
-    /**
-     * Let heartbeats report how many population digests the provenance
-     * ledger has sealed (the "digests_sealed" status.json key). The
-     * provider is polled on the coordinator thread at status-write
-     * time; unset means the key is omitted.
-     */
-    void setDigestProvider(std::function<std::uint64_t()> fn)
-    {
-        _digestProvider = std::move(fn);
-    }
-
-    /**
-     * Let heartbeats carry the health watchdog's summary (the "alerts"
-     * status.json block). Same polling contract as the digest provider;
-     * unset means the block is omitted.
-     */
-    void setHealthProvider(std::function<HealthSummary()> fn)
-    {
-        _healthProvider = std::move(fn);
-    }
-
-    /** Analytics rows sealed so far (tests). */
+    /** Analytics rows sealed so far (the last one feeds the status). */
     const std::vector<AnalyticsRow>& rows() const { return _rows; }
 
   private:
-    void writeStatus(const core::Population& pop,
-                     const core::GenerationRecord& record, bool running);
-
-    std::string _runDir;
     const isa::InstructionLibrary& _lib;
-    int _totalGenerations;
-
     LineageLedger _ledger;
     AnalyticsWriter _analytics;
     std::vector<AnalyticsRow> _rows;
-
-    double _startUs;
-    std::uint64_t _totalMeasured = 0;
-    std::uint64_t _totalCacheHits = 0;
-    std::string _listenAddress;
-    std::function<void(const std::string&)> _statusListener;
-    std::function<std::uint64_t()> _digestProvider;
-    std::function<HealthSummary()> _healthProvider;
-
-    // Last-generation summary repeated in the final status.json.
-    bool _sawGeneration = false;
-    double _lastBest = 0.0;
-    double _lastAverage = 0.0;
-    double _lastDiversity = 0.0;
-    int _lastGeneration = 0;
 };
 
 } // namespace analysis

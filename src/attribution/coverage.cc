@@ -136,7 +136,7 @@ CoverageLedger::observe(
     return fresh;
 }
 
-void
+CoverageLedger::Snapshot
 CoverageLedger::onGenerationEvaluated(const core::Population& pop,
                                       const core::GenerationRecord& rec)
 {
@@ -192,18 +192,7 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
             out << "," << snap.classes[c].seen;
         out << "\n";
     }
-
-    if (_listener)
-        _listener(snap);
-}
-
-core::Engine::GenerationCallback
-CoverageLedger::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        onGenerationEvaluated(pop, record);
-    };
+    return snap;
 }
 
 CoverageLedger::Snapshot

@@ -10,15 +10,14 @@
  * per new cell, a plain load otherwise), so by the end of a run it
  * answers "what did the GA never try?" exactly.
  *
- * Wiring follows the other observers: Engine::addGenerationObserver
- * drives onGenerationEvaluated on the coordinator thread — const views
- * only, never the RNG, so run artifacts are bit-identical with the
- * ledger on or off. Atomics exist for the telemetry server's HTTP
- * workers, which may render coverageJson() concurrently. Each observed
- * generation appends a row to the `# gest-coverage v1` CSV (when a
- * path is set), refreshes the coverage.* gauges and notifies the
- * generation listener (the run driver forwards it to the telemetry
- * service).
+ * The run pipeline (run/pipeline.hh) drives onGenerationEvaluated on
+ * the coordinator thread — const views only, never the RNG, so run
+ * artifacts are bit-identical with the ledger on or off. Atomics exist
+ * for readers on other threads, which may render coverageJson()
+ * concurrently. Each observed generation appends a row to the
+ * `# gest-coverage v1` CSV (when a path is set), refreshes the
+ * coverage.* gauges and returns its snapshot, which the pipeline hands
+ * to the watchdog and the telemetry service.
  */
 
 #ifndef GEST_ATTRIBUTION_COVERAGE_HH
@@ -27,7 +26,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -84,25 +82,16 @@ class CoverageLedger
 
     /**
      * Ingest one evaluated generation: observe every individual,
-     * update the coverage.* stats, append the CSV row and notify the
-     * listener. Coordinator thread only.
+     * update the coverage.* stats and append the CSV row. Coordinator
+     * thread only. @return the state after this generation.
      */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
-
-    /** The observer for Engine::addGenerationObserver. */
-    core::Engine::GenerationCallback observer();
+    Snapshot onGenerationEvaluated(const core::Population& pop,
+                                   const core::GenerationRecord& record);
 
     /** Append per-generation rows to @p path (empty: no CSV). */
     void setCsvPath(std::string path) { _csvPath = std::move(path); }
 
     const std::string& csvPath() const { return _csvPath; }
-
-    /** Called after each observed generation (coordinator thread). */
-    void setGenerationListener(std::function<void(const Snapshot&)> fn)
-    {
-        _listener = std::move(fn);
-    }
 
     /**
      * Current cumulative state; safe from any thread (per-generation
@@ -152,7 +141,6 @@ class CoverageLedger
 
     std::string _csvPath;
     bool _csvStarted = false;
-    std::function<void(const Snapshot&)> _listener;
 };
 
 /** Render @p snapshot as the /coverage JSON payload. */

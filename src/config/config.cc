@@ -1,18 +1,6 @@
 #include "config/config.hh"
 
-#include "analysis/recorder.hh"
-#include "attribution/attribution.hh"
-#include "attribution/attribution_io.hh"
-#include "attribution/coverage.hh"
-#include "fitness/fitness.hh"
 #include "isa/standard_libs.hh"
-#include "measure/sim_measurements.hh"
-#include "net/telemetry.hh"
-#include "output/flight_recorder.hh"
-#include "output/run_writer.hh"
-#include "output/trace_writer.hh"
-#include "provenance/provenance.hh"
-#include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -299,330 +287,6 @@ loadConfig(const std::string& path)
     if (slash != std::string::npos)
         base_dir = path.substr(0, slash);
     return parseConfig(readFile(path), base_dir);
-}
-
-void
-registerBuiltins()
-{
-    measure::registerSimMeasurements();
-    fitness::registerBuiltinFitness();
-}
-
-RunResult
-runFromConfig(const RunConfig& cfg)
-{
-    registerBuiltins();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    if (cfg.steadyStateOverride)
-        measurement->setSteadyState(*cfg.steadyStateOverride);
-
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
-
-    core::Engine engine(cfg.ga, cfg.library, *measurement, *fit);
-
-    if (!cfg.seedPopulationPath.empty())
-        engine.setSeedPopulation(
-            core::loadPopulation(cfg.library, cfg.seedPopulationPath));
-
-    // Observability: stats on by default (the per-sample cost is atomic
-    // bumps and clock reads, invisible next to simulation); each run
-    // starts from zeroed values so artifacts describe this run only.
-    const bool stats_were_enabled = stats::enabled();
-    if (cfg.recordStats) {
-        stats::StatsRegistry::instance().resetValues();
-        stats::setEnabled(true);
-    }
-
-    std::unique_ptr<output::TraceWriter> trace;
-    if (!cfg.traceFile.empty()) {
-        trace = std::make_unique<output::TraceWriter>(cfg.traceFile);
-        engine.setTraceWriter(trace.get());
-    }
-
-    std::unique_ptr<analysis::Recorder> recorder;
-    if (cfg.recordAnalytics && !cfg.outputDirectory.empty()) {
-        recorder = std::make_unique<analysis::Recorder>(
-            cfg.outputDirectory, cfg.library, cfg.ga.generations);
-        engine.setAnalytics(recorder.get());
-    }
-
-    std::unique_ptr<output::FlightRecorder> flight;
-    if (cfg.waveformTopK > 0) {
-        if (cfg.outputDirectory.empty()) {
-            warn("waveform capture requested but no output directory "
-                 "is set; skipping");
-        } else if (std::unique_ptr<measure::Measurement> probe_meas =
-                       measurement->clone()) {
-            flight = std::make_unique<output::FlightRecorder>(
-                cfg.outputDirectory, cfg.waveformTopK,
-                std::move(probe_meas));
-        } else {
-            warn("measurement '", cfg.measurementClass,
-                 "' is not cloneable; waveform capture disabled");
-        }
-    }
-
-    std::unique_ptr<output::RunWriter> writer;
-    if (!cfg.outputDirectory.empty()) {
-        writer = std::make_unique<output::RunWriter>(
-            cfg.outputDirectory, cfg.library,
-            cfg.asmTemplate ? &*cfg.asmTemplate : nullptr);
-        writer->writeRunMetadata(
-            cfg.rawText,
-            cfg.asmTemplate ? cfg.asmTemplate->text() : "");
-        writer->setTraceWriter(trace.get());
-        engine.setGenerationCallback(writer->callback());
-    }
-    if (flight) {
-        engine.addGenerationObserver(
-            [fr = flight.get()](const core::Population& pop,
-                                const core::GenerationRecord& record) {
-                fr->onGenerationEvaluated(pop, record);
-            });
-    }
-
-    // Coverage ledger: installed before the provenance and telemetry
-    // observers so its per-generation tick is already sealed when the
-    // telemetry service composes that generation's row. Useful even
-    // without an output directory (live /coverage only).
-    std::unique_ptr<attribution::CoverageLedger> coverage;
-    if (cfg.recordCoverage) {
-        coverage =
-            std::make_unique<attribution::CoverageLedger>(cfg.library);
-        if (!cfg.outputDirectory.empty())
-            coverage->setCsvPath(cfg.outputDirectory + "/coverage.csv");
-        engine.addGenerationObserver(coverage->observer());
-    }
-
-    // Health watchdog: installed after the coverage ledger (whose tick
-    // for generation N is already in when the watchdog evaluates N)
-    // and before the telemetry observer (so alert SSE frames precede
-    // their generation's frame). Useful even without an output
-    // directory (live /alerts only).
-    std::unique_ptr<analysis::HealthWatchdog> watchdog;
-    if (cfg.recordHealth) {
-        watchdog =
-            std::make_unique<analysis::HealthWatchdog>(cfg.healthRules);
-        if (!cfg.outputDirectory.empty()) {
-            ensureDir(cfg.outputDirectory);
-            watchdog->setCsvPath(cfg.outputDirectory + "/alerts.csv");
-        }
-        engine.addGenerationObserver(watchdog->observer());
-        if (recorder)
-            recorder->setHealthProvider(
-                [w = watchdog.get()] { return w->summary(); });
-    }
-
-    // Provenance: digest ledger during the run, manifest seal after.
-    // Attached after the recorder, so mid-run status.json heartbeats
-    // report the previous generation's digest count (finish() is exact).
-    std::unique_ptr<provenance::ProvenanceRecorder> prov;
-    if (cfg.recordProvenance && !cfg.outputDirectory.empty()) {
-        prov = std::make_unique<provenance::ProvenanceRecorder>(
-            cfg.outputDirectory, cfg.library);
-        engine.addGenerationObserver(prov->observer());
-        if (recorder)
-            recorder->setDigestProvider(
-                [p = prov.get()] { return p->digestsSealed(); });
-    }
-
-    // Live telemetry: bind before the run so the first generation is
-    // already scrapable; the service only observes (const views, no
-    // RNG), keeping artifacts bit-identical with the server on or off.
-    std::unique_ptr<net::TelemetryServer> telemetry;
-    if (!cfg.listenAddress.empty()) {
-        telemetry = std::make_unique<net::TelemetryServer>(
-            cfg.listenAddress, cfg.library, cfg.ga.generations);
-        telemetry->start();
-        inform("telemetry listening on http://", telemetry->address());
-        engine.addGenerationObserver(telemetry->observer());
-        if (recorder) {
-            recorder->setListenAddress(telemetry->address());
-            net::TelemetryService* service = &telemetry->service();
-            recorder->setStatusListener(
-                [service](const std::string& payload) {
-                    service->setStatusJson(payload);
-                });
-        }
-        if (watchdog) {
-            net::TelemetryService* service = &telemetry->service();
-            watchdog->setAlertListener(
-                [service](const analysis::Alert& alert) {
-                    service->noteAlert(alert);
-                });
-        }
-    }
-
-    // One coverage listener feeds both consumers: the watchdog's
-    // coverage_stall rule and the live /coverage snapshot. Fires inside
-    // the coverage observer, which runs before both of theirs.
-    if (coverage && (watchdog || telemetry)) {
-        net::TelemetryService* service =
-            telemetry ? &telemetry->service() : nullptr;
-        analysis::HealthWatchdog* wd = watchdog.get();
-        coverage->setGenerationListener(
-            [service,
-             wd](const attribution::CoverageLedger::Snapshot& snap) {
-                if (wd)
-                    wd->noteCoverage(snap.generation, snap.newCells);
-                if (service == nullptr)
-                    return;
-                net::TelemetryService::CoverageTick tick;
-                tick.generation = snap.generation;
-                tick.cellsSeen = snap.cellsSeen;
-                tick.cellsTotal = snap.cellsTotal;
-                tick.newCells = snap.newCells;
-                tick.saturationPct = snap.saturationPct;
-                tick.noveltyRate = snap.noveltyRate;
-                service->noteCoverage(
-                    tick, attribution::formatCoverageJson(snap));
-            });
-    }
-
-    engine.run();
-
-    RunResult result;
-    result.finalPopulation = engine.population();
-    result.best = engine.bestEver();
-    result.history = engine.history();
-    result.evaluations = engine.evaluations();
-    result.cacheHits = engine.cacheHits();
-    result.cacheMisses = engine.cacheMisses();
-
-    if (flight)
-        result.waveformFiles = flight->seal();
-
-    // Attribution: ablate the flight recorder's retained champions (or
-    // the best-ever individual without one) on a private measurement
-    // clone and seal attribution/ artifacts. Before the stats dump so
-    // the attribution.* counters land in stats.txt, before the
-    // provenance seal so the manifest covers the artifacts.
-    if (cfg.recordAttribution && !cfg.outputDirectory.empty()) {
-        std::unique_ptr<measure::Measurement> private_meas =
-            measurement->clone();
-        measure::Measurement* attr_meas =
-            private_meas ? private_meas.get() : measurement.get();
-
-        struct AttributionTarget
-        {
-            std::uint64_t id;
-            int generation;
-            const std::vector<isa::InstructionInstance>* code;
-        };
-        std::vector<AttributionTarget> targets;
-        if (flight) {
-            for (const output::FlightRecorder::Entry& entry :
-                 flight->entries())
-                targets.push_back(
-                    {entry.id, entry.generation, &entry.code});
-        } else if (!result.best.code.empty()) {
-            targets.push_back({result.best.id, -1, &result.best.code});
-        }
-        for (const AttributionTarget& target : targets) {
-            core::Individual ind;
-            ind.id = target.id;
-            ind.code = *target.code;
-            attribution::AttributionResult attributed =
-                attribution::computeAttribution(cfg.library, *attr_meas,
-                                                *fit, ind);
-            attributed.generation = target.generation;
-            const std::string basename =
-                "individual_" + std::to_string(target.id);
-            const attribution::AttributionArtifacts artifacts =
-                attribution::writeAttributionArtifacts(
-                    cfg.outputDirectory + "/attribution", basename,
-                    attributed);
-            result.attributionFiles.push_back(artifacts.csvPath);
-            result.attributionFiles.push_back(artifacts.jsonPath);
-            if (writer) {
-                writer->noteArtifact("attribution/" + basename + ".csv",
-                                     "attribution");
-                writer->noteArtifact(
-                    "attribution/" + basename + ".json", "attribution");
-            }
-        }
-        if (!targets.empty())
-            debug("attribution sealed for ", targets.size(),
-                  " individual(s) in ", cfg.outputDirectory,
-                  "/attribution");
-    } else if (cfg.recordAttribution) {
-        warn("attribution requested but no output directory is set; "
-             "skipping");
-    }
-
-    if (coverage && fileExists(coverage->csvPath())) {
-        result.coverageFile = coverage->csvPath();
-        if (writer)
-            writer->noteArtifact("coverage.csv", "coverage");
-    }
-
-    if (watchdog && fileExists(watchdog->csvPath())) {
-        const analysis::HealthSummary health = watchdog->summary();
-        if (health.alerts > 0)
-            warn("health watchdog raised ", health.alerts,
-                 " alert(s); see ", watchdog->csvPath());
-        if (writer)
-            writer->noteArtifact("alerts.csv", "alerts");
-    }
-
-    if (recorder)
-        recorder->finish();
-    if (trace) {
-        trace->finish();
-        result.traceFile = cfg.traceFile;
-    }
-    if (cfg.recordStats && !cfg.outputDirectory.empty()) {
-        // Freshen the process self-observation gauges so the sealed
-        // dump agrees with what a final /metrics scrape would have
-        // shown.
-        stats::updateProcessGauges();
-        writeFile(cfg.outputDirectory + "/stats.txt",
-                  stats::StatsRegistry::instance().textDump());
-        writeFile(cfg.outputDirectory + "/metrics.json",
-                  stats::StatsRegistry::instance().jsonDump());
-        debug("stats recorded in ", cfg.outputDirectory,
-              "/stats.txt and metrics.json");
-    }
-    if (telemetry) {
-        // After recorder->finish() and the stats dump: the last scrape
-        // a client can make agrees with the sealed artifacts.
-        telemetry->service().noteRunCompleted();
-        result.listenAddress = telemetry->address();
-        telemetry->stop();
-    }
-    if (cfg.recordStats)
-        stats::setEnabled(stats_were_enabled);
-    if (prov) {
-        // Seal last: every other artifact is final, so the manifest's
-        // checksums describe exactly what a verifier will find.
-        provenance::SealInfo info;
-        info.configText = cfg.rawText;
-        info.configBaseDir = cfg.configBaseDir;
-        info.measurementClass = cfg.measurementClass;
-        info.fitnessClass = cfg.fitnessClass;
-        info.ga = cfg.ga;
-        info.steadyStateOverride = cfg.steadyStateOverride;
-        info.waveformTopK = cfg.waveformTopK;
-        info.recordStats = cfg.recordStats;
-        info.recordAnalytics = cfg.recordAnalytics;
-        info.recordCoverage = cfg.recordCoverage;
-        info.recordAttribution = cfg.recordAttribution;
-        info.generationsCompleted =
-            static_cast<int>(result.history.size());
-        info.evaluations = result.evaluations;
-        info.bestFitness = result.best.fitness;
-        info.bestId = result.best.id;
-        result.manifestFile = prov->seal(
-            info, writer ? writer->artifactKinds()
-                         : std::map<std::string, std::string>{});
-    }
-    return result;
 }
 
 } // namespace config

@@ -1,6 +1,6 @@
 /**
  * @file
- * The main configuration file (§III.B.1) and run orchestration.
+ * The main configuration file (§III.B.1) and the run entry point.
  *
  * A GeST configuration is an XML file that carries (a) the GA engine
  * parameters of Table I, (b) the operand and instruction definitions the
@@ -269,7 +269,9 @@ struct RunResult
 
 /**
  * Execute one GA run described by a configuration: instantiate the
- * measurement and fitness by name, wire the output writer, seed, run.
+ * measurement and fitness by name, fill the run pipeline with the
+ * sinks the <output> element asks for, seed, run, seal. Defined in
+ * run/run.cc.
  */
 RunResult runFromConfig(const RunConfig& cfg);
 

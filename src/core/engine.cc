@@ -110,12 +110,6 @@ Engine::setSeedPopulation(Population seed)
 }
 
 void
-Engine::setGenerationCallback(GenerationCallback callback)
-{
-    _callback = std::move(callback);
-}
-
-void
 Engine::addGenerationObserver(GenerationCallback observer)
 {
     if (observer)
@@ -384,10 +378,6 @@ Engine::evaluatePopulation()
     }
     _history.push_back(generationRecord);
 
-    if (_analytics)
-        _analytics->onGenerationEvaluated(_population, generationRecord);
-    if (_callback)
-        _callback(_population, generationRecord);
     for (const GenerationCallback& observer : _observers)
         observer(_population, generationRecord);
 }

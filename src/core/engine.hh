@@ -76,7 +76,7 @@ struct GenerationRecord
 class Engine
 {
   public:
-    /** Callback invoked after each generation is evaluated. */
+    /** Observer invoked after each generation is evaluated. */
     using GenerationCallback =
         std::function<void(const Population&, const GenerationRecord&)>;
 
@@ -90,18 +90,12 @@ class Engine
      */
     void setSeedPopulation(Population seed);
 
-    /** Install a per-generation observer (progress logs, output files). */
-    void setGenerationCallback(GenerationCallback callback);
-
     /**
-     * Install an additional per-generation observer; unlike
-     * setGenerationCallback (of which there is exactly one, owned by
-     * the run driver), any number of observers can stack — the flight
-     * recorder and the live telemetry service attach here. Observers
-     * run on the coordinator thread after the analytics recorder and
-     * the primary callback, in installation order; they must not
-     * mutate the GA (they receive const views and the engine never
-     * hands them the RNG).
+     * Install a per-generation observer (the run pipeline, progress
+     * logs, replay verification). Any number can stack; they run on
+     * the coordinator thread in installation order and must not mutate
+     * the GA (they receive const views and the engine never hands them
+     * the RNG).
      */
     void addGenerationObserver(GenerationCallback observer);
 
@@ -118,9 +112,8 @@ class Engine
      * Attach an evolution-analytics recorder (may be null to detach;
      * must outlive the engine). The engine then reports every birth —
      * seeds, crossover/mutation children with their mutated gene
-     * indices, elite copies — and each evaluated generation to it, so
-     * the recorder can maintain lineage.csv, analytics.csv and the
-     * status.json heartbeat. Recording never touches the GA RNG:
+     * indices, elite copies — to it; sealing each evaluated generation
+     * is the run pipeline's step. Recording never touches the GA RNG:
      * results are bit-identical with the recorder attached or not.
      */
     void setAnalytics(analysis::Recorder* recorder);
@@ -212,7 +205,6 @@ class Engine
     std::optional<Population> _seed;
     std::optional<Individual> _bestEver;
     std::vector<GenerationRecord> _history;
-    GenerationCallback _callback;
     std::vector<GenerationCallback> _observers;
     std::uint64_t _nextId = 1;
     std::uint64_t _evaluations = 0;

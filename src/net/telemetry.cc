@@ -1,10 +1,11 @@
 #include "net/telemetry.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/recorder.hh"
 #include "core/individual.hh"
+#include "run/pipeline.hh"
 #include "stats/stats.hh"
 #include "util/strutil.hh"
 
@@ -92,10 +93,14 @@ renderPrometheusMetrics()
                    prometheusDouble(h->bucketLo(i + 1)) + "\"} " +
                    std::to_string(cumulative) + "\n";
         }
-        out += metric + "_bucket{le=\"+Inf\"} " +
-               std::to_string(h->count()) + "\n";
+        // Workers may sample while this renders: read the count once,
+        // and never below the buckets already rendered, so +Inf equals
+        // _count and the buckets stay cumulative.
+        const std::uint64_t count = std::max(cumulative, h->count());
+        out += metric + "_bucket{le=\"+Inf\"} " + std::to_string(count) +
+               "\n";
         out += metric + "_sum " + prometheusDouble(h->sum()) + "\n";
-        out += metric + "_count " + std::to_string(h->count()) + "\n";
+        out += metric + "_count " + std::to_string(count) + "\n";
         // Quantile gauges from the shared stats::Histogram::quantile
         // implementation (native histograms carry no quantiles).
         const char* qs[] = {"0.5", "0.95", "0.99"};
@@ -145,33 +150,38 @@ GenerationEventBuffer::publish(std::string payload, long long key)
 
 TelemetryService::TelemetryService(const isa::InstructionLibrary& lib,
                                    int total_generations)
-    : _lib(lib), _totalGenerations(total_generations),
-      _startUs(stats::nowUs()),
+    : _lib(lib),
       // Capacity for the whole run plus slack for stagnation overruns
       // and tests that step past the budget.
       _events(static_cast<std::size_t>(
                   total_generations > 0 ? total_generations : 1) +
               64)
 {
-    analysis::StatusSnapshot empty;
-    empty.generation = -1;
-    empty.totalGenerations = total_generations;
-    // -1 marks "analytics off — not computed" so dashboards render
-    // n/a instead of a misleading 0; the analytics recorder overwrites
-    // the whole payload with real values via setStatusJson.
-    empty.geneEntropyBits = -1.0;
-    empty.pairwiseDiversity = -1.0;
-    _statusJson = analysis::formatStatusJson(empty);
+    core::GenerationRecord none;
+    none.generation = -1;
+    _statusJson = run::statusJson(none, run::GenerationFacts(),
+                                  total_generations, "", true);
     _championJson = "{\n  \"state\": \"no champion yet\"\n}\n";
     _coverageJson = "{\n  \"state\": \"coverage not recorded\"\n}\n";
 }
 
 void
 TelemetryService::onGenerationEvaluated(const core::Population& pop,
-                                        const core::GenerationRecord& rec)
+                                        const core::GenerationRecord& rec,
+                                        const run::GenerationFacts& facts,
+                                        std::string status_json)
 {
-    _totalMeasured += rec.cacheMisses;
-    _totalCacheHits += rec.cacheHits;
+    // Alert frames carry no `id:` line — see the publish() contract:
+    // they must not advance a client's Last-Event-ID, and keyless
+    // events are redelivered on resume.
+    for (const analysis::Alert& alert : facts.newAlerts) {
+        const std::string row = analysis::formatAlertJson(alert);
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            _alertRows.push_back(row);
+        }
+        _events.publish("event: alert\ndata: " + row + "\n\n");
+    }
 
     // History row: same quantities as a history.csv line, as JSON.
     char buf[512];
@@ -187,10 +197,10 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
         static_cast<unsigned long long>(rec.cacheMisses),
         rec.evaluationMs);
     std::string row = buf;
-    // The coverage ledger's observer runs before this one, so a tick
-    // for the same generation extends the row; without the ledger the
-    // schema is unchanged.
-    if (_coverage.generation == rec.generation) {
+    // A coverage tick extends the row; without the ledger the schema is
+    // unchanged.
+    if (facts.coverage) {
+        const attribution::CoverageLedger::Snapshot& tick = *facts.coverage;
         std::snprintf(
             buf, sizeof(buf),
             ", \"coverage_cells_seen\": %llu, "
@@ -198,10 +208,10 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
             "\"coverage_cells_new\": %llu, "
             "\"coverage_saturation_pct\": %.6f, "
             "\"coverage_novelty_rate\": %.6f",
-            static_cast<unsigned long long>(_coverage.cellsSeen),
-            static_cast<unsigned long long>(_coverage.cellsTotal),
-            static_cast<unsigned long long>(_coverage.newCells),
-            _coverage.saturationPct, _coverage.noveltyRate);
+            static_cast<unsigned long long>(tick.cellsSeen),
+            static_cast<unsigned long long>(tick.cellsTotal),
+            static_cast<unsigned long long>(tick.newCells),
+            tick.saturationPct, tick.noveltyRate);
         row += buf;
     }
     row += "}";
@@ -247,28 +257,15 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
             json += lines.empty() ? "]\n}\n" : "\n  ]\n}\n";
             _championJson = std::move(json);
         }
+        if (facts.coverage)
+            _coverageJson = attribution::formatCoverageJson(*facts.coverage);
         _historyRows.emplace_back(row);
-        if (!_externalStatus)
-            _statusJson = composeStatus(rec);
+        _statusJson = std::move(status_json);
     }
 
     // Publish the SSE event last so a client woken by it can already
     // read the matching snapshots.
     _events.publish(std::move(frame), rec.generation);
-}
-
-void
-TelemetryService::noteAlert(const analysis::Alert& alert)
-{
-    const std::string row = analysis::formatAlertJson(alert);
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _alertRows.push_back(row);
-    }
-    // No `id:` line — see the publish() contract: alert frames must
-    // not advance a client's Last-Event-ID, and keyless events are
-    // redelivered on resume.
-    _events.publish("event: alert\ndata: " + row + "\n\n");
 }
 
 std::string
@@ -285,52 +282,6 @@ TelemetryService::alertsJson() const
 }
 
 std::string
-TelemetryService::composeStatus(const core::GenerationRecord& rec) const
-{
-    const double elapsed_s = (stats::nowUs() - _startUs) / 1e6;
-    const int done = rec.generation + 1;
-    const std::uint64_t resolved = _totalMeasured + _totalCacheHits;
-
-    analysis::StatusSnapshot snapshot;
-    snapshot.running = true;
-    snapshot.generation = rec.generation;
-    snapshot.totalGenerations = _totalGenerations;
-    snapshot.bestFitness = rec.bestFitness;
-    snapshot.averageFitness = rec.averageFitness;
-    snapshot.diversity = rec.diversity;
-    snapshot.evaluations = _totalMeasured;
-    snapshot.cacheHitRate =
-        resolved > 0 ? static_cast<double>(_totalCacheHits) /
-                           static_cast<double>(resolved)
-                     : 0.0;
-    snapshot.evalsPerSec =
-        elapsed_s > 0.0 ? static_cast<double>(_totalMeasured) / elapsed_s
-                        : 0.0;
-    snapshot.elapsedSeconds = elapsed_s;
-    snapshot.etaSeconds =
-        _totalGenerations > done && done > 0
-            ? elapsed_s / static_cast<double>(done) *
-                  static_cast<double>(_totalGenerations - done)
-            : 0.0;
-    // This path only runs when no analytics recorder owns the status:
-    // entropy/diversity are not computed, and -1 (not 0) tells
-    // dashboards to render n/a.
-    snapshot.geneEntropyBits = -1.0;
-    snapshot.pairwiseDiversity = -1.0;
-    analysis::fillSteadyCounters(snapshot);
-    return analysis::formatStatusJson(snapshot);
-}
-
-void
-TelemetryService::noteCoverage(const CoverageTick& tick,
-                               std::string coverage_json)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _coverage = tick;
-    _coverageJson = std::move(coverage_json);
-}
-
-std::string
 TelemetryService::coverageJson() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
@@ -338,27 +289,11 @@ TelemetryService::coverageJson() const
 }
 
 void
-TelemetryService::setStatusJson(std::string payload)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _externalStatus = true;
-    _statusJson = std::move(payload);
-}
-
-void
-TelemetryService::noteRunCompleted()
+TelemetryService::noteRunCompleted(std::string status_json)
 {
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        // Flip the self-composed status to "completed"; an external
-        // (recorder-fed) status already says so via Recorder::finish().
-        if (!_externalStatus) {
-            const std::string needle = "\"state\": \"running\"";
-            const std::size_t pos = _statusJson.find(needle);
-            if (pos != std::string::npos)
-                _statusJson.replace(pos, needle.size(),
-                                    "\"state\": \"completed\"");
-        }
+        _statusJson = std::move(status_json);
     }
     _completed.store(true, std::memory_order_release);
 }
@@ -516,15 +451,6 @@ void
 TelemetryServer::stop()
 {
     _http.stop();
-}
-
-core::Engine::GenerationCallback
-TelemetryServer::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        _service.onGenerationEvaluated(pop, record);
-    };
 }
 
 } // namespace net

@@ -4,8 +4,8 @@
  * observability artifacts served over the embedded HTTP server
  * (docs/observability.md, "Live endpoints").
  *
- * Layering: the engine's per-generation observer *pushes* snapshots in
- * (coordinator thread, one small JSON composition per generation —
+ * Layering: the run pipeline's per-generation step *pushes* snapshots
+ * in (coordinator thread, one small JSON composition per generation —
  * never on the evaluation hot path), HTTP workers *pull* them out.
  * Scrape endpoints never read the disk artifacts: /status, /history
  * and /champion serve the in-memory copies, /metrics renders the
@@ -26,12 +26,16 @@
 #include <string>
 #include <vector>
 
-#include "analysis/health.hh"
 #include "core/engine.hh"
 #include "isa/library.hh"
 #include "net/http_server.hh"
 
 namespace gest {
+
+namespace run {
+struct GenerationFacts;
+} // namespace run
+
 namespace net {
 
 /**
@@ -111,8 +115,8 @@ class GenerationEventBuffer
 std::string renderPrometheusMetrics();
 
 /**
- * The in-memory snapshot store behind the endpoints. All setters run
- * on the engine's coordinator thread; all getters are called
+ * The in-memory snapshot store behind the endpoints. Both ingest calls
+ * run on the run pipeline's coordinator thread; all getters are called
  * concurrently from HTTP workers and synchronize on one small mutex
  * (the event buffer is lock-free, see above).
  */
@@ -128,63 +132,30 @@ class TelemetryService
                      int total_generations);
 
     /**
-     * Ingest one sealed generation: append the history row, refresh
-     * the champion on strict improvement, publish the SSE event and —
-     * unless an analytics recorder supplies richer ones via
-     * setStatusJson — refresh the status snapshot.
+     * Ingest one sealed generation, in this order: publish the alerts
+     * @p facts says were raised (keyless `event: alert` SSE frames, so
+     * they precede the generation's frame and a resumed stream
+     * redelivers them), take its coverage tick as the /coverage payload
+     * and as extra fields of the history row, append the history row,
+     * refresh the champion on strict improvement, replace /status with
+     * @p status_json, and publish the `event: generation` frame.
      */
     void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record);
+                               const core::GenerationRecord& record,
+                               const run::GenerationFacts& facts,
+                               std::string status_json);
 
-    /**
-     * Replace the /status payload (the analytics recorder mirrors
-     * every status.json it writes). Marks the status as externally
-     * owned: onGenerationEvaluated stops composing its own.
-     */
-    void setStatusJson(std::string payload);
-
-    /**
-     * One generation's coverage-ledger state, mirrored into the
-     * /coverage payload and — when the generation matches — appended
-     * to that generation's history row and SSE event.
-     */
-    struct CoverageTick
-    {
-        int generation = -1;
-        std::uint64_t cellsSeen = 0;
-        std::uint64_t cellsTotal = 0;
-        std::uint64_t newCells = 0;
-        double saturationPct = 0.0;
-        double noveltyRate = 0.0;
-    };
-
-    /**
-     * Ingest one coverage-ledger generation (@p coverage_json becomes
-     * the /coverage payload). Coordinator thread, before the same
-     * generation's onGenerationEvaluated — the run driver installs the
-     * ledger's observer ahead of this service's.
-     */
-    void noteCoverage(const CoverageTick& tick,
-                      std::string coverage_json);
-
+    /** The `/coverage` payload: the latest coverage-ledger tick. */
     std::string coverageJson() const;
-
-    /**
-     * Ingest one health-watchdog alert: append it to the /alerts
-     * payload and publish an `event: alert` SSE frame. Coordinator
-     * thread, from the watchdog's alert listener — the run driver
-     * installs the watchdog's observer ahead of this service's, so the
-     * alert frame precedes its generation's `event: generation` frame.
-     * Alert frames carry no SSE id (they never advance a client's
-     * Last-Event-ID), so a resumed stream redelivers them.
-     */
-    void noteAlert(const analysis::Alert& alert);
 
     /** The `/alerts` payload: every raised alert as a JSON array. */
     std::string alertsJson() const;
 
-    /** Mark the run finished so /events streams can end gracefully. */
-    void noteRunCompleted();
+    /**
+     * Serve the final @p status_json and mark the run finished so
+     * /events streams can end gracefully.
+     */
+    void noteRunCompleted(std::string status_json);
 
     /** @return whether noteRunCompleted() has been called. */
     bool completed() const
@@ -202,12 +173,7 @@ class TelemetryService
     std::size_t generationsSeen() const;
 
   private:
-    std::string composeStatus(const core::GenerationRecord& record)
-        const;
-
     const isa::InstructionLibrary& _lib;
-    const int _totalGenerations;
-    const double _startUs;
     GenerationEventBuffer _events;
 
     std::atomic<bool> _completed{false};
@@ -218,21 +184,15 @@ class TelemetryService
     std::string _coverageJson;
     std::vector<std::string> _historyRows;
     std::vector<std::string> _alertRows;
-    // Coordinator-thread only (written by noteCoverage, read by
-    // onGenerationEvaluated on the same thread); no lock needed.
-    CoverageTick _coverage;
-    bool _externalStatus = false;
     double _bestFitness = 0.0;
     bool _haveChampion = false;
-    std::uint64_t _totalMeasured = 0;
-    std::uint64_t _totalCacheHits = 0;
 };
 
 /**
  * Glue: one TelemetryService hosted by one HttpServer with the live
  * endpoints (/metrics, /status, /history, /champion, /coverage,
  * /alerts, /events, plus /healthz and a tiny index at /) registered.
- * Construct, start(), attach observer() to the engine, run, stop().
+ * Construct, start(), feed service() from the run pipeline, stop().
  */
 class TelemetryServer
 {
@@ -256,13 +216,6 @@ class TelemetryServer
 
     TelemetryService& service() { return _service; }
     HttpServer& http() { return _http; }
-
-    /**
-     * An engine generation observer feeding this service. Safe to
-     * install alongside the run writer and flight recorder; never
-     * touches the GA RNG or the run directory.
-     */
-    core::Engine::GenerationCallback observer();
 
   private:
     TelemetryService _service;

@@ -13,9 +13,11 @@ namespace gest {
 namespace output {
 
 RunWriter::RunWriter(std::string root, const isa::InstructionLibrary& lib,
-                     const isa::AsmTemplate* tmpl, RunWriterOptions options)
+                     const isa::AsmTemplate* tmpl)
     : _root(std::move(root)), _lib(lib), _template(tmpl),
-      _options(options)
+      _ioUs(stats::StatsRegistry::instance().histogram(
+          "output.io_us", "run-directory writes per generation (us)", 0.0,
+          100000.0, 40))
 {
     ensureDir(_root);
 }
@@ -29,7 +31,7 @@ RunWriter::individualFileName(int population,
     std::string name =
         std::to_string(population) + "_" + std::to_string(ind.id);
     for (double v : ind.measurements)
-        name += "_" + formatFixed(v, _options.measurementPrecision);
+        name += "_" + formatFixed(v, 2);
     return name + ".txt";
 }
 
@@ -54,16 +56,12 @@ RunWriter::writeIndividual(int population, const core::Individual& ind)
 void
 RunWriter::writePopulation(const core::Population& pop)
 {
-    if (_options.writeIndividuals) {
-        for (const core::Individual& ind : pop.individuals)
-            writeIndividual(pop.generation, ind);
-    }
-    if (_options.writePopulations) {
-        const std::string name =
-            "population_" + std::to_string(pop.generation) + ".pop";
-        core::savePopulation(_lib, pop, _root + "/" + name);
-        _artifactKinds[name] = "population";
-    }
+    for (const core::Individual& ind : pop.individuals)
+        writeIndividual(pop.generation, ind);
+    const std::string name =
+        "population_" + std::to_string(pop.generation) + ".pop";
+    core::savePopulation(_lib, pop, _root + "/" + name);
+    _artifactKinds[name] = "population";
 }
 
 void
@@ -111,33 +109,25 @@ RunWriter::writeRunMetadata(const std::string& config_text,
     }
 }
 
-core::Engine::GenerationCallback
-RunWriter::callback()
+void
+RunWriter::onGenerationEvaluated(const core::Population& pop,
+                                 const core::GenerationRecord& record)
 {
-    static stats::Histogram& ioUs =
-        stats::StatsRegistry::instance().histogram(
-            "output.io_us", "run-directory writes per generation (us)",
-            0.0, 100000.0, 40);
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        const bool record_io = stats::enabled() || _trace;
-        const double start = record_io ? stats::nowUs() : 0.0;
-        writePopulation(pop);
-        double io_ms = 0.0;
-        if (record_io) {
-            const double elapsed = stats::nowUs() - start;
-            ioUs.sample(elapsed);
-            io_ms = elapsed / 1000.0;
-            if (_trace) {
-                _trace->completeEvent(
-                    "write run dir", "io", 0, start, elapsed,
-                    {{"generation",
-                      static_cast<double>(pop.generation)}});
-            }
+    const bool record_io = stats::enabled() || _trace;
+    const double start = record_io ? stats::nowUs() : 0.0;
+    writePopulation(pop);
+    double io_ms = 0.0;
+    if (record_io) {
+        const double elapsed = stats::nowUs() - start;
+        _ioUs.sample(elapsed);
+        io_ms = elapsed / 1000.0;
+        if (_trace) {
+            _trace->completeEvent(
+                "write run dir", "io", 0, start, elapsed,
+                {{"generation", static_cast<double>(pop.generation)}});
         }
-        if (_options.writeHistoryCsv)
-            appendHistory(record, io_ms);
-    };
+    }
+    appendHistory(record, io_ms);
 }
 
 } // namespace output

@@ -23,6 +23,11 @@
 #include "isa/library.hh"
 
 namespace gest {
+
+namespace stats {
+class Histogram;
+} // namespace stats
+
 namespace output {
 
 class TraceWriter;
@@ -37,22 +42,6 @@ class TraceWriter;
  */
 constexpr int historyCsvVersion = 2;
 
-/** Options controlling what a RunWriter records. */
-struct RunWriterOptions
-{
-    /** Write per-individual source files. */
-    bool writeIndividuals = true;
-
-    /** Write per-generation population files. */
-    bool writePopulations = true;
-
-    /** Append one history.csv row per generation record. */
-    bool writeHistoryCsv = true;
-
-    /** Decimal places used for measurements embedded in file names. */
-    int measurementPrecision = 2;
-};
-
 /**
  * Writes one GA run's artifacts under a root directory.
  */
@@ -66,8 +55,7 @@ class RunWriter
      *        nullptr, bare loop bodies are written
      */
     RunWriter(std::string root, const isa::InstructionLibrary& lib,
-              const isa::AsmTemplate* tmpl = nullptr,
-              RunWriterOptions options = {});
+              const isa::AsmTemplate* tmpl = nullptr);
 
     /** Record one evaluated individual of a given population. */
     void writeIndividual(int population, const core::Individual& ind);
@@ -80,16 +68,16 @@ class RunWriter
      * and header written on the first call): fitness, diversity, the
      * fitness-cache hit/miss counters and the per-phase milliseconds
      * of that generation. @p io_ms is the time this writer spent
-     * recording the generation's artifacts (callback() fills it in;
-     * direct callers may pass 0).
+     * recording the generation's artifacts (onGenerationEvaluated()
+     * fills it in; direct callers may pass 0).
      */
     void appendHistory(const core::GenerationRecord& record,
                        double io_ms = 0.0);
 
     /**
-     * Attach a Chrome-trace writer (may be null): callback() then
-     * emits one "write run dir" span per generation on tid 0. The
-     * writer must outlive this RunWriter.
+     * Attach a Chrome-trace writer (may be null):
+     * onGenerationEvaluated() then emits one "write run dir" span per
+     * generation on tid 0. The writer must outlive this RunWriter.
      */
     void setTraceWriter(TraceWriter* trace) { _trace = trace; }
 
@@ -98,10 +86,11 @@ class RunWriter
                           const std::string& template_text);
 
     /**
-     * Convenience: an Engine generation callback that records every
-     * generation through this writer.
+     * Record one evaluated generation: its population (individuals +
+     * checkpoint) and its history.csv row with the time spent writing.
      */
-    core::Engine::GenerationCallback callback();
+    void onGenerationEvaluated(const core::Population& pop,
+                               const core::GenerationRecord& record);
 
     /** The run directory. */
     const std::string& root() const { return _root; }
@@ -138,9 +127,9 @@ class RunWriter
     std::string _root;
     const isa::InstructionLibrary& _lib;
     const isa::AsmTemplate* _template;
-    RunWriterOptions _options;
     bool _historyStarted = false;
     TraceWriter* _trace = nullptr;
+    stats::Histogram& _ioUs;  ///< resolved at construction
     std::map<std::string, std::string> _artifactKinds;
 };
 

@@ -73,36 +73,47 @@ PdnModel::simulate(const std::vector<double>& current_amps,
                       probe);
 }
 
+namespace {
+
+/**
+ * The one PDN integrator behind simulateAt() and simulateTiled(): steps
+ * @p cycles cycles reading the load current of each through
+ * @p current_at, and keeps the per-cycle die voltage in
+ * VoltageTrace::volts only when @p keep_volts. A warmup window reaching
+ * past the trace is clamped to its first half (in place, so the caller
+ * can label the waveform).
+ */
+template <typename CurrentAt>
 VoltageTrace
-PdnModel::simulateAt(const std::vector<double>& current_amps,
-                     double freq_ghz, double vs,
-                     std::size_t warmup_cycles,
-                     signal::SignalProbe* probe) const
+integrate(const PdnConfig& cfg, CurrentAt current_at, std::size_t cycles,
+          double freq_ghz, double vs, std::size_t& warmup_cycles,
+          bool keep_volts)
 {
     if (freq_ghz <= 0.0)
         fatal("PDN simulation needs a positive clock frequency");
 
     VoltageTrace out;
-    out.volts.reserve(current_amps.size());
-    if (current_amps.empty()) {
+    if (cycles == 0) {
         // No load samples: the die sits at the supply. Keep every
         // summary field defined so downstream consumers (Vmin sweeps,
         // fitness functions) never read uninitialized state.
         out.vMin = out.vMax = out.vAvg = vs;
         return out;
     }
-    if (warmup_cycles >= current_amps.size())
-        warmup_cycles = current_amps.size() / 2;
+    if (warmup_cycles >= cycles)
+        warmup_cycles = cycles / 2;
+    if (keep_volts)
+        out.volts.reserve(cycles);
 
     const double dt =
-        1e-9 / freq_ghz / static_cast<double>(_cfg.substepsPerCycle);
-    const double r = _cfg.resistanceOhm;
-    const double l = _cfg.inductanceH;
-    const double c = _cfg.capacitanceF;
+        1e-9 / freq_ghz / static_cast<double>(cfg.substepsPerCycle);
+    const double r = cfg.resistanceOhm;
+    const double l = cfg.inductanceH;
+    const double c = cfg.capacitanceF;
 
     // Start at the DC operating point for the first sample's current so
     // the transient begins settled.
-    double i_l = current_amps.front();
+    double i_l = current_at(0);
     double v_c = vs - r * i_l;
 
     double v_min = std::numeric_limits<double>::max();
@@ -110,15 +121,16 @@ PdnModel::simulateAt(const std::vector<double>& current_amps,
     double v_sum = 0.0;
     std::size_t measured = 0;
 
-    for (std::size_t cycle = 0; cycle < current_amps.size(); ++cycle) {
-        const double i_load = current_amps[cycle];
+    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+        const double i_load = current_at(cycle);
         // Semi-implicit (symplectic) Euler keeps the oscillator stable
         // at the modest substep counts we use.
-        for (int s = 0; s < _cfg.substepsPerCycle; ++s) {
+        for (int s = 0; s < cfg.substepsPerCycle; ++s) {
             i_l += dt * (vs - v_c - r * i_l) / l;
             v_c += dt * (i_l - i_load) / c;
         }
-        out.volts.push_back(v_c);
+        if (keep_volts)
+            out.volts.push_back(v_c);
         if (cycle >= warmup_cycles) {
             v_min = std::min(v_min, v_c);
             v_max = std::max(v_max, v_c);
@@ -131,13 +143,28 @@ PdnModel::simulateAt(const std::vector<double>& current_amps,
         // Unreachable with the warmup clamp above (any non-empty trace
         // measures at least its second half), but kept as a defined
         // fallback rather than UB if the clamp policy ever changes.
-        out.vMin = out.vMax = out.vAvg = out.volts.back();
+        out.vMin = out.vMax = out.vAvg = v_c;
     } else {
         out.vMin = v_min;
         out.vMax = v_max;
         out.vAvg = v_sum / static_cast<double>(measured);
     }
-    if (probe) {
+    return out;
+}
+
+} // namespace
+
+VoltageTrace
+PdnModel::simulateAt(const std::vector<double>& current_amps,
+                     double freq_ghz, double vs,
+                     std::size_t warmup_cycles,
+                     signal::SignalProbe* probe) const
+{
+    VoltageTrace out = integrate(
+        _cfg, [&](std::size_t cycle) { return current_amps[cycle]; },
+        current_amps.size(), freq_ghz, vs, warmup_cycles,
+        /*keep_volts=*/true);
+    if (probe && !current_amps.empty()) {
         probe->recordWaveform("pdn_voltage_v", "V", freq_ghz * 1e9,
                               out.volts, warmup_cycles);
     }
@@ -150,55 +177,13 @@ PdnModel::simulateTiled(const double* current_amps,
                         std::size_t virtual_cycles, double freq_ghz,
                         std::size_t warmup_cycles) const
 {
-    if (freq_ghz <= 0.0)
-        fatal("PDN simulation needs a positive clock frequency");
-
-    const double vs = _cfg.vdd;
-    VoltageTrace out;
-    if (virtual_cycles == 0) {
-        out.vMin = out.vMax = out.vAvg = vs;
-        return out;
-    }
-    if (warmup_cycles >= virtual_cycles)
-        warmup_cycles = virtual_cycles / 2;
-
-    const double dt =
-        1e-9 / freq_ghz / static_cast<double>(_cfg.substepsPerCycle);
-    const double r = _cfg.resistanceOhm;
-    const double l = _cfg.inductanceH;
-    const double c = _cfg.capacitanceF;
-
-    double i_l = current_amps[0];
-    double v_c = vs - r * i_l;
-
-    double v_min = std::numeric_limits<double>::max();
-    double v_max = -std::numeric_limits<double>::max();
-    double v_sum = 0.0;
-    std::size_t measured = 0;
-
-    for (std::size_t cycle = 0; cycle < virtual_cycles; ++cycle) {
-        const double i_load =
-            current_amps[tiling.storedIndex(cycle)];
-        for (int s = 0; s < _cfg.substepsPerCycle; ++s) {
-            i_l += dt * (vs - v_c - r * i_l) / l;
-            v_c += dt * (i_l - i_load) / c;
-        }
-        if (cycle >= warmup_cycles) {
-            v_min = std::min(v_min, v_c);
-            v_max = std::max(v_max, v_c);
-            v_sum += v_c;
-            ++measured;
-        }
-    }
-
-    if (measured == 0) {
-        out.vMin = out.vMax = out.vAvg = v_c;
-    } else {
-        out.vMin = v_min;
-        out.vMax = v_max;
-        out.vAvg = v_sum / static_cast<double>(measured);
-    }
-    return out;
+    return integrate(
+        _cfg,
+        [&](std::size_t cycle) {
+            return current_amps[tiling.storedIndex(cycle)];
+        },
+        virtual_cycles, freq_ghz, _cfg.vdd, warmup_cycles,
+        /*keep_volts=*/false);
 }
 
 VminModel::VminModel(const PdnModel& pdn, VminConfig cfg)

@@ -79,15 +79,6 @@ DigestLedger::append(const core::Population& pop,
     _digestUs += stats::nowUs() - start;
 }
 
-core::Engine::GenerationCallback
-DigestLedger::observer()
-{
-    return [this](const core::Population& pop,
-                  const core::GenerationRecord& record) {
-        append(pop, record);
-    };
-}
-
 bool
 loadDigests(const std::string& run_dir, std::vector<DigestRow>& out,
             std::string* error)

@@ -63,9 +63,9 @@ struct DigestRow
 
 /**
  * Appends one digest row per evaluated generation to
- * `<run_dir>/digests.csv`. Attach via Engine::addGenerationObserver();
- * the ledger only reads const views and never touches the GA RNG, so
- * all other artifacts are bit-identical with the ledger on or off.
+ * `<run_dir>/digests.csv`, driven by the run pipeline. The ledger only
+ * reads const views and never touches the GA RNG, so all other
+ * artifacts are bit-identical with the ledger on or off.
  */
 class DigestLedger
 {
@@ -76,9 +76,6 @@ class DigestLedger
     /** Digest @p pop and append its row (header on the first call). */
     void append(const core::Population& pop,
                 const core::GenerationRecord& record);
-
-    /** An engine observer that forwards to append(). */
-    core::Engine::GenerationCallback observer();
 
     /** Rows appended so far. */
     std::uint64_t rowsSealed() const { return _rows; }

@@ -4,12 +4,12 @@
  * manifest seal.
  *
  * One ProvenanceRecorder per recorded run, wired by the run driver
- * (config::runFromConfig). During the run its observer — attached with
- * Engine::addGenerationObserver() — appends one population digest per
- * evaluated generation to `digests.csv`. After every other artifact is
- * final (flight recorder sealed, analytics finished, stats dumped) the
- * driver calls seal(), which walks the run directory, checksums every
- * artifact and writes `manifest.json`.
+ * (config::runFromConfig). During the run the run pipeline calls
+ * append() once per evaluated generation, adding one population digest
+ * to `digests.csv`. After every other artifact is final (flight
+ * recorder sealed, status completed, stats dumped) the driver calls
+ * seal(), which walks the run directory, checksums every artifact and
+ * writes `manifest.json`.
  *
  * Recording is strictly observational: const views only, never the GA
  * RNG, so every pre-existing artifact is byte-identical with
@@ -60,13 +60,14 @@ class ProvenanceRecorder
     ProvenanceRecorder(std::string run_dir,
                        const isa::InstructionLibrary& lib);
 
-    /** The digest-ledger observer for Engine::addGenerationObserver. */
-    core::Engine::GenerationCallback observer()
+    /** Append @p pop's row to the digest ledger. */
+    void append(const core::Population& pop,
+                const core::GenerationRecord& record)
     {
-        return _ledger.observer();
+        _ledger.append(pop, record);
     }
 
-    /** Digest rows sealed so far (the status.json provider). */
+    /** Digest rows sealed so far (status.json's digests_sealed). */
     std::uint64_t digestsSealed() const { return _ledger.rowsSealed(); }
 
     /**

@@ -1,0 +1,197 @@
+#include "run/pipeline.hh"
+
+#include <cstdio>
+
+#include "analysis/recorder.hh"
+#include "net/telemetry.hh"
+#include "output/flight_recorder.hh"
+#include "output/run_writer.hh"
+#include "provenance/manifest.hh"
+#include "provenance/provenance.hh"
+#include "stats/stats.hh"
+#include "util/fileutil.hh"
+#include "util/logging.hh"
+#include "util/strutil.hh"
+
+namespace gest {
+namespace run {
+
+std::string
+statusJson(const core::GenerationRecord& record,
+           const GenerationFacts& facts, int total_generations,
+           const std::string& listen, bool running)
+{
+    const double elapsed_s = facts.elapsedSeconds;
+    const int done = record.generation + 1;
+    const std::uint64_t resolved =
+        facts.totalMeasured + facts.totalCacheHits;
+    const double cache_hit_rate =
+        resolved > 0 ? static_cast<double>(facts.totalCacheHits) /
+                           static_cast<double>(resolved)
+                     : 0.0;
+    const double evals_per_sec =
+        elapsed_s > 0.0
+            ? static_cast<double>(facts.totalMeasured) / elapsed_s
+            : 0.0;
+    const double eta_s =
+        running && done > 0 && total_generations > done
+            ? elapsed_s / static_cast<double>(done) *
+                  static_cast<double>(total_generations - done)
+            : 0.0;
+
+    // Steady-state fast-path counters, looked up without find-or-create:
+    // a run that never touches the simulated fast path (native
+    // measurements, stats off) must not grow eval.* entries in its
+    // stats.txt just by heartbeating.
+    unsigned long long steady_hits = 0, cycles_simulated = 0,
+                       cycles_tiled = 0;
+    for (const stats::Counter* counter :
+         stats::StatsRegistry::instance().counterList()) {
+        if (counter->name() == "eval.steady_hits")
+            steady_hits = counter->value();
+        else if (counter->name() == "eval.cycles_simulated")
+            cycles_simulated = counter->value();
+        else if (counter->name() == "eval.cycles_tiled")
+            cycles_tiled = counter->value();
+    }
+
+    char buf[1536];
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\n"
+        "  \"state\": \"%s\",\n"
+        "  \"generation\": %d,\n"
+        "  \"total_generations\": %d,\n"
+        "  \"best_fitness\": %.17g,\n"
+        "  \"average_fitness\": %.17g,\n"
+        "  \"diversity\": %.6f,\n"
+        "  \"gene_entropy_bits\": %.6f,\n"
+        "  \"pairwise_diversity\": %.6f,\n"
+        "  \"evaluations\": %llu,\n"
+        "  \"cache_hit_rate\": %.6f,\n"
+        "  \"evals_per_sec\": %.3f,\n"
+        "  \"elapsed_seconds\": %.3f,\n"
+        "  \"eta_seconds\": %.3f,\n"
+        "  \"steady_hits\": %llu,\n"
+        "  \"cycles_simulated\": %llu,\n"
+        "  \"cycles_tiled\": %llu,\n",
+        running ? "running" : "completed", record.generation,
+        total_generations, record.bestFitness, record.averageFitness,
+        record.diversity, facts.geneEntropyBits, facts.pairwiseDiversity,
+        static_cast<unsigned long long>(facts.totalMeasured),
+        cache_hit_rate, evals_per_sec, elapsed_s, eta_s, steady_hits,
+        cycles_simulated, cycles_tiled);
+    std::string payload = buf;
+    if (facts.digestsSealed >= 0)
+        payload += "  \"digests_sealed\": " +
+                   std::to_string(facts.digestsSealed) + ",\n";
+    // A watched clean run says `"raised": 0` — "no alerts", not "not
+    // watched".
+    if (facts.health) {
+        payload += "  \"alerts\": {\n    \"raised\": " +
+                   std::to_string(facts.health->alerts) + ",\n";
+        payload += "    \"last_generation\": " +
+                   std::to_string(facts.health->lastGeneration) + ",\n";
+        payload += "    \"last_rule\": \"" +
+                   jsonEscape(facts.health->lastRule) + "\"\n  },\n";
+    }
+    payload += "  \"git_sha\": \"" +
+               jsonEscape(provenance::currentGitSha()) + "\",\n";
+    payload += "  \"build\": \"" +
+               jsonEscape(provenance::currentBuildFingerprint()) + "\",\n";
+    payload += "  \"listen\": \"" + jsonEscape(listen) + "\"\n}\n";
+    return payload;
+}
+
+RunPipeline::RunPipeline(std::string status_path, int total_generations)
+    : _statusPath(std::move(status_path)),
+      _totalGenerations(total_generations), _startUs(stats::nowUs())
+{
+    _last.generation = -1;
+}
+
+RunPipeline::~RunPipeline() = default;
+
+void
+RunPipeline::attach(core::Engine& engine)
+{
+    engine.setAnalytics(recorder.get());
+    engine.addGenerationObserver(
+        [this](const core::Population& pop,
+               const core::GenerationRecord& record) {
+            step(pop, record);
+        });
+}
+
+void
+RunPipeline::step(const core::Population& pop,
+                  const core::GenerationRecord& record)
+{
+    GenerationFacts& facts = _facts;
+    facts.totalMeasured += record.cacheMisses;
+    facts.totalCacheHits += record.cacheHits;
+    facts.newAlerts.clear();
+    _last = record;
+
+    if (recorder) {
+        recorder->onGenerationEvaluated(pop, record);
+        facts.geneEntropyBits = recorder->rows().back().geneEntropyBits;
+        facts.pairwiseDiversity =
+            recorder->rows().back().pairwiseDiversity;
+    }
+    if (writer)
+        writer->onGenerationEvaluated(pop, record);
+    if (flight)
+        flight->onGenerationEvaluated(pop, record);
+    if (coverage)
+        facts.coverage = coverage->onGenerationEvaluated(pop, record);
+    if (watchdog) {
+        if (facts.coverage)
+            watchdog->noteCoverage(facts.coverage->generation,
+                                   facts.coverage->newCells);
+        facts.newAlerts = watchdog->onGenerationEvaluated(
+            record, facts.totalMeasured, facts.totalCacheHits);
+        facts.health = watchdog->summary();
+    }
+    if (provenance) {
+        provenance->append(pop, record);
+        facts.digestsSealed =
+            static_cast<std::int64_t>(provenance->digestsSealed());
+    }
+
+    if (!recorder && !telemetry)
+        return;
+    std::string status = statusFor(/*running=*/true);
+    // Atomic replace: a poller either sees the previous heartbeat or
+    // this one, never a torn file.
+    if (recorder)
+        writeFileAtomic(_statusPath, status);
+    if (telemetry)
+        telemetry->service().onGenerationEvaluated(pop, record, facts,
+                                                   std::move(status));
+}
+
+void
+RunPipeline::finish()
+{
+    if (!recorder && !telemetry)
+        return;
+    std::string status = statusFor(/*running=*/false);
+    if (recorder) {
+        writeFileAtomic(_statusPath, status);
+        debug("analytics recorded next to ", _statusPath);
+    }
+    if (telemetry)
+        telemetry->service().noteRunCompleted(std::move(status));
+}
+
+std::string
+RunPipeline::statusFor(bool running)
+{
+    _facts.elapsedSeconds = (stats::nowUs() - _startUs) / 1e6;
+    return statusJson(_last, _facts, _totalGenerations,
+                      telemetry ? telemetry->address() : "", running);
+}
+
+} // namespace run
+} // namespace gest

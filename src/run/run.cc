@@ -1,0 +1,285 @@
+/**
+ * @file
+ * The run driver behind config::runFromConfig: build what a
+ * configuration names, fill a run::RunPipeline with the sinks its
+ * <output> element asks for, run the GA, then seal the post-run
+ * artifacts in dependency order.
+ */
+
+#include "analysis/recorder.hh"
+#include "attribution/attribution.hh"
+#include "attribution/attribution_io.hh"
+#include "config/config.hh"
+#include "fitness/fitness.hh"
+#include "measure/sim_measurements.hh"
+#include "net/telemetry.hh"
+#include "output/flight_recorder.hh"
+#include "output/run_writer.hh"
+#include "output/trace_writer.hh"
+#include "provenance/provenance.hh"
+#include "run/pipeline.hh"
+#include "stats/stats.hh"
+#include "util/fileutil.hh"
+#include "util/logging.hh"
+
+namespace gest {
+namespace config {
+
+namespace {
+
+/**
+ * Ablate the flight recorder's retained champions (or the best-ever
+ * individual without one) on a private measurement clone and seal
+ * attribution/ artifacts.
+ */
+void
+sealAttribution(const RunConfig& cfg, measure::Measurement& measurement,
+                fitness::Fitness& fit, const run::RunPipeline& pipeline,
+                RunResult& result)
+{
+    std::unique_ptr<measure::Measurement> private_meas =
+        measurement.clone();
+    measure::Measurement& attr_meas =
+        private_meas ? *private_meas : measurement;
+
+    struct Target
+    {
+        core::Individual ind;  ///< id and code only
+        int generation;        ///< capture generation; -1 for best-ever
+    };
+    std::vector<Target> targets;
+    if (pipeline.flight) {
+        for (const output::FlightRecorder::Entry& entry :
+             pipeline.flight->entries()) {
+            core::Individual ind;
+            ind.id = entry.id;
+            ind.code = entry.code;
+            targets.push_back({std::move(ind), entry.generation});
+        }
+    } else if (!result.best.code.empty()) {
+        core::Individual ind;
+        ind.id = result.best.id;
+        ind.code = result.best.code;
+        targets.push_back({std::move(ind), -1});
+    }
+    for (const Target& target : targets) {
+        attribution::AttributionResult attributed =
+            attribution::computeAttribution(cfg.library, attr_meas, fit,
+                                            target.ind);
+        attributed.generation = target.generation;
+        const std::string basename =
+            "individual_" + std::to_string(target.ind.id);
+        const attribution::AttributionArtifacts artifacts =
+            attribution::writeAttributionArtifacts(
+                cfg.outputDirectory + "/attribution", basename,
+                attributed);
+        result.attributionFiles.push_back(artifacts.csvPath);
+        result.attributionFiles.push_back(artifacts.jsonPath);
+        if (pipeline.writer) {
+            pipeline.writer->noteArtifact(
+                "attribution/" + basename + ".csv", "attribution");
+            pipeline.writer->noteArtifact(
+                "attribution/" + basename + ".json", "attribution");
+        }
+    }
+    if (!targets.empty())
+        debug("attribution sealed for ", targets.size(),
+              " individual(s) in ", cfg.outputDirectory, "/attribution");
+}
+
+} // namespace
+
+void
+registerBuiltins()
+{
+    measure::registerSimMeasurements();
+    fitness::registerBuiltinFitness();
+}
+
+RunResult
+runFromConfig(const RunConfig& cfg)
+{
+    registerBuiltins();
+
+    std::unique_ptr<measure::Measurement> measurement =
+        measure::MeasurementRegistry::instance().create(
+            cfg.measurementClass, cfg.library);
+    measurement->init(cfg.measurementConfig);
+    if (cfg.steadyStateOverride)
+        measurement->setSteadyState(*cfg.steadyStateOverride);
+
+    std::unique_ptr<fitness::Fitness> fit =
+        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
+    fit->init(cfg.fitnessConfig);
+
+    // Declared before the engine so the engine, which holds the
+    // pipeline's observer and recorder, is destroyed first.
+    const std::string& dir = cfg.outputDirectory;
+    run::RunPipeline pipeline(dir + "/status.json", cfg.ga.generations);
+
+    core::Engine engine(cfg.ga, cfg.library, *measurement, *fit);
+    if (!cfg.seedPopulationPath.empty())
+        engine.setSeedPopulation(
+            core::loadPopulation(cfg.library, cfg.seedPopulationPath));
+
+    // Observability: stats on by default (the per-sample cost is atomic
+    // bumps and clock reads, invisible next to simulation); each run
+    // starts from zeroed values so artifacts describe this run only.
+    const bool stats_were_enabled = stats::enabled();
+    if (cfg.recordStats) {
+        stats::StatsRegistry::instance().resetValues();
+        stats::setEnabled(true);
+    }
+
+    std::unique_ptr<output::TraceWriter> trace;
+    if (!cfg.traceFile.empty()) {
+        trace = std::make_unique<output::TraceWriter>(cfg.traceFile);
+        engine.setTraceWriter(trace.get());
+    }
+
+    if (cfg.recordAnalytics && !dir.empty())
+        pipeline.recorder =
+            std::make_unique<analysis::Recorder>(dir, cfg.library);
+    if (cfg.waveformTopK > 0) {
+        if (dir.empty()) {
+            warn("waveform capture requested but no output directory "
+                 "is set; skipping");
+        } else if (std::unique_ptr<measure::Measurement> probe_meas =
+                       measurement->clone()) {
+            pipeline.flight = std::make_unique<output::FlightRecorder>(
+                dir, cfg.waveformTopK, std::move(probe_meas));
+        } else {
+            warn("measurement '", cfg.measurementClass,
+                 "' is not cloneable; waveform capture disabled");
+        }
+    }
+    if (!dir.empty()) {
+        pipeline.writer = std::make_unique<output::RunWriter>(
+            dir, cfg.library,
+            cfg.asmTemplate ? &*cfg.asmTemplate : nullptr);
+        pipeline.writer->writeRunMetadata(
+            cfg.rawText, cfg.asmTemplate ? cfg.asmTemplate->text() : "");
+        pipeline.writer->setTraceWriter(trace.get());
+    }
+    // Coverage and health are useful even without an output directory
+    // (live /coverage and /alerts only).
+    if (cfg.recordCoverage) {
+        pipeline.coverage =
+            std::make_unique<attribution::CoverageLedger>(cfg.library);
+        if (!dir.empty())
+            pipeline.coverage->setCsvPath(dir + "/coverage.csv");
+    }
+    if (cfg.recordHealth) {
+        pipeline.watchdog =
+            std::make_unique<analysis::HealthWatchdog>(cfg.healthRules);
+        if (!dir.empty()) {
+            ensureDir(dir);
+            pipeline.watchdog->setCsvPath(dir + "/alerts.csv");
+        }
+    }
+    if (cfg.recordProvenance && !dir.empty())
+        pipeline.provenance =
+            std::make_unique<provenance::ProvenanceRecorder>(dir,
+                                                             cfg.library);
+    // Bind before the run so the first generation is already scrapable.
+    if (!cfg.listenAddress.empty()) {
+        pipeline.telemetry = std::make_unique<net::TelemetryServer>(
+            cfg.listenAddress, cfg.library, cfg.ga.generations);
+        pipeline.telemetry->start();
+        inform("telemetry listening on http://",
+               pipeline.telemetry->address());
+    }
+    pipeline.attach(engine);
+
+    engine.run();
+
+    RunResult result;
+    result.finalPopulation = engine.population();
+    result.best = engine.bestEver();
+    result.history = engine.history();
+    result.evaluations = engine.evaluations();
+    result.cacheHits = engine.cacheHits();
+    result.cacheMisses = engine.cacheMisses();
+
+    if (pipeline.flight)
+        result.waveformFiles = pipeline.flight->seal();
+
+    // Attribution before the stats dump, so the attribution.* counters
+    // land in stats.txt, and before the provenance seal, so the
+    // manifest covers its artifacts.
+    if (cfg.recordAttribution && !dir.empty())
+        sealAttribution(cfg, *measurement, *fit, pipeline, result);
+    else if (cfg.recordAttribution)
+        warn("attribution requested but no output directory is set; "
+             "skipping");
+
+    if (pipeline.coverage && fileExists(pipeline.coverage->csvPath())) {
+        result.coverageFile = pipeline.coverage->csvPath();
+        if (pipeline.writer)
+            pipeline.writer->noteArtifact("coverage.csv", "coverage");
+    }
+    if (pipeline.watchdog && fileExists(pipeline.watchdog->csvPath())) {
+        const analysis::HealthSummary health =
+            pipeline.watchdog->summary();
+        if (health.alerts > 0)
+            warn("health watchdog raised ", health.alerts,
+                 " alert(s); see ", pipeline.watchdog->csvPath());
+        if (pipeline.writer)
+            pipeline.writer->noteArtifact("alerts.csv", "alerts");
+    }
+
+    if (trace) {
+        trace->finish();
+        result.traceFile = cfg.traceFile;
+    }
+    if (cfg.recordStats && !dir.empty()) {
+        // Freshen the process self-observation gauges so the sealed
+        // dump agrees with what a final /metrics scrape would have
+        // shown.
+        stats::updateProcessGauges();
+        writeFile(dir + "/stats.txt",
+                  stats::StatsRegistry::instance().textDump());
+        writeFile(dir + "/metrics.json",
+                  stats::StatsRegistry::instance().jsonDump());
+        debug("stats recorded in ", dir, "/stats.txt and metrics.json");
+    }
+    // After the stats dump: the last scrape a client can make agrees
+    // with the sealed artifacts.
+    pipeline.finish();
+    if (cfg.recordStats)
+        stats::setEnabled(stats_were_enabled);
+    if (pipeline.provenance) {
+        // Seal last: every other artifact is final, so the manifest's
+        // checksums describe exactly what a verifier will find.
+        provenance::SealInfo info;
+        info.configText = cfg.rawText;
+        info.configBaseDir = cfg.configBaseDir;
+        info.measurementClass = cfg.measurementClass;
+        info.fitnessClass = cfg.fitnessClass;
+        info.ga = cfg.ga;
+        info.steadyStateOverride = cfg.steadyStateOverride;
+        info.waveformTopK = cfg.waveformTopK;
+        info.recordStats = cfg.recordStats;
+        info.recordAnalytics = cfg.recordAnalytics;
+        info.recordCoverage = cfg.recordCoverage;
+        info.recordAttribution = cfg.recordAttribution;
+        info.generationsCompleted =
+            static_cast<int>(result.history.size());
+        info.evaluations = result.evaluations;
+        info.bestFitness = result.best.fitness;
+        info.bestId = result.best.id;
+        result.manifestFile = pipeline.provenance->seal(
+            info, pipeline.writer ? pipeline.writer->artifactKinds()
+                                  : std::map<std::string, std::string>{});
+    }
+    // Serve the completed status until the run is over, manifest
+    // included, so a client never loses the server to a live run.
+    if (pipeline.telemetry) {
+        result.listenAddress = pipeline.telemetry->address();
+        pipeline.telemetry->stop();
+    }
+    return result;
+}
+
+} // namespace config
+} // namespace gest

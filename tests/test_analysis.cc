@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "analysis/analytics.hh"
@@ -17,6 +18,7 @@
 #include "analysis/recorder.hh"
 #include "core/engine.hh"
 #include "isa/standard_libs.hh"
+#include "run/pipeline.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 
@@ -401,10 +403,12 @@ TEST(Recorder, ReplayedRunReconstructsChampionToGenerationZero)
     const std::string dir = makeTempDir("gest-analysis");
 
     core::Engine engine(params, lib, meas, fit);
-    Recorder recorder(dir, lib, params.generations);
-    engine.setAnalytics(&recorder);
+    run::RunPipeline pipeline(dir + "/status.json", params.generations);
+    pipeline.recorder = std::make_unique<Recorder>(dir, lib);
+    const Recorder& recorder = *pipeline.recorder;
+    pipeline.attach(engine);
     engine.run();
-    recorder.finish();
+    pipeline.finish();
 
     // The ledger replays to the champion the engine actually found.
     const std::vector<LineageEvent> events = loadLineage(dir);
@@ -436,7 +440,7 @@ TEST(Recorder, ReplayedRunReconstructsChampionToGenerationZero)
               populationClassMix(lib, engine.population()));
 
     // status.json exists and reports completion.
-    const std::string status = readFile(recorder.statusPath());
+    const std::string status = readFile(dir + "/status.json");
     EXPECT_NE(status.find("\"state\": \"completed\""),
               std::string::npos);
     removeAll(dir);
@@ -451,10 +455,10 @@ TEST(Recorder, ResultsAreBitIdenticalWithAnalyticsOnOrOff)
 
     ClassCountMeasurement m1(lib, isa::InstrClass::Mem);
     core::Engine with(params, lib, m1, fit);
-    Recorder recorder(dir, lib, params.generations);
-    with.setAnalytics(&recorder);
+    run::RunPipeline pipeline(dir + "/status.json", params.generations);
+    pipeline.recorder = std::make_unique<Recorder>(dir, lib);
+    pipeline.attach(with);
     with.run();
-    recorder.finish();
 
     ClassCountMeasurement m2(lib, isa::InstrClass::Mem);
     core::Engine without(params, lib, m2, fit);
@@ -511,10 +515,10 @@ TEST(Recorder, ResumedRunToleratesPreLedgerAncestors)
     ClassCountMeasurement m2(lib, isa::InstrClass::FloatSimd);
     core::Engine second(params, lib, m2, fit);
     second.setSeedPopulation(reloaded);
-    Recorder recorder(dir, lib, params.generations);
-    second.setAnalytics(&recorder);
+    run::RunPipeline pipeline(dir + "/status.json", params.generations);
+    pipeline.recorder = std::make_unique<Recorder>(dir, lib);
+    pipeline.attach(second);
     second.run();
-    recorder.finish();
 
     const std::vector<LineageEvent> events = loadLineage(dir);
     std::size_t resumed = 0;

@@ -450,18 +450,12 @@ TEST(Coverage, ObserveIsIdempotent)
     EXPECT_EQ(ledger.cellsSeen(), fresh);
 }
 
-TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
+TEST(Coverage, ObserverWritesCsvAndReturnsSnapshots)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     attribution::CoverageLedger ledger(lib);
     const std::string dir = makeTempDir("gest-coverage");
     ledger.setCsvPath(dir + "/coverage.csv");
-
-    std::vector<attribution::CoverageLedger::Snapshot> seen;
-    ledger.setGenerationListener(
-        [&](const attribution::CoverageLedger::Snapshot& s) {
-            seen.push_back(s);
-        });
 
     Rng rng(11);
     core::Population pop;
@@ -474,11 +468,12 @@ TEST(Coverage, ObserverWritesCsvAndNotifiesListener)
         pop.individuals.push_back(ind);
     }
 
+    std::vector<attribution::CoverageLedger::Snapshot> seen;
     core::GenerationRecord record;
     record.generation = 0;
-    ledger.onGenerationEvaluated(pop, record);
+    seen.push_back(ledger.onGenerationEvaluated(pop, record));
     record.generation = 1;
-    ledger.onGenerationEvaluated(pop, record);
+    seen.push_back(ledger.onGenerationEvaluated(pop, record));
 
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0].generation, 0);

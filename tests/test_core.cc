@@ -656,7 +656,7 @@ TEST(Engine, SeedPopulationValidatesShape)
     EXPECT_THROW(engine.setSeedPopulation(Population{}), FatalError);
 }
 
-TEST(Engine, CallbackSeesEveryGeneration)
+TEST(Engine, ObserverSeesEveryGeneration)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     ClassCountMeasurement meas(lib, isa::InstrClass::Mem);
@@ -666,7 +666,7 @@ TEST(Engine, CallbackSeesEveryGeneration)
 
     core::Engine engine(params, lib, meas, fit);
     int called = 0;
-    engine.setGenerationCallback(
+    engine.addGenerationObserver(
         [&called](const Population& pop, const GenerationRecord& rec) {
             EXPECT_EQ(pop.generation, rec.generation);
             EXPECT_EQ(rec.generation, called);

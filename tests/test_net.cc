@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "net/telemetry.hh"
 #include "output/top.hh"
 #include "platform/platform.hh"
+#include "run/pipeline.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
@@ -255,7 +257,7 @@ TEST(HttpServer, RefusesNonGetAndOversizedRequests)
 
 // ----------------------------------------------------- engine observers
 
-TEST(EngineObservers, StackAndRunAfterTheCallback)
+TEST(EngineObservers, StackAndRunInInstallationOrder)
 {
     const auto a15 = platform::cortexA15Platform();
     const isa::InstructionLibrary& lib = a15->library();
@@ -264,26 +266,31 @@ TEST(EngineObservers, StackAndRunAfterTheCallback)
     Engine engine(smallParams(3), lib, meas, fit);
 
     std::vector<int> order;
-    engine.setGenerationCallback(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(0);
-        });
-    engine.addGenerationObserver(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(1);
-        });
-    engine.addGenerationObserver(
-        [&](const core::Population&, const core::GenerationRecord&) {
-            order.push_back(2);
-        });
+    for (int id = 0; id < 3; ++id) {
+        engine.addGenerationObserver(
+            [&order, id](const core::Population&,
+                         const core::GenerationRecord&) {
+                order.push_back(id);
+            });
+    }
     engine.initialize();
-    ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
     engine.run();
     EXPECT_EQ(order.size(), 3u * 6);  // one triple per generation
 }
 
 // --------------------------------------------------- telemetry service
+
+/** A run pipeline whose only sink is a started telemetry server. */
+std::unique_ptr<run::RunPipeline>
+servedPipeline(const isa::InstructionLibrary& lib, int generations)
+{
+    auto pipeline = std::make_unique<run::RunPipeline>("", generations);
+    pipeline->telemetry = std::make_unique<net::TelemetryServer>(
+        "127.0.0.1:0", lib, generations);
+    pipeline->telemetry->start();
+    return pipeline;
+}
 
 TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
 {
@@ -293,13 +300,12 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
     fitness::DefaultFitness fit;
     Engine engine(smallParams(5, 5), lib, meas, fit);
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 5);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
+    const auto pipeline = servedPipeline(lib, 5);
+    pipeline->attach(engine);
     engine.run();
-    telemetry.service().noteRunCompleted();
+    pipeline->finish();
 
-    const std::string base = telemetry.address();
+    const std::string base = pipeline->telemetry->address();
 
     net::HttpResult res = net::httpGet(base + "/status");
     ASSERT_TRUE(res.ok && res.status == 200) << res.error;
@@ -342,7 +348,7 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
                   std::string::npos)
             << res.body;
     EXPECT_NE(res.body.find("event: end"), std::string::npos);
-    telemetry.stop();
+    pipeline->telemetry->stop();
 }
 
 TEST(Telemetry, ConcurrentScrapersDuringARealRun)
@@ -358,10 +364,9 @@ TEST(Telemetry, ConcurrentScrapersDuringARealRun)
     const bool was = stats::enabled();
     stats::setEnabled(true);  // histograms live while scrapers render
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 20);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
-    const std::string base = telemetry.address();
+    const auto pipeline = servedPipeline(lib, 20);
+    pipeline->attach(engine);
+    const std::string base = pipeline->telemetry->address();
 
     std::atomic<bool> stop{false};
     std::atomic<int> scrapes{0};
@@ -390,17 +395,17 @@ TEST(Telemetry, ConcurrentScrapersDuringARealRun)
     });
 
     engine.run();
-    telemetry.service().noteRunCompleted();
+    pipeline->finish();
     stop.store(true, std::memory_order_release);
     for (std::thread& scraper : scrapers)
         scraper.join();
     sse.join();
-    telemetry.stop();
+    pipeline->telemetry->stop();
     stats::setEnabled(was);
 
     EXPECT_GT(scrapes.load(), 0);
     EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(telemetry.service().generationsSeen(), 20u);
+    EXPECT_EQ(pipeline->telemetry->service().generationsSeen(), 20u);
 }
 
 // ------------------------------------------------ artifact byte-identity
@@ -493,13 +498,13 @@ TEST(Top, FetchesASnapshotFromALiveServer)
     fitness::DefaultFitness fit;
     Engine engine(smallParams(9, 4), lib, meas, fit);
 
-    net::TelemetryServer telemetry("127.0.0.1:0", lib, 4);
-    telemetry.start();
-    engine.addGenerationObserver(telemetry.observer());
+    const auto pipeline = servedPipeline(lib, 4);
+    pipeline->attach(engine);
     engine.run();
 
     output::TopSnapshot snapshot;
-    ASSERT_TRUE(output::fetchTopSnapshot(telemetry.address(), snapshot))
+    ASSERT_TRUE(output::fetchTopSnapshot(pipeline->telemetry->address(),
+                                         snapshot))
         << snapshot.error;
     EXPECT_TRUE(snapshot.live);
     EXPECT_EQ(snapshot.generation, 3);
@@ -508,7 +513,7 @@ TEST(Top, FetchesASnapshotFromALiveServer)
     const std::string frame = output::renderTop(snapshot);
     EXPECT_NE(frame.find("gen 3/4"), std::string::npos) << frame;
     EXPECT_NE(frame.find("fitness "), std::string::npos) << frame;
-    telemetry.stop();
+    pipeline->telemetry->stop();
 
     output::TopSnapshot bad;
     EXPECT_FALSE(output::fetchTopSnapshot("127.0.0.1:1", bad));

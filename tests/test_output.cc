@@ -153,36 +153,6 @@ TEST(Stats, EmptyRunDirectoryIsFatal)
     removeAll(dir);
 }
 
-TEST(RunWriter, OptionsSuppressArtifacts)
-{
-    const isa::InstructionLibrary lib = isa::armLikeLibrary();
-    const std::string dir = makeTempDir("gest-out");
-    RunWriterOptions options;
-    options.writeIndividuals = false;
-    RunWriter writer(dir, lib, nullptr, options);
-
-    core::Population pop;
-    pop.generation = 0;
-    pop.individuals.push_back(makeIndividual(lib, 1, {1.0}, 6));
-    writer.writePopulation(pop);
-    EXPECT_TRUE(fileExists(dir + "/population_0.pop"));
-    EXPECT_FALSE(fileExists(dir + "/0_1_1.00.txt"));
-    removeAll(dir);
-}
-
-TEST(RunWriter, PrecisionControlsNameDigits)
-{
-    const isa::InstructionLibrary lib = isa::armLikeLibrary();
-    const std::string dir = makeTempDir("gest-out");
-    RunWriterOptions options;
-    options.measurementPrecision = 4;
-    RunWriter writer(dir, lib, nullptr, options);
-    const core::Individual ind =
-        makeIndividual(lib, 5, {1.23456}, 7);
-    EXPECT_EQ(writer.individualFileName(2, ind), "2_5_1.2346.txt");
-    removeAll(dir);
-}
-
 } // namespace
 } // namespace output
 } // namespace gest

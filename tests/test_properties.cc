@@ -201,7 +201,7 @@ TEST_P(EngineValidityTest, EveryGenerationHoldsOnlyValidGenomes)
 
     core::Engine engine(params, lib, meas, fit);
     int generations_seen = 0;
-    engine.setGenerationCallback(
+    engine.addGenerationObserver(
         [&](const core::Population& pop, const core::GenerationRecord&) {
             ++generations_seen;
             EXPECT_EQ(pop.individuals.size(), 12u);

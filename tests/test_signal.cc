@@ -425,7 +425,7 @@ TEST(Determinism, EngineHistoryIdenticalWithRecorderAttached)
         fitness::DefaultFitness fit;
         core::Engine engine(params, lib, meas, fit);
         if (fr) {
-            engine.setGenerationCallback(
+            engine.addGenerationObserver(
                 [fr](const core::Population& pop,
                      const core::GenerationRecord& record) {
                     fr->onGenerationEvaluated(pop, record);
