@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <sstream>
 #include <unordered_map>
 
 #include "util/fileutil.hh"
@@ -162,10 +162,9 @@ AnalyticsWriter::AnalyticsWriter(std::string path)
 void
 AnalyticsWriter::append(const AnalyticsRow& row)
 {
-    std::ofstream out(_path, _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", _path);
-    if (!_started) {
+    std::ostringstream out;
+    const bool first = !_started;
+    if (first) {
         out << "# gest-analytics v" << analyticsCsvVersion << "\n";
         out << "generation";
         for (const char* column : kMixColumns)
@@ -186,6 +185,7 @@ AnalyticsWriter::append(const AnalyticsRow& row)
         << row.fitnessMax << ',' << row.crossoverChildren << ','
         << row.crossoverImproved << ',' << row.mutationChildren << ','
         << row.mutationImproved << ',' << row.eliteCopies << '\n';
+    appendFile(_path, out.str(), first);
 }
 
 std::vector<AnalyticsRow>

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
@@ -79,13 +78,10 @@ HealthWatchdog::raise(int generation, const char* rule,
         .inc();
 
     if (!_csvPath.empty()) {
-        std::ofstream out(_csvPath, std::ios::app);
-        if (out) {
-            char prefix[128];
-            std::snprintf(prefix, sizeof(prefix), "%d,%s,%s,%.9g,%.9g,",
-                          generation, rule, severity, value, threshold);
-            out << prefix << alert.message << "\n";
-        }
+        char prefix[128];
+        std::snprintf(prefix, sizeof(prefix), "%d,%s,%s,%.9g,%.9g,",
+                      generation, rule, severity, value, threshold);
+        appendFile(_csvPath, prefix + alert.message + "\n");
     }
     _alerts.push_back(alert);
 }

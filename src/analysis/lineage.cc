@@ -1,7 +1,7 @@
 #include "analysis/lineage.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include "util/fileutil.hh"
@@ -53,10 +53,9 @@ LineageLedger::sealGeneration(const core::Population& pop)
             generation_fitness.emplace(ind.id, ind.fitness);
     }
 
-    std::ofstream out(_path, _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", _path);
-    if (!_started) {
+    std::ostringstream out;
+    const bool first = !_started;
+    if (first) {
         out << "# gest-lineage v" << lineageCsvVersion << "\n";
         out << "generation,id,op,parent1,parent2,mutated_genes,"
                "mutated_indices,fitness\n";
@@ -83,6 +82,7 @@ LineageLedger::sealGeneration(const core::Population& pop)
         out << ',' << event.fitness << '\n';
         sealed.push_back(std::move(event));
     }
+    appendFile(_path, out.str(), first);
     _pending.clear();
     _sealed += sealed.size();
     return sealed;

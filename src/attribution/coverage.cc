@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 
 #include "attribution/attribution.hh"
 #include "core/population.hh"
 #include "stats/stats.hh"
+#include "util/fileutil.hh"
 #include "util/logging.hh"
 
 namespace gest {
@@ -159,12 +160,9 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
     coverageStats().touches.inc(touched);
 
     if (!_csvPath.empty()) {
-        std::ofstream out(_csvPath, _csvStarted
-                                        ? std::ios::app
-                                        : std::ios::trunc);
-        if (!out)
-            fatal("cannot write coverage CSV ", _csvPath);
-        if (!_csvStarted) {
+        std::ostringstream out;
+        const bool first = !_csvStarted;
+        if (first) {
             out << "# gest-coverage v" << coverageCsvVersion << "\n";
             out << "# cells_total " << _cellsTotal << "\n";
             for (int c = 0; c < isa::numInstrClasses; ++c)
@@ -191,6 +189,7 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
         for (int c = 0; c < isa::numInstrClasses; ++c)
             out << "," << snap.classes[c].seen;
         out << "\n";
+        appendFile(_csvPath, out.str(), first);
     }
     return snap;
 }

@@ -241,14 +241,15 @@ Engine::measureBatch(const std::vector<std::size_t>& indices)
     if (record) {
         // Publish per-worker busy time so pool utilization/imbalance is
         // visible in stats.txt and metrics.json.
-        for (std::size_t w = 0; w < _workerBusyUs.size(); ++w) {
-            if (_workerBusyUs[w] > 0.0)
-                stats::StatsRegistry::instance()
-                    .counter("engine.worker." + std::to_string(w) +
-                                 ".busy_us",
-                             "evaluation busy time of this worker (us)")
-                    .inc(static_cast<std::uint64_t>(_workerBusyUs[w]));
-        }
+        for (std::size_t w = _workerBusyCounters.size();
+             w < _workerBusyUs.size(); ++w)
+            _workerBusyCounters.push_back(
+                &stats::StatsRegistry::instance().counter(
+                    "engine.worker." + std::to_string(w) + ".busy_us",
+                    "evaluation busy time of this worker (us)"));
+        for (std::size_t w = 0; w < _workerBusyUs.size(); ++w)
+            _workerBusyCounters[w]->inc(
+                static_cast<std::uint64_t>(_workerBusyUs[w]));
     }
 }
 

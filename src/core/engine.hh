@@ -31,6 +31,10 @@ namespace analysis {
 class Recorder;
 } // namespace analysis
 
+namespace stats {
+class Counter;
+} // namespace stats
+
 namespace core {
 
 /** Per-generation summary appended to the engine's history. */
@@ -243,6 +247,13 @@ class Engine
      * parallelFor barrier.
      */
     std::vector<double> _workerBusyUs;
+
+    /**
+     * engine.worker.N.busy_us, one per slot of _workerBusyUs, registered
+     * in index order on the first timed batch so stats.txt lists them
+     * in the same order whatever the scheduling.
+     */
+    std::vector<stats::Counter*> _workerBusyCounters;
 };
 
 } // namespace core

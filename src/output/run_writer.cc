@@ -1,6 +1,6 @@
 #include "output/run_writer.hh"
 
-#include <fstream>
+#include <sstream>
 
 #include "core/individual.hh"
 #include "output/trace_writer.hh"
@@ -68,12 +68,9 @@ void
 RunWriter::appendHistory(const core::GenerationRecord& record,
                          double io_ms)
 {
-    const std::string path = _root + "/history.csv";
-    std::ofstream out(path, _historyStarted ? std::ios::app
-                                            : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", path);
-    if (!_historyStarted) {
+    std::ostringstream out;
+    const bool first = !_historyStarted;
+    if (first) {
         // Forward compatibility contract: the version comment is for
         // humans and tools; parsers must key on the header row, whose
         // column order is append-only across versions (gest report
@@ -93,6 +90,7 @@ RunWriter::appendHistory(const core::GenerationRecord& record,
         << record.selectionMs << ',' << record.crossoverMs << ','
         << record.mutationMs << ',' << record.evaluationMs << ','
         << io_ms << '\n';
+    appendFile(_root + "/history.csv", out.str(), first);
 }
 
 void
@@ -123,7 +121,7 @@ RunWriter::onGenerationEvaluated(const core::Population& pop,
         io_ms = elapsed / 1000.0;
         if (_trace) {
             _trace->completeEvent(
-                "write run dir", "io", 0, start, elapsed,
+                "write run dir", "io", _traceTid, start, elapsed,
                 {{"generation", static_cast<double>(pop.generation)}});
         }
     }

@@ -1,6 +1,5 @@
 #include "provenance/digest.hh"
 
-#include <fstream>
 #include <sstream>
 
 #include "stats/stats.hh"
@@ -63,11 +62,9 @@ DigestLedger::append(const core::Population& pop,
     const double start = stats::nowUs();
     const std::string digest = populationDigest(_lib, pop);
 
-    std::ofstream out(path(),
-                      _started ? std::ios::app : std::ios::trunc);
-    if (!out)
-        fatal("cannot write ", path());
-    if (!_started) {
+    std::ostringstream out;
+    const bool first = !_started;
+    if (first) {
         out << "# gest-digests v" << digestsCsvVersion << "\n";
         out << "generation,best_fitness,population_digest\n";
         _started = true;
@@ -75,6 +72,7 @@ DigestLedger::append(const core::Population& pop,
     out.precision(17);
     out << record.generation << ',' << record.bestFitness << ','
         << digest << '\n';
+    appendFile(path(), out.str(), first);
     ++_rows;
     _digestUs += stats::nowUs() - start;
 }

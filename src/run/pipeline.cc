@@ -110,7 +110,19 @@ RunPipeline::RunPipeline(std::string status_path, int total_generations)
     _last.generation = -1;
 }
 
-RunPipeline::~RunPipeline() = default;
+RunPipeline::~RunPipeline()
+{
+    // Unwinding from a failed run: let the in-flight write finish
+    // before the sinks it uses go away. Its own error cannot be thrown
+    // from here, so it is logged.
+    if (!_pendingWrite.valid())
+        return;
+    try {
+        _pendingWrite.get();
+    } catch (const std::exception& err) {
+        warn("run-directory write failed: ", err.what());
+    }
+}
 
 void
 RunPipeline::attach(core::Engine& engine)
@@ -139,8 +151,6 @@ RunPipeline::step(const core::Population& pop,
         facts.pairwiseDiversity =
             recorder->rows().back().pairwiseDiversity;
     }
-    if (writer)
-        writer->onGenerationEvaluated(pop, record);
     if (flight)
         flight->onGenerationEvaluated(pop, record);
     if (coverage)
@@ -159,21 +169,45 @@ RunPipeline::step(const core::Population& pop,
             static_cast<std::int64_t>(provenance->digestsSealed());
     }
 
-    if (!recorder && !telemetry)
-        return;
-    std::string status = statusFor(/*running=*/true);
-    // Atomic replace: a poller either sees the previous heartbeat or
-    // this one, never a torn file.
-    if (recorder)
-        writeFileAtomic(_statusPath, status);
+    std::string status;
+    if (recorder || telemetry)
+        status = statusFor(/*running=*/true);
+    if (writer || recorder) {
+        // Hand the run directory's share of this generation to the
+        // write task. Waiting for the previous one first keeps at most
+        // one generation in flight, so files still land in generation
+        // order; the task writes status.json last, after every other
+        // file of its generation.
+        drain();
+        _pendingWrite = std::async(
+            std::launch::async,
+            [this, pop_copy = pop, record,
+             heartbeat = recorder ? status : std::string()] {
+                if (writer)
+                    writer->onGenerationEvaluated(pop_copy, record);
+                // Atomic replace: a poller either sees the previous
+                // heartbeat or this one, never a torn file.
+                if (!heartbeat.empty())
+                    writeFileAtomic(_statusPath, heartbeat);
+            });
+    }
     if (telemetry)
         telemetry->service().onGenerationEvaluated(pop, record, facts,
                                                    std::move(status));
 }
 
 void
+RunPipeline::drain()
+{
+    // get() rethrows a failed write here, on the coordinator.
+    if (_pendingWrite.valid())
+        _pendingWrite.get();
+}
+
+void
 RunPipeline::finish()
 {
+    drain();
     if (!recorder && !telemetry)
         return;
     std::string status = statusFor(/*running=*/false);

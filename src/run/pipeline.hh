@@ -3,17 +3,28 @@
  * The per-generation run pipeline (§III.A Fig. 2's "save" step, §III.D).
  *
  * A configured run attaches one engine observer: RunPipeline::step().
- * It drives every optional sink of the run in one fixed order on the
- * coordinator thread, and the order lives in step() alone:
+ * It drives every optional sink of the run in one fixed order, and the
+ * order lives in step() alone. On the coordinator thread:
  *
  *  1. analytics recorder — lineage.csv and analytics.csv;
- *  2. run writer — individuals, population checkpoint, history.csv;
- *  3. flight recorder — champion waveform captures;
- *  4. coverage ledger — coverage.csv;
- *  5. health watchdog — alerts.csv;
- *  6. provenance — the digests.csv row;
- *  7. status — one snapshot rendered for status.json (analytics on)
- *     and handed to the telemetry service (/status, /history, SSE...).
+ *  2. flight recorder — champion waveform captures;
+ *  3. coverage ledger — coverage.csv;
+ *  4. health watchdog — alerts.csv;
+ *  5. provenance — the digests.csv row;
+ *  6. status — one snapshot rendered for status.json (analytics on)
+ *     and the telemetry service (/status, /history, SSE...).
+ *
+ * Then one write task (std::async) takes a copy of the population and
+ * writes, off the coordinator:
+ *
+ *  7. run writer — individuals, population checkpoint, history.csv;
+ *  8. status.json, last.
+ *
+ * At most one write task is in flight: step() waits for generation g's
+ * before handing over g+1, so whenever status.json names generation g,
+ * every generation-g file is on disk. drain() waits for the task and
+ * rethrows its error on the coordinator; the run driver drains after
+ * Engine::run() and before any post-run seal.
  *
  * Producers fill the generation's GenerationFacts record; consumers
  * later in the step read it, so no sink holds a callback into another.
@@ -25,6 +36,7 @@
 #define GEST_RUN_PIPELINE_HH
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -133,8 +145,16 @@ class RunPipeline
               const core::GenerationRecord& record);
 
     /**
-     * Publish the final "completed" status: status.json (analytics on)
-     * and /status carry the same bytes, and /events streams end.
+     * Wait until the last generation's write task is done and rethrow
+     * its error (a FatalError) here. The run writer may be read only
+     * after a drain.
+     */
+    void drain();
+
+    /**
+     * Drain, then publish the final "completed" status: status.json
+     * (analytics on) and /status carry the same bytes, and /events
+     * streams end.
      */
     void finish();
 
@@ -146,6 +166,9 @@ class RunPipeline
     double _startUs;
     GenerationFacts _facts;
     core::GenerationRecord _last;
+
+    /** The in-flight write task, if any (at most one). */
+    std::future<void> _pendingWrite;
 };
 
 } // namespace run

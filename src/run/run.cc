@@ -112,8 +112,11 @@ runFromConfig(const RunConfig& cfg)
         fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
     fit->init(cfg.fitnessConfig);
 
-    // Declared before the engine so the engine, which holds the
+    // The trace outlives the pipeline, whose write task may still be
+    // emitting spans when a failed run unwinds. The pipeline is
+    // declared before the engine so the engine, which holds the
     // pipeline's observer and recorder, is destroyed first.
+    std::unique_ptr<output::TraceWriter> trace;
     const std::string& dir = cfg.outputDirectory;
     run::RunPipeline pipeline(dir + "/status.json", cfg.ga.generations);
 
@@ -131,7 +134,6 @@ runFromConfig(const RunConfig& cfg)
         stats::setEnabled(true);
     }
 
-    std::unique_ptr<output::TraceWriter> trace;
     if (!cfg.traceFile.empty()) {
         trace = std::make_unique<output::TraceWriter>(cfg.traceFile);
         engine.setTraceWriter(trace.get());
@@ -159,7 +161,12 @@ runFromConfig(const RunConfig& cfg)
             cfg.asmTemplate ? &*cfg.asmTemplate : nullptr);
         pipeline.writer->writeRunMetadata(
             cfg.rawText, cfg.asmTemplate ? cfg.asmTemplate->text() : "");
-        pipeline.writer->setTraceWriter(trace.get());
+        // The write task gets its own trace thread after the N
+        // evaluation workers (tids 1..N).
+        const int writer_tid = cfg.ga.threads + 1;
+        if (trace)
+            trace->setThreadName(writer_tid, "run-dir writer");
+        pipeline.writer->setTraceWriter(trace.get(), writer_tid);
     }
     // Coverage and health are useful even without an output directory
     // (live /coverage and /alerts only).
@@ -192,6 +199,9 @@ runFromConfig(const RunConfig& cfg)
     pipeline.attach(engine);
 
     engine.run();
+    // Every post-run step below reads the run directory or the run
+    // writer's artifact list: wait for the last write task first.
+    pipeline.drain();
 
     RunResult result;
     result.finalPopulation = engine.population();

@@ -45,7 +45,24 @@ writeFile(const std::string& path, const std::string& contents)
     if (!outStream)
         fatal("cannot open '", path, "' for writing");
     outStream << contents;
+    // A payload smaller than the stream buffer reaches the file only
+    // when it is flushed: close before checking, or ENOSPC is lost.
+    outStream.close();
     if (!outStream)
+        fatal("short write to '", path, "'");
+}
+
+void
+appendFile(const std::string& path, const std::string& contents,
+           bool truncate)
+{
+    std::ofstream out(path, std::ios::binary |
+                                (truncate ? std::ios::trunc : std::ios::app));
+    if (!out)
+        fatal("cannot open '", path, "' for appending");
+    out << contents;
+    out.close();
+    if (!out)
         fatal("short write to '", path, "'");
 }
 

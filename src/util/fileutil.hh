@@ -17,8 +17,20 @@ std::string readFile(const std::string& path);
 /** @return true if the file exists and could be read into @p out. */
 bool tryReadFile(const std::string& path, std::string& out);
 
-/** Write @p contents to @p path, creating parent directories. */
+/**
+ * Write @p contents to @p path, creating parent directories; fatal()
+ * if the file cannot be opened or the bytes do not all reach it.
+ */
 void writeFile(const std::string& path, const std::string& contents);
+
+/**
+ * Append @p contents to @p path, or replace the file when @p truncate
+ * is set (a ledger's first row). fatal() if the file cannot be opened
+ * or the bytes do not all reach it. Every per-generation CSV ledger
+ * writes through this.
+ */
+void appendFile(const std::string& path, const std::string& contents,
+                bool truncate = false);
 
 /**
  * Atomically replace @p path with @p contents: write to a sibling

@@ -3,7 +3,9 @@
  * Tests for the run pipeline (src/run/): with every per-generation sink
  * on, the status snapshot behind status.json and GET /status is exact
  * mid-run (digests_sealed counts the generation it describes), and the
- * final snapshot is the same bytes on disk and over HTTP.
+ * final snapshot is the same bytes on disk and over HTTP. The write
+ * task never lets status.json run ahead of its generation's files,
+ * rethrows a failed write on the caller, and traces on its own thread.
  */
 
 #include <gtest/gtest.h>
@@ -141,6 +143,130 @@ TEST(RunPipeline, FinalStatusIsOneSnapshotOnDiskAndOverHttp)
               std::string::npos);
     EXPECT_NE(final_status.find("\"alerts\": {"), std::string::npos);
     expectExactDigests(final_status);
+    removeAll(dir);
+}
+
+/** Complete, non-comment, non-header lines of a CSV ledger. */
+int
+dataRows(const std::string& path)
+{
+    std::string text;
+    if (!tryReadFile(path, text))
+        return 0;
+    int rows = 0;
+    std::size_t begin = 0;
+    for (std::size_t end = text.find('\n'); end != std::string::npos;
+         begin = end + 1, end = text.find('\n', begin)) {
+        const std::string line = text.substr(begin, end - begin);
+        if (!line.empty() && line[0] != '#' &&
+            line.rfind("generation,", 0) != 0)
+            ++rows;
+    }
+    return rows;
+}
+
+const char kWriterConfig[] = R"(
+<gest_configuration>
+  <ga population_size="8" individual_size="8" generations="40" seed="5"
+      tournament_size="2" threads="2"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a15"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="replaced" analytics="true" provenance="true"/>
+</gest_configuration>
+)";
+
+TEST(RunPipeline, StatusNeverRunsAheadOfTheGenerationsFiles)
+{
+    const std::string dir = makeTempDir("gest-run");
+    config::RunConfig cfg = config::parseConfig(kWriterConfig);
+    cfg.outputDirectory = dir;
+
+    // Read status.json first, then the files it vouches for: they only
+    // grow, so whatever the poller finds afterwards must cover g.
+    std::atomic<bool> done{false};
+    int checked = 0;
+    std::thread poller([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            std::string text;
+            json::Value status;
+            if (!tryReadFile(dir + "/status.json", text) ||
+                !json::parse(text, status, nullptr))
+                continue;
+            const int g =
+                static_cast<int>(status.numberOr("generation", -1.0));
+            ASSERT_GE(g, 0) << text;
+            EXPECT_TRUE(fileExists(dir + "/population_" +
+                                   std::to_string(g) + ".pop"))
+                << "generation " << g;
+            EXPECT_GE(dataRows(dir + "/history.csv"), g + 1);
+            EXPECT_GE(dataRows(dir + "/digests.csv"), g + 1);
+            ++checked;
+        }
+    });
+    config::runFromConfig(cfg);
+    done.store(true, std::memory_order_release);
+    poller.join();
+
+    EXPECT_GT(checked, 0);
+    EXPECT_EQ(dataRows(dir + "/history.csv"), 40);
+    EXPECT_EQ(dataRows(dir + "/digests.csv"), 40);
+    removeAll(dir);
+}
+
+TEST(RunPipeline, AFailedWriteSurfacesAsFatalErrorOnTheCaller)
+{
+    const std::string dir = makeTempDir("gest-run");
+    config::RunConfig cfg = config::parseConfig(kWriterConfig);
+    cfg.outputDirectory = dir;
+    cfg.ga.generations = 4;
+    // A directory where generation 1's checkpoint belongs: the write
+    // task fails, and the run must rethrow rather than abort.
+    const std::string blocker = dir + "/population_1.pop";
+    ensureDir(blocker);
+
+    std::string message;
+    try {
+        config::runFromConfig(cfg);
+    } catch (const FatalError& err) {
+        message = err.what();
+    }
+    EXPECT_NE(message.find(blocker), std::string::npos) << message;
+    removeAll(dir);
+}
+
+TEST(RunPipeline, RunDirWritesHaveTheirOwnTraceThread)
+{
+    const std::string dir = makeTempDir("gest-run");
+    config::RunConfig cfg = config::parseConfig(kWriterConfig);
+    cfg.outputDirectory = dir;
+    cfg.ga.generations = 5;
+    cfg.traceFile = dir + "/trace.json";
+    config::runFromConfig(cfg);
+
+    json::Value trace;
+    ASSERT_TRUE(json::parse(readFile(cfg.traceFile), trace, nullptr));
+    const json::Value* events = trace.find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    // Workers hold tids 1..threads; the write task comes next.
+    const double writer_tid = cfg.ga.threads + 1;
+    int writes = 0;
+    bool named = false;
+    for (const json::Value& event : events->array) {
+        if (event.stringOr("name", "") == "write run dir") {
+            EXPECT_EQ(event.numberOr("tid", -1.0), writer_tid);
+            ++writes;
+        }
+        if (event.stringOr("name", "") == "thread_name" &&
+            event.numberOr("tid", -1.0) == writer_tid) {
+            const json::Value* args = event.find("args");
+            named = args && args->stringOr("name", "") == "run-dir writer";
+        }
+    }
+    EXPECT_EQ(writes, 5);
+    EXPECT_TRUE(named);
     removeAll(dir);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 #include "util/fileutil.hh"
@@ -114,6 +115,49 @@ TEST(Fileutil, TryReadMissingFileReturnsFalse)
     std::string out;
     EXPECT_FALSE(tryReadFile("/nonexistent/gest/file", out));
     EXPECT_THROW(readFile("/nonexistent/gest/file"), FatalError);
+}
+
+TEST(Fileutil, AppendTruncatesThenAppends)
+{
+    const std::string dir = makeTempDir("gest-test");
+    const std::string path = dir + "/ledger.csv";
+    writeFile(path, "stale\n");
+    appendFile(path, "header\n", /*truncate=*/true);
+    appendFile(path, "row 0\n");
+    appendFile(path, "row 1\n");
+    EXPECT_EQ(readFile(path), "header\nrow 0\nrow 1\n");
+    removeAll(dir);
+}
+
+/** @return the message of the FatalError @p write throws, or "". */
+template <typename Write>
+std::string
+fatalMessage(Write write)
+{
+    try {
+        write();
+    } catch (const FatalError& err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(Fileutil, SmallWritesToAFullDiskFail)
+{
+    // A one-row payload stays in the stream buffer until close: the
+    // error must still surface, naming the file.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    const std::string row = "0,1.5,abc\n";
+    EXPECT_NE(fatalMessage([&] { appendFile("/dev/full", row); })
+                  .find("'/dev/full'"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { appendFile("/dev/full", row, true); })
+                  .find("'/dev/full'"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { writeFile("/dev/full", row); })
+                  .find("short write to '/dev/full'"),
+              std::string::npos);
 }
 
 TEST(Fileutil, ListFilesSorted)
