@@ -421,14 +421,14 @@ runSteadySmoke(const std::string& path)
             "%s\n    {\"platform\": \"%s\", \"min_cycles\": %llu, "
             "\"bodies\": %d, "
             "\"steady_hits\": %llu, \"fitness_identical\": %s, "
-            "\"evals_per_sec_fast\": %.1f, "
-            "\"evals_per_sec_full\": %.1f, \"speedup\": %.2f, "
+            "\"evals_per_sec_fast\": %.17g, "
+            "\"evals_per_sec_full\": %.17g, \"speedup\": %.17g, "
             "\"steady_bodies\": %zu, "
-            "\"evals_per_sec_fast_steady\": %.1f, "
-            "\"evals_per_sec_full_steady\": %.1f, "
-            "\"speedup_steady\": %.2f, "
+            "\"evals_per_sec_fast_steady\": %.17g, "
+            "\"evals_per_sec_full_steady\": %.17g, "
+            "\"speedup_steady\": %.17g, "
             "\"coverage_cells\": %llu, "
-            "\"evals_per_sec_fast_cov\": %.1f, "
+            "\"evals_per_sec_fast_cov\": %.17g, "
             "\"coverage_overhead\": %.3f}",
             first ? "" : ",", name.c_str(),
             static_cast<unsigned long long>(horizon), numBodies,

@@ -7,18 +7,11 @@
 
 #include "util/fileutil.hh"
 #include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace gest {
 namespace analysis {
 
 namespace {
-
-/** Column headers for the class-mix counts, in isa::InstrClass order. */
-const char* const kMixColumns[isa::numInstrClasses] = {
-    "mix_short_int", "mix_long_int", "mix_float_simd",
-    "mix_mem",       "mix_branch",   "mix_nop",
-};
 
 /** Linear-interpolated quantile of a sorted sample. */
 double
@@ -32,17 +25,6 @@ quantile(const std::vector<double>& sorted, double p)
     const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = position - static_cast<double>(lo);
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-/** Column index by header name, or -1 when absent. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
-{
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
 }
 
 } // namespace
@@ -156,25 +138,13 @@ computeAnalytics(const isa::InstructionLibrary& lib,
 }
 
 AnalyticsWriter::AnalyticsWriter(std::string path)
-    : _path(std::move(path))
+    : _csv(ledger::analytics, std::move(path))
 {}
 
 void
 AnalyticsWriter::append(const AnalyticsRow& row)
 {
     std::ostringstream out;
-    const bool first = !_started;
-    if (first) {
-        out << "# gest-analytics v" << analyticsCsvVersion << "\n";
-        out << "generation";
-        for (const char* column : kMixColumns)
-            out << ',' << column;
-        out << ",gene_entropy_bits,pairwise_diversity,fitness_min,"
-               "fitness_q1,fitness_median,fitness_q3,fitness_max,"
-               "crossover_children,crossover_improved,mutation_children,"
-               "mutation_improved,elite_copies\n";
-        _started = true;
-    }
     out.precision(17);
     out << row.generation;
     for (const std::uint64_t count : row.classMix)
@@ -185,94 +155,42 @@ AnalyticsWriter::append(const AnalyticsRow& row)
         << row.fitnessMax << ',' << row.crossoverChildren << ','
         << row.crossoverImproved << ',' << row.mutationChildren << ','
         << row.mutationImproved << ',' << row.eliteCopies << '\n';
-    appendFile(_path, out.str(), first);
+    _csv.append(out.str());
 }
 
 std::vector<AnalyticsRow>
-parseAnalytics(const std::string& text)
+parseAnalytics(const std::string& text, const std::string& file)
 {
     std::vector<AnalyticsRow> rows;
-    std::vector<std::string> header;
-    int generation = -1, entropy = -1, diversity = -1;
-    std::array<int, isa::numInstrClasses> mix;
-    mix.fill(-1);
-    int fmin = -1, fq1 = -1, fmed = -1, fq3 = -1, fmax = -1;
-    int xchildren = -1, ximproved = -1, mchildren = -1, mimproved = -1,
-        elites = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("analytics.csv does not look like a gest "
-                      "analytics file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                mix[static_cast<std::size_t>(c)] =
-                    columnIndex(header, kMixColumns[c]);
-            entropy = columnIndex(header, "gene_entropy_bits");
-            diversity = columnIndex(header, "pairwise_diversity");
-            fmin = columnIndex(header, "fitness_min");
-            fq1 = columnIndex(header, "fitness_q1");
-            fmed = columnIndex(header, "fitness_median");
-            fq3 = columnIndex(header, "fitness_q3");
-            fmax = columnIndex(header, "fitness_max");
-            xchildren = columnIndex(header, "crossover_children");
-            ximproved = columnIndex(header, "crossover_improved");
-            mchildren = columnIndex(header, "mutation_children");
-            mimproved = columnIndex(header, "mutation_improved");
-            elites = columnIndex(header, "elite_copies");
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("analytics.csv is truncated at line ", line_number,
-                  " (", fields.size(), " of ", header.size(),
-                  " columns): delete that line to analyze the complete "
-                  "generations");
-        auto num = [&](int index, const char* what) -> double {
-            if (index < 0)
-                return 0.0;
-            return parseDouble(fields[static_cast<std::size_t>(index)],
-                               detail::concat(what, " (analytics.csv "
-                                              "line ", line_number, ")"));
-        };
-        AnalyticsRow row;
-        row.generation =
-            static_cast<int>(num(generation, "generation"));
-        for (int c = 0; c < isa::numInstrClasses; ++c)
-            row.classMix[static_cast<std::size_t>(c)] =
-                static_cast<std::uint64_t>(
-                    num(mix[static_cast<std::size_t>(c)],
-                        kMixColumns[c]));
-        row.geneEntropyBits = num(entropy, "gene_entropy_bits");
-        row.pairwiseDiversity = num(diversity, "pairwise_diversity");
-        row.fitnessMin = num(fmin, "fitness_min");
-        row.fitnessQ1 = num(fq1, "fitness_q1");
-        row.fitnessMedian = num(fmed, "fitness_median");
-        row.fitnessQ3 = num(fq3, "fitness_q3");
-        row.fitnessMax = num(fmax, "fitness_max");
-        row.crossoverChildren = static_cast<std::uint64_t>(
-            num(xchildren, "crossover_children"));
-        row.crossoverImproved = static_cast<std::uint64_t>(
-            num(ximproved, "crossover_improved"));
-        row.mutationChildren = static_cast<std::uint64_t>(
-            num(mchildren, "mutation_children"));
-        row.mutationImproved = static_cast<std::uint64_t>(
-            num(mimproved, "mutation_improved"));
-        row.eliteCopies =
-            static_cast<std::uint64_t>(num(elites, "elite_copies"));
-        rows.push_back(row);
-    }
-    if (header.empty())
-        fatal("analytics.csv is empty — the run has not sealed its "
-              "first generation yet");
+    const ledger::Decoder decoder = ledger::decode(
+        ledger::analytics, file, text, [&](const ledger::Decoder& in) {
+            auto count = [&](const std::string& column) {
+                return static_cast<std::uint64_t>(in.number(column));
+            };
+            AnalyticsRow row;
+            row.generation = static_cast<int>(in.number("generation"));
+            for (int c = 0; c < isa::numInstrClasses; ++c) {
+                const auto cls = static_cast<isa::InstrClass>(c);
+                row.classMix[static_cast<std::size_t>(c)] =
+                    count(std::string("mix_") + isa::classToken(cls));
+            }
+            row.geneEntropyBits = in.number("gene_entropy_bits");
+            row.pairwiseDiversity = in.number("pairwise_diversity");
+            row.fitnessMin = in.number("fitness_min");
+            row.fitnessQ1 = in.number("fitness_q1");
+            row.fitnessMedian = in.number("fitness_median");
+            row.fitnessQ3 = in.number("fitness_q3");
+            row.fitnessMax = in.number("fitness_max");
+            row.crossoverChildren = count("crossover_children");
+            row.crossoverImproved = count("crossover_improved");
+            row.mutationChildren = count("mutation_children");
+            row.mutationImproved = count("mutation_improved");
+            row.eliteCopies = count("elite_copies");
+            rows.push_back(row);
+        });
+    if (!decoder.hasHeader())
+        fatal(file, " is empty — the run has not sealed its first "
+              "generation yet");
     return rows;
 }
 
@@ -280,10 +198,11 @@ bool
 tryLoadAnalytics(const std::string& run_dir,
                  std::vector<AnalyticsRow>& out)
 {
+    const std::string path = run_dir + "/" + ledger::analytics.file;
     std::string text;
-    if (!tryReadFile(run_dir + "/analytics.csv", text))
+    if (!tryReadFile(path, text))
         return false;
-    out = parseAnalytics(text);
+    out = parseAnalytics(text, path);
     return true;
 }
 

@@ -22,12 +22,10 @@
 
 #include "core/population.hh"
 #include "isa/library.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 namespace analysis {
-
-/** analytics.csv format version (`# gest-analytics v<N>` comment). */
-constexpr int analyticsCsvVersion = 1;
 
 /** One analytics.csv row. */
 struct AnalyticsRow
@@ -91,7 +89,7 @@ double pairwiseDiversity(const core::Population& pop);
 AnalyticsRow computeAnalytics(const isa::InstructionLibrary& lib,
                               const core::Population& pop);
 
-/** Appends analytics.csv rows (version comment + header on first). */
+/** Appends analytics.csv rows (the ledger's head on the first). */
 class AnalyticsWriter
 {
   public:
@@ -99,15 +97,18 @@ class AnalyticsWriter
 
     void append(const AnalyticsRow& row);
 
-    const std::string& path() const { return _path; }
+    const std::string& path() const { return _csv.path(); }
 
   private:
-    std::string _path;
-    bool _started = false;
+    ledger::Writer _csv;
 };
 
-/** Parse analytics.csv text; fatal() on malformed rows. */
-std::vector<AnalyticsRow> parseAnalytics(const std::string& text);
+/**
+ * Parse analytics.csv text read from @p file (the name errors cite);
+ * fatal() on malformed rows.
+ */
+std::vector<AnalyticsRow> parseAnalytics(
+    const std::string& text, const std::string& file = "analytics.csv");
 
 /**
  * Read and parse @p run_dir/analytics.csv. @return false (leaving

@@ -15,9 +15,6 @@ namespace analysis {
 
 namespace {
 
-const char* const alertsHeader =
-    "generation,rule,severity,value,threshold,message\n";
-
 /** Median of @p values (copied; the caller keeps insertion order). */
 double
 medianOf(const std::vector<double>& values)
@@ -45,10 +42,8 @@ HealthWatchdog::HealthWatchdog(HealthRules rules) : _rules(rules) {}
 void
 HealthWatchdog::setCsvPath(std::string path)
 {
-    _csvPath = std::move(path);
-    writeFile(_csvPath,
-              std::string("# gest-alerts v") +
-                  std::to_string(alertsVersion) + "\n" + alertsHeader);
+    _csv.emplace(ledger::alerts, std::move(path));
+    _csv->open();
 }
 
 void
@@ -77,11 +72,11 @@ HealthWatchdog::raise(int generation, const char* rule,
         .counter("health.alerts", "alerts raised by the GA watchdog")
         .inc();
 
-    if (!_csvPath.empty()) {
+    if (_csv) {
         char prefix[128];
         std::snprintf(prefix, sizeof(prefix), "%d,%s,%s,%.9g,%.9g,",
                       generation, rule, severity, value, threshold);
-        appendFile(_csvPath, prefix + alert.message + "\n");
+        _csv->append(prefix + alert.message + "\n");
     }
     _alerts.push_back(alert);
 }
@@ -263,40 +258,23 @@ loadAlerts(const std::string& run_dir, std::vector<Alert>& out)
 {
     out.clear();
     std::string text;
-    const std::string path = run_dir + "/alerts.csv";
+    const std::string path = run_dir + "/" + ledger::alerts.file;
     if (!tryReadFile(path, text))
         return false;
 
-    bool saw_header = false;
-    for (const std::string& line : split(text, '\n')) {
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            if (startsWith(line, "# gest-alerts v") &&
-                line != "# gest-alerts v1")
-                fatal(path, " is schema '", line,
-                      "'; this build reads v1");
-            continue;
-        }
-        if (!saw_header) {
-            saw_header = true;
-            continue;
-        }
-        // message is the 6th field and may contain no commas by
-        // construction, so a plain split is exact.
-        const std::vector<std::string> cells = split(line, ',');
-        if (cells.size() < 6)
-            fatal(path, ": truncated alert row '", line, "'");
+    // The message is the last column and comma-free by construction,
+    // so the reader's plain split is exact.
+    ledger::decode(ledger::alerts, path, text,
+                   [&](const ledger::Decoder& row) {
         Alert alert;
-        alert.generation =
-            static_cast<int>(parseInt(cells[0], "alert generation"));
-        alert.rule = cells[1];
-        alert.severity = cells[2];
-        alert.value = parseDouble(cells[3], "alert value");
-        alert.threshold = parseDouble(cells[4], "alert threshold");
-        alert.message = cells[5];
+        alert.generation = static_cast<int>(row.integer("generation"));
+        alert.rule = row.text("rule");
+        alert.severity = row.text("severity");
+        alert.value = row.number("value");
+        alert.threshold = row.number("threshold");
+        alert.message = row.text("message");
         out.push_back(std::move(alert));
-    }
+    });
     return true;
 }
 

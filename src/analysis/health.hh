@@ -25,16 +25,15 @@
 #define GEST_ANALYSIS_HEALTH_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/engine.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 namespace analysis {
-
-/** Alerts-ledger schema version written by this build. */
-constexpr int alertsVersion = 1;
 
 /**
  * Thresholds for the declarative rules. A zero/negative threshold
@@ -119,7 +118,8 @@ class HealthWatchdog
      */
     void setCsvPath(std::string path);
 
-    const std::string& csvPath() const { return _csvPath; }
+    /** The ledger's path; empty when no CSV is written. */
+    std::string csvPath() const { return _csv ? _csv->path() : ""; }
 
     /**
      * Feed one coverage-ledger tick before onGenerationEvaluated() of
@@ -149,7 +149,7 @@ class HealthWatchdog
                double value, double threshold, std::string message);
 
     HealthRules _rules;
-    std::string _csvPath;
+    std::optional<ledger::Writer> _csv;
     std::vector<Alert> _alerts;
 
     // Per-rule latches: one alert per run per failure mode.
@@ -184,6 +184,7 @@ class HealthWatchdog
 /**
  * Parse @p run_dir/alerts.csv. @return false when the file is absent;
  * fatal() when it exists but is malformed or a later schema version.
+ * A torn last row is dropped.
  */
 bool loadAlerts(const std::string& run_dir, std::vector<Alert>& out);
 

@@ -35,7 +35,9 @@ birthOpFromString(std::string_view s, BirthOp& out)
     return false;
 }
 
-LineageLedger::LineageLedger(std::string path) : _path(std::move(path)) {}
+LineageLedger::LineageLedger(std::string path)
+    : _csv(ledger::lineage, std::move(path))
+{}
 
 void
 LineageLedger::recordBirth(LineageEvent event)
@@ -54,13 +56,6 @@ LineageLedger::sealGeneration(const core::Population& pop)
     }
 
     std::ostringstream out;
-    const bool first = !_started;
-    if (first) {
-        out << "# gest-lineage v" << lineageCsvVersion << "\n";
-        out << "generation,id,op,parent1,parent2,mutated_genes,"
-               "mutated_indices,fitness\n";
-        _started = true;
-    }
     out.precision(17);
 
     std::vector<LineageEvent> sealed;
@@ -82,7 +77,7 @@ LineageLedger::sealGeneration(const core::Population& pop)
         out << ',' << event.fitness << '\n';
         sealed.push_back(std::move(event));
     }
-    appendFile(_path, out.str(), first);
+    _csv.append(out.str());
     _pending.clear();
     _sealed += sealed.size();
     return sealed;
@@ -98,86 +93,35 @@ LineageLedger::fitnessOf(std::uint64_t id, double& out) const
     return true;
 }
 
-namespace {
-
-/** Column index by header name, or -1 when this file predates it. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
-{
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
-}
-
-} // namespace
-
 std::vector<LineageEvent>
-parseLineage(const std::string& text)
+parseLineage(const std::string& text, const std::string& file)
 {
     std::vector<LineageEvent> events;
-    std::vector<std::string> header;
-    int generation = -1, id = -1, op = -1, parent1 = -1, parent2 = -1,
-        indices = -1, fitness = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("lineage.csv does not look like a gest lineage "
-                      "file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            id = columnIndex(header, "id");
-            op = columnIndex(header, "op");
-            parent1 = columnIndex(header, "parent1");
-            parent2 = columnIndex(header, "parent2");
-            indices = columnIndex(header, "mutated_indices");
-            fitness = columnIndex(header, "fitness");
-            if (id < 0 || op < 0 || parent1 < 0 || parent2 < 0 ||
-                fitness < 0)
-                fatal("lineage.csv header lacks required columns "
-                      "(id/op/parent1/parent2/fitness): '", line, "'");
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("lineage.csv is truncated at line ", line_number, " (",
-                  fields.size(), " of ", header.size(), " columns): the "
-                  "run may have been interrupted mid-write; delete that "
-                  "line to analyze the sealed generations");
-        auto cell = [&](int index) -> const std::string& {
-            return fields[static_cast<std::size_t>(index)];
-        };
-        LineageEvent event;
-        event.generation = static_cast<int>(
-            parseInt(cell(generation), "lineage generation"));
-        event.id = static_cast<std::uint64_t>(
-            parseInt(cell(id), "lineage id"));
-        if (!birthOpFromString(cell(op), event.op))
-            fatal("lineage.csv line ", line_number,
-                  " has unknown op '", cell(op),
-                  "' — was the file written by a newer gest?");
-        event.parent1 = static_cast<std::uint64_t>(
-            parseInt(cell(parent1), "lineage parent1"));
-        event.parent2 = static_cast<std::uint64_t>(
-            parseInt(cell(parent2), "lineage parent2"));
-        if (indices >= 0 && !cell(indices).empty()) {
-            for (const std::string& g : split(cell(indices), ';'))
-                event.mutatedGenes.push_back(static_cast<std::uint32_t>(
-                    parseInt(g, "lineage mutated gene index")));
-        }
-        event.fitness = parseDouble(cell(fitness), "lineage fitness");
-        events.push_back(std::move(event));
-    }
-    if (header.empty())
-        fatal("lineage.csv is empty — the run has not sealed its first "
+    const ledger::Decoder decoder = ledger::decode(
+        ledger::lineage, file, text, [&](const ledger::Decoder& row) {
+            LineageEvent event;
+            event.generation = static_cast<int>(row.integer("generation"));
+            event.id = static_cast<std::uint64_t>(row.integer("id"));
+            if (!birthOpFromString(row.text("op"), event.op))
+                fatal(row.where(), ": unknown op '", row.text("op"),
+                      "' — was the file written by a newer gest?");
+            event.parent1 =
+                static_cast<std::uint64_t>(row.integer("parent1"));
+            event.parent2 =
+                static_cast<std::uint64_t>(row.integer("parent2"));
+            const std::string& indices = row.text("mutated_indices");
+            if (!indices.empty()) {
+                for (const std::string& g : split(indices, ';'))
+                    event.mutatedGenes.push_back(
+                        static_cast<std::uint32_t>(parseInt(
+                            g, "mutated gene index (" + row.where() +
+                                   ")")));
+            }
+            event.fitness = row.number("fitness");
+            events.push_back(std::move(event));
+        });
+    if (!decoder.hasHeader())
+        fatal(file, " is empty — the run has not sealed its first "
               "generation yet (or analytics were disabled with "
               "<output analytics=\"false\"/>)");
     return events;
@@ -188,14 +132,14 @@ loadLineage(const std::string& run_dir)
 {
     if (!dirExists(run_dir))
         fatal("run directory '", run_dir, "' does not exist");
-    const std::string path = run_dir + "/lineage.csv";
+    const std::string path = run_dir + "/" + ledger::lineage.file;
     std::string text;
     if (!tryReadFile(path, text))
         fatal("no lineage.csv in '", run_dir, "' — the run predates the "
               "analytics subsystem or was run with <output "
               "analytics=\"false\"/>; rerun with analytics enabled to "
               "record lineage");
-    return parseLineage(text);
+    return parseLineage(text, path);
 }
 
 Ancestry

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/population.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 namespace analysis {
@@ -69,13 +70,6 @@ struct LineageEvent
 };
 
 /**
- * lineage.csv format version written by this build. Like history.csv,
- * the first line is `# gest-lineage v<N>` and columns are append-only
- * across versions.
- */
-constexpr int lineageCsvVersion = 1;
-
-/**
  * Records birth events and appends them to `lineage.csv` once their
  * generation is evaluated (fitness is only known then). Also keeps an
  * id -> fitness map so operator efficacy (children beating both
@@ -106,21 +100,21 @@ class LineageLedger
     /** Birth events recorded and sealed so far. */
     std::uint64_t sealedEvents() const { return _sealed; }
 
-    const std::string& path() const { return _path; }
+    const std::string& path() const { return _csv.path(); }
 
   private:
-    std::string _path;
-    bool _started = false;
+    ledger::Writer _csv;
     std::vector<LineageEvent> _pending;
     std::unordered_map<std::uint64_t, double> _fitnessById;
     std::uint64_t _sealed = 0;
 };
 
 /**
- * Parse lineage.csv text. Header-driven like the history parser;
+ * Parse lineage.csv text read from @p file (the name errors cite);
  * fatal() with an actionable message on malformed rows.
  */
-std::vector<LineageEvent> parseLineage(const std::string& text);
+std::vector<LineageEvent> parseLineage(
+    const std::string& text, const std::string& file = "lineage.csv");
 
 /** Read and parse @p run_dir/lineage.csv; fatal() when absent. */
 std::vector<LineageEvent> loadLineage(const std::string& run_dir);

@@ -34,26 +34,6 @@ attributionStats()
 
 } // namespace
 
-const char*
-classToken(isa::InstrClass cls)
-{
-    switch (cls) {
-      case isa::InstrClass::ShortInt:
-        return "short_int";
-      case isa::InstrClass::LongInt:
-        return "long_int";
-      case isa::InstrClass::FloatSimd:
-        return "float_simd";
-      case isa::InstrClass::Mem:
-        return "mem";
-      case isa::InstrClass::Branch:
-        return "branch";
-      case isa::InstrClass::Nop:
-        return "nop";
-    }
-    return "unknown";
-}
-
 int
 fillerDefIndex(const isa::InstructionLibrary& lib, isa::InstrClass cls)
 {

@@ -98,9 +98,6 @@ struct AttributionResult
     std::vector<std::size_t> topGenes;
 };
 
-/** InstrClass → artifact-safe token ("short_int", "float_simd", ...). */
-const char* classToken(isa::InstrClass cls);
-
 /**
  * Index of the class-neutral filler definition for a gene of class
  * @p cls: the library's first Nop-class definition, else the

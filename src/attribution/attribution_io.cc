@@ -45,7 +45,7 @@ formatAttributionCsv(const AttributionResult& result)
            "fitness_without\n";
     for (const GeneAttribution& g : result.genes) {
         out += std::to_string(g.index) + "," + g.instruction + "," +
-               classToken(g.cls) + "," + g.operands + "," +
+               isa::classToken(g.cls) + "," + g.operands + "," +
                g17(g.deltaFitness) + "," + g17(g.fitnessWithout) + "\n";
     }
     return out;
@@ -78,7 +78,7 @@ formatAttributionJson(const AttributionResult& result)
         out += i == 0 ? "\n" : ",\n";
         out += "    {\"gene\": " + std::to_string(g.index) +
                ", \"instruction\": \"" + g.instruction +
-               "\", \"class\": \"" + classToken(g.cls) +
+               "\", \"class\": \"" + isa::classToken(g.cls) +
                "\", \"operands\": \"" + g.operands +
                "\", \"delta_fitness\": " + g17(g.deltaFitness) +
                ", \"fitness_without\": " + g17(g.fitnessWithout) + "}";
@@ -89,7 +89,7 @@ formatAttributionJson(const AttributionResult& result)
     for (std::size_t i = 0; i < result.classes.size(); ++i) {
         const ClassAttribution& c = result.classes[i];
         out += i == 0 ? "\n" : ",\n";
-        out += "    {\"class\": \"" + std::string(classToken(c.cls)) +
+        out += "    {\"class\": \"" + std::string(isa::classToken(c.cls)) +
                "\", \"genes\": " + std::to_string(c.genes) +
                ", \"delta_sum\": " + g17(c.deltaSum) + "}";
     }

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
-#include "attribution/attribution.hh"
 #include "core/population.hh"
 #include "stats/stats.hh"
-#include "util/fileutil.hh"
 #include "util/logging.hh"
 
 namespace gest {
@@ -137,6 +134,18 @@ CoverageLedger::observe(
     return fresh;
 }
 
+void
+CoverageLedger::setCsvPath(std::string path)
+{
+    std::string preamble =
+        "# cells_total " + std::to_string(_cellsTotal) + "\n";
+    for (int c = 0; c < isa::numInstrClasses; ++c)
+        preamble += std::string("# class ") +
+                    isa::classToken(static_cast<isa::InstrClass>(c)) +
+                    " cells " + std::to_string(_classTotal[c]) + "\n";
+    _csv.emplace(ledger::coverage, std::move(path), std::move(preamble));
+}
+
 CoverageLedger::Snapshot
 CoverageLedger::onGenerationEvaluated(const core::Population& pop,
                                       const core::GenerationRecord& rec)
@@ -159,24 +168,7 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
     coverageStats().novelCells.inc(fresh);
     coverageStats().touches.inc(touched);
 
-    if (!_csvPath.empty()) {
-        std::ostringstream out;
-        const bool first = !_csvStarted;
-        if (first) {
-            out << "# gest-coverage v" << coverageCsvVersion << "\n";
-            out << "# cells_total " << _cellsTotal << "\n";
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                out << "# class "
-                    << classToken(static_cast<isa::InstrClass>(c))
-                    << " cells " << _classTotal[c] << "\n";
-            out << "generation,cells_new,cells_seen,cells_total,"
-                   "saturation_pct,novelty_rate";
-            for (int c = 0; c < isa::numInstrClasses; ++c)
-                out << ",seen_"
-                    << classToken(static_cast<isa::InstrClass>(c));
-            out << "\n";
-            _csvStarted = true;
-        }
+    if (_csv) {
         char row[256];
         std::snprintf(row, sizeof(row),
                       "%d,%llu,%llu,%llu,%.6f,%.6f",
@@ -185,11 +177,10 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
                       static_cast<unsigned long long>(snap.cellsSeen),
                       static_cast<unsigned long long>(snap.cellsTotal),
                       snap.saturationPct, snap.noveltyRate);
-        out << row;
+        std::string line = row;
         for (int c = 0; c < isa::numInstrClasses; ++c)
-            out << "," << snap.classes[c].seen;
-        out << "\n";
-        appendFile(_csvPath, out.str(), first);
+            line += "," + std::to_string(snap.classes[c].seen);
+        _csv->append(line + "\n");
     }
     return snap;
 }
@@ -248,7 +239,7 @@ formatCoverageJson(const CoverageLedger::Snapshot& snap)
             "%s\n    {\"class\": \"%s\", \"seen\": %llu, "
             "\"total\": %llu}",
             c == 0 ? "" : ",",
-            classToken(static_cast<isa::InstrClass>(c)),
+            isa::classToken(static_cast<isa::InstrClass>(c)),
             static_cast<unsigned long long>(snap.classes[c].seen),
             static_cast<unsigned long long>(snap.classes[c].total));
         out += row;

@@ -26,17 +26,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/engine.hh"
 #include "isa/library.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 namespace attribution {
-
-/** Coverage CSV format version written by this build. */
-constexpr int coverageCsvVersion = 1;
 
 class CoverageLedger
 {
@@ -88,10 +87,11 @@ class CoverageLedger
     Snapshot onGenerationEvaluated(const core::Population& pop,
                                    const core::GenerationRecord& record);
 
-    /** Append per-generation rows to @p path (empty: no CSV). */
-    void setCsvPath(std::string path) { _csvPath = std::move(path); }
+    /** Append per-generation rows to the coverage ledger at @p path. */
+    void setCsvPath(std::string path);
 
-    const std::string& csvPath() const { return _csvPath; }
+    /** The ledger's path; empty when no CSV is written. */
+    std::string csvPath() const { return _csv ? _csv->path() : ""; }
 
     /**
      * Current cumulative state; safe from any thread (per-generation
@@ -139,8 +139,7 @@ class CoverageLedger
     std::atomic<std::uint64_t> _lastNewCells{0};
     std::atomic<std::uint64_t> _lastTouches{0};
 
-    std::string _csvPath;
-    bool _csvStarted = false;
+    std::optional<ledger::Writer> _csv;
 };
 
 /** Render @p snapshot as the /coverage JSON payload. */

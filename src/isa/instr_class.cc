@@ -21,6 +21,20 @@ toString(InstrClass cls)
 }
 
 const char*
+classToken(InstrClass cls)
+{
+    switch (cls) {
+      case InstrClass::ShortInt: return "short_int";
+      case InstrClass::LongInt: return "long_int";
+      case InstrClass::FloatSimd: return "float_simd";
+      case InstrClass::Mem: return "mem";
+      case InstrClass::Branch: return "branch";
+      case InstrClass::Nop: return "nop";
+    }
+    return "unknown";
+}
+
+const char*
 toString(Opcode op)
 {
     switch (op) {

@@ -62,6 +62,9 @@ enum class Opcode
 /** @return a stable display name, e.g. "Float/SIMD". */
 const char* toString(InstrClass cls);
 
+/** @return the artifact-safe token, e.g. "float_simd". */
+const char* classToken(InstrClass cls);
+
 /** @return the mnemonic-ish name of an opcode, e.g. "FMUL". */
 const char* toString(Opcode op);
 

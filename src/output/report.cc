@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "isa/instr_class.hh"
+#include "output/ledger.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -14,28 +15,6 @@ namespace gest {
 namespace output {
 
 namespace {
-
-/** Column index by header name, or -1 when this file predates it. */
-int
-columnIndex(const std::vector<std::string>& header,
-            const std::string& name)
-{
-    const auto it = std::find(header.begin(), header.end(), name);
-    return it == header.end()
-               ? -1
-               : static_cast<int>(it - header.begin());
-}
-
-double
-field(const std::vector<std::string>& fields, int index,
-      const std::string& what, int line)
-{
-    if (index < 0)
-        return 0.0;
-    return parseDouble(fields[static_cast<std::size_t>(index)],
-                       detail::concat(what, " (history.csv line ", line,
-                                      ")"));
-}
 
 /**
  * Pull one counter value out of a metrics.json dump. The file is our
@@ -109,7 +88,7 @@ analyzeRun(const std::string& run_dir)
 {
     if (!dirExists(run_dir))
         fatal("run directory '", run_dir, "' does not exist");
-    const std::string path = run_dir + "/history.csv";
+    const std::string path = run_dir + "/" + ledger::history.file;
     std::string text;
     if (!tryReadFile(path, text))
         fatal("no history.csv in '", run_dir,
@@ -120,84 +99,30 @@ analyzeRun(const std::string& run_dir)
     RunReport report;
     report.runDir = run_dir;
 
-    std::vector<std::string> header;
-    int selection = -1, crossoverCol = -1, mutationCol = -1;
-    int evaluation = -1, io = -1;
-    int generation = -1, bestF = -1, avgF = -1, div = -1, hits = -1,
-        misses = -1;
-
-    int line_number = 0;
-    for (const std::string& raw : split(text, '\n')) {
-        ++line_number;
-        const std::string line = trim(raw);
-        if (line.empty())
-            continue;
-        if (line.front() == '#') {
-            // `# gest-history v<N>` — anything else is a plain comment.
-            const std::vector<std::string> words = splitWhitespace(line);
-            if (words.size() >= 2 && words[1] == "gest-history" &&
-                words.size() >= 3 && words[2].size() > 1 &&
-                words[2].front() == 'v') {
-                report.historyVersion = static_cast<int>(
-                    parseInt(words[2].substr(1), "history version"));
-            }
-            continue;
-        }
-        if (header.empty()) {
-            header = split(line, ',');
-            if (columnIndex(header, "generation") != 0)
-                fatal("'", path, "' does not look like a gest history "
-                      "file: expected a header starting with "
-                      "'generation', got '", line, "'");
-            generation = columnIndex(header, "generation");
-            bestF = columnIndex(header, "best_fitness");
-            avgF = columnIndex(header, "average_fitness");
-            div = columnIndex(header, "diversity");
-            hits = columnIndex(header, "cache_hits");
-            misses = columnIndex(header, "cache_misses");
-            selection = columnIndex(header, "selection_ms");
-            crossoverCol = columnIndex(header, "crossover_ms");
-            mutationCol = columnIndex(header, "mutation_ms");
-            evaluation = columnIndex(header, "evaluation_ms");
-            io = columnIndex(header, "io_ms");
-            report.hasTimings = evaluation >= 0;
-            continue;
-        }
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < header.size())
-            fatal("'", path, "' is truncated at line ", line_number,
-                  " (", fields.size(), " of ", header.size(),
-                  " columns): the run may have been interrupted "
-                  "mid-write; delete that line to summarize the "
-                  "completed generations");
-        HistoryRow row;
-        row.generation = static_cast<int>(
-            field(fields, generation, "generation", line_number));
-        row.bestFitness =
-            field(fields, bestF, "best_fitness", line_number);
-        row.averageFitness =
-            field(fields, avgF, "average_fitness", line_number);
-        row.diversity = field(fields, div, "diversity", line_number);
-        row.cacheHits = static_cast<std::uint64_t>(
-            field(fields, hits, "cache_hits", line_number));
-        row.cacheMisses = static_cast<std::uint64_t>(
-            field(fields, misses, "cache_misses", line_number));
-        row.selectionMs =
-            field(fields, selection, "selection_ms", line_number);
-        row.crossoverMs =
-            field(fields, crossoverCol, "crossover_ms", line_number);
-        row.mutationMs =
-            field(fields, mutationCol, "mutation_ms", line_number);
-        row.evaluationMs =
-            field(fields, evaluation, "evaluation_ms", line_number);
-        row.ioMs = field(fields, io, "io_ms", line_number);
-        report.rows.push_back(row);
-    }
-
-    if (header.empty())
+    const ledger::Decoder decoder = ledger::decode(
+        ledger::history, path, text, [&](const ledger::Decoder& in) {
+            HistoryRow row;
+            row.generation = static_cast<int>(in.number("generation"));
+            row.bestFitness = in.number("best_fitness");
+            row.averageFitness = in.number("average_fitness");
+            row.diversity = in.number("diversity");
+            row.cacheHits =
+                static_cast<std::uint64_t>(in.number("cache_hits"));
+            row.cacheMisses =
+                static_cast<std::uint64_t>(in.number("cache_misses"));
+            row.selectionMs = in.number("selection_ms");
+            row.crossoverMs = in.number("crossover_ms");
+            row.mutationMs = in.number("mutation_ms");
+            row.evaluationMs = in.number("evaluation_ms");
+            row.ioMs = in.number("io_ms");
+            report.rows.push_back(row);
+        });
+    if (!decoder.hasHeader())
         fatal("'", path, "' is empty — the run has not written its "
               "header yet (or the file was clobbered); rerun or wait "
               "for the first generation to complete");
+    report.historyVersion = decoder.version();
+    report.hasTimings = decoder.has("evaluation_ms");
     if (report.rows.empty())
         fatal("'", path, "' contains no generation rows yet — the run "
               "has not completed generation 0; retry once it has");
@@ -581,7 +506,7 @@ formatExplain(const ExplainReport& report)
     for (const analysis::LineageEvent& e : report.events)
         maxGeneration = std::max(maxGeneration, e.generation);
     os << "run: " << report.runDir << " (lineage v"
-       << analysis::lineageCsvVersion << ", " << report.events.size()
+       << ledger::lineage.version << ", " << report.events.size()
        << " birth events, " << maxGeneration + 1 << " generations)\n";
 
     const analysis::Ancestry& anc = report.ancestry;

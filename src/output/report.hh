@@ -6,12 +6,12 @@
  * `report` works from `history.csv` alone, so it summarizes both
  * finished and in-flight runs (the RunWriter appends one complete row
  * per generation); when the run also recorded `analytics.csv` the
- * summary gains an evolution-analytics section. The parser is
- * header-driven and tolerant of version drift: v1 files (pre-timing
- * columns) report everything except the phase breakdown, and columns
- * appended by future versions are ignored. Malformed or truncated
- * files fatal() with an actionable message instead of crashing or
- * mis-summarizing. `--json` renders the same summary machine-readable.
+ * summary gains an evolution-analytics section. Both files are read
+ * through the ledger reader (output/ledger.hh): v1 history files
+ * (pre-timing columns) report everything except the phase breakdown,
+ * a torn last row is dropped, and malformed files fatal() with an
+ * actionable message instead of crashing or mis-summarizing. `--json`
+ * renders the same summary machine-readable.
  *
  * `explain` reads `lineage.csv` + `analytics.csv` and answers *why*
  * the GA got where it did: the champion's ancestry chain back to
@@ -122,8 +122,8 @@ struct RunReport
 
 /**
  * Parse @p run_dir/history.csv into a report. fatal() when the
- * directory or file is missing, holds no generation rows, or a row is
- * truncated/malformed.
+ * directory or file is missing, holds no complete generation rows, or
+ * a complete row is short or malformed (a torn last row is dropped).
  */
 RunReport analyzeRun(const std::string& run_dir);
 

@@ -15,6 +15,7 @@ namespace output {
 RunWriter::RunWriter(std::string root, const isa::InstructionLibrary& lib,
                      const isa::AsmTemplate* tmpl)
     : _root(std::move(root)), _lib(lib), _template(tmpl),
+      _history(ledger::history, _root + "/" + ledger::history.file),
       _ioUs(stats::StatsRegistry::instance().histogram(
           "output.io_us", "run-directory writes per generation (us)", 0.0,
           100000.0, 40))
@@ -48,9 +49,7 @@ RunWriter::writeIndividual(int population, const core::Individual& ind)
             body += '\n';
         }
     }
-    const std::string name = individualFileName(population, ind);
-    writeFile(_root + "/" + name, body);
-    _artifactKinds[name] = "individual";
+    writeFile(_root + "/" + individualFileName(population, ind), body);
 }
 
 void
@@ -58,10 +57,9 @@ RunWriter::writePopulation(const core::Population& pop)
 {
     for (const core::Individual& ind : pop.individuals)
         writeIndividual(pop.generation, ind);
-    const std::string name =
-        "population_" + std::to_string(pop.generation) + ".pop";
-    core::savePopulation(_lib, pop, _root + "/" + name);
-    _artifactKinds[name] = "population";
+    core::savePopulation(_lib, pop,
+                         _root + "/population_" +
+                             std::to_string(pop.generation) + ".pop");
 }
 
 void
@@ -69,20 +67,6 @@ RunWriter::appendHistory(const core::GenerationRecord& record,
                          double io_ms)
 {
     std::ostringstream out;
-    const bool first = !_historyStarted;
-    if (first) {
-        // Forward compatibility contract: the version comment is for
-        // humans and tools; parsers must key on the header row, whose
-        // column order is append-only across versions (gest report
-        // reads v1 files with no timing columns just as well).
-        out << "# gest-history v" << historyCsvVersion << "\n";
-        out << "generation,best_fitness,average_fitness,best_id,"
-               "unique_instructions,diversity,cache_hits,cache_misses,"
-               "selection_ms,crossover_ms,mutation_ms,evaluation_ms,"
-               "io_ms\n";
-        _historyStarted = true;
-        _artifactKinds["history.csv"] = "history";
-    }
     out << record.generation << ',' << record.bestFitness << ','
         << record.averageFitness << ',' << record.bestId << ','
         << record.bestUniqueInstructions << ',' << record.diversity
@@ -90,21 +74,17 @@ RunWriter::appendHistory(const core::GenerationRecord& record,
         << record.selectionMs << ',' << record.crossoverMs << ','
         << record.mutationMs << ',' << record.evaluationMs << ','
         << io_ms << '\n';
-    appendFile(_root + "/history.csv", out.str(), first);
+    _history.append(out.str());
 }
 
 void
 RunWriter::writeRunMetadata(const std::string& config_text,
                             const std::string& template_text)
 {
-    if (!config_text.empty()) {
+    if (!config_text.empty())
         writeFile(_root + "/run_configuration.xml", config_text);
-        _artifactKinds["run_configuration.xml"] = "config";
-    }
-    if (!template_text.empty()) {
+    if (!template_text.empty())
         writeFile(_root + "/run_template.txt", template_text);
-        _artifactKinds["run_template.txt"] = "template";
-    }
 }
 
 void

@@ -14,13 +14,13 @@
 #ifndef GEST_OUTPUT_RUN_WRITER_HH
 #define GEST_OUTPUT_RUN_WRITER_HH
 
-#include <map>
 #include <string>
 
 #include "core/engine.hh"
 #include "core/population.hh"
 #include "isa/asm_template.hh"
 #include "isa/library.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 
@@ -31,16 +31,6 @@ class Histogram;
 namespace output {
 
 class TraceWriter;
-
-/**
- * history.csv format version written by this build. The first line of
- * the file is `# gest-history v<N>`; columns are strictly append-only
- * across versions so both old files and old readers keep working:
- *
- *  v1 (implicit, no version comment): generation..cache_misses
- *  v2: + selection_ms, crossover_ms, mutation_ms, evaluation_ms, io_ms
- */
-constexpr int historyCsvVersion = 2;
 
 /**
  * Writes one GA run's artifacts under a root directory.
@@ -64,8 +54,8 @@ class RunWriter
     void writePopulation(const core::Population& pop);
 
     /**
-     * Append one generation record to `history.csv` (version comment
-     * and header written on the first call): fitness, diversity, the
+     * Append one generation record to `history.csv` (the ledger's head
+     * written on the first call): fitness, diversity, the
      * fitness-cache hit/miss counters and the per-phase milliseconds
      * of that generation. @p io_ms is the time this writer spent
      * recording the generation's artifacts (onGenerationEvaluated()
@@ -100,30 +90,6 @@ class RunWriter
     /** The run directory. */
     const std::string& root() const { return _root; }
 
-    /**
-     * Every artifact this writer emitted, relative path → kind
-     * ("individual", "population", "history", "config", "template").
-     * The provenance manifest records these kinds; artifacts written
-     * by other subsystems get their kind inferred from the file name.
-     */
-    const std::map<std::string, std::string>& artifactKinds() const
-    {
-        return _artifactKinds;
-    }
-
-    /**
-     * Register an artifact another subsystem wrote under the run
-     * directory (run-relative @p rel_path) with an explicit @p kind,
-     * so the provenance manifest labels it without relying on
-     * file-name inference (e.g. "coverage.csv" → "coverage",
-     * "attribution/..." → "attribution").
-     */
-    void noteArtifact(const std::string& rel_path,
-                      const std::string& kind)
-    {
-        _artifactKinds[rel_path] = kind;
-    }
-
     /** File name an individual is stored under (naming convention). */
     std::string individualFileName(int population,
                                    const core::Individual& ind) const;
@@ -132,11 +98,10 @@ class RunWriter
     std::string _root;
     const isa::InstructionLibrary& _lib;
     const isa::AsmTemplate* _template;
-    bool _historyStarted = false;
+    ledger::Writer _history;
     TraceWriter* _trace = nullptr;
     int _traceTid = 0;
     stats::Histogram& _ioUs;  ///< resolved at construction
-    std::map<std::string, std::string> _artifactKinds;
 };
 
 } // namespace output

@@ -8,7 +8,6 @@
 
 #include "analysis/health.hh"
 #include "net/http_client.hh"
-#include "output/report.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
 #include "util/logging.hh"
@@ -80,48 +79,27 @@ applyCoverage(const json::Value& coverage, TopSnapshot& out)
 
 /**
  * Fill the coverage fields of @p out from @p run_dir's coverage.csv
- * (last data row), when the run recorded one.
+ * (last complete row), when the run recorded one.
  */
 void
 loadCoverageCsv(const std::string& run_dir, TopSnapshot& out)
 {
+    const std::string path = run_dir + "/" + ledger::coverage.file;
     std::string text;
-    if (!tryReadFile(run_dir + "/coverage.csv", text))
+    if (!tryReadFile(path, text))
         return;
-
-    // Map the header row's columns, then keep the last data row.
-    std::vector<std::string> header;
-    std::vector<std::string> last;
-    for (const std::string& line : split(text, '\n')) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (header.empty())
-            header = split(line, ',');
-        else
-            last = split(line, ',');
-    }
-    if (header.empty() || last.size() != header.size())
-        return;
-    auto field = [&](const char* name) -> std::string {
-        for (std::size_t i = 0; i < header.size(); ++i) {
-            if (header[i] == name)
-                return last[i];
-        }
-        return "";
-    };
-    const std::string total = field("cells_total");
-    if (total.empty())
-        return;
-    out.hasCoverage = true;
-    out.coverageCellsTotal = std::strtoull(total.c_str(), nullptr, 10);
-    out.coverageCellsSeen =
-        std::strtoull(field("cells_seen").c_str(), nullptr, 10);
-    out.coverageNewCells =
-        std::strtoull(field("cells_new").c_str(), nullptr, 10);
-    out.coverageSaturationPct =
-        std::strtod(field("saturation_pct").c_str(), nullptr);
-    out.coverageNoveltyRate =
-        std::strtod(field("novelty_rate").c_str(), nullptr);
+    ledger::decode(ledger::coverage, path, text,
+                   [&](const ledger::Decoder& row) {
+        out.hasCoverage = true;
+        out.coverageCellsTotal =
+            static_cast<std::uint64_t>(row.integer("cells_total"));
+        out.coverageCellsSeen =
+            static_cast<std::uint64_t>(row.integer("cells_seen"));
+        out.coverageNewCells =
+            static_cast<std::uint64_t>(row.integer("cells_new"));
+        out.coverageSaturationPct = row.number("saturation_pct");
+        out.coverageNoveltyRate = row.number("novelty_rate");
+    });
 }
 
 /** An alert as one dashboard pane line. */
@@ -138,12 +116,8 @@ void
 loadAlertsCsv(const std::string& run_dir, TopSnapshot& out)
 {
     std::vector<analysis::Alert> alerts;
-    try {
-        if (!analysis::loadAlerts(run_dir, alerts))
-            return;
-    } catch (const FatalError&) {
-        return;  // a sick ledger must not take the dashboard down
-    }
+    if (!analysis::loadAlerts(run_dir, alerts))
+        return;
     out.alertsRaised = static_cast<std::int64_t>(alerts.size());
     if (!alerts.empty()) {
         out.lastAlertGeneration = alerts.back().generation;
@@ -288,67 +262,9 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
     return true;
 }
 
-bool
-loadTopSnapshot(const std::string& run_dir, TopSnapshot& out)
-{
-    out = TopSnapshot();
-    out.live = false;
-    out.source = run_dir;
-
-    // history.csv is the ground truth a run always writes; status.json
-    // (analytics on) refines it with rates and the live state.
-    try {
-        const RunReport report = analyzeRun(run_dir);
-        for (const HistoryRow& row : report.rows)
-            out.bestTrajectory.push_back(row.bestFitness);
-        if (!report.rows.empty()) {
-            const HistoryRow& last = report.rows.back();
-            out.generation = last.generation;
-            out.bestFitness = report.bestFitness;
-            out.averageFitness = last.averageFitness;
-            out.diversity = last.diversity;
-        }
-        out.evaluations = report.totalMeasured;
-        out.cacheHitRate = report.cacheHitRate();
-        out.evalsPerSec = report.evaluationsPerSecond();
-        out.selectionMs = report.selectionMs;
-        out.crossoverMs = report.crossoverMs;
-        out.mutationMs = report.mutationMs;
-        out.evaluationMs = report.evaluationMs;
-        out.steadyHits = report.steadyHits;
-        out.cyclesSimulated = report.cyclesSimulated;
-        out.cyclesTiled = report.cyclesTiled;
-        out.simEvaluations = report.simEvaluations;
-    } catch (const FatalError& err) {
-        // A run directory that exists but holds no history.csv yet is
-        // a run still evaluating its first generation, not an error:
-        // `gest top` may be pointed at the directory before (or right
-        // after) the run starts, so render a waiting frame and let the
-        // next refresh fill in.
-        if (dirExists(run_dir) &&
-            !fileExists(run_dir + "/history.csv")) {
-            out.state = "waiting for first generation";
-            return true;
-        }
-        out.error = err.what();
-        return false;
-    }
-
-    std::string status_text;
-    if (tryReadFile(run_dir + "/status.json", status_text)) {
-        json::Value status;
-        if (json::parse(status_text, status, nullptr))
-            applyStatus(status, out);
-    } else {
-        out.state = "unknown (no status.json; analytics off?)";
-    }
-    loadCoverageCsv(run_dir, out);
-    loadAlertsCsv(run_dir, out);
-    return true;
-}
-
 TopFilePoller::TopFilePoller(std::string run_dir)
-    : _runDir(std::move(run_dir))
+    : _runDir(std::move(run_dir)),
+      _history(ledger::history, _runDir + "/" + ledger::history.file)
 {}
 
 void
@@ -356,81 +272,80 @@ TopFilePoller::reset()
 {
     _offset = 0;
     _carry.clear();
-    _columns.clear();
-    _sawRow = false;
-    _lastGeneration = -1;
-    _lastAverage = 0.0;
-    _lastDiversity = 0.0;
-    _best = 0.0;
-    _trajectory.clear();
-    _hits = 0;
-    _misses = 0;
-    _selectionMs = 0.0;
-    _crossoverMs = 0.0;
-    _mutationMs = 0.0;
-    _evaluationMs = 0.0;
+    _history = ledger::Decoder(ledger::history,
+                               _runDir + "/" + ledger::history.file);
+    _totals = Totals();
 }
 
 void
-TopFilePoller::ingestLine(const std::string& line)
+TopFilePoller::addRow()
 {
-    if (line.empty() || line[0] == '#')
-        return;
-    if (_columns.empty()) {
-        _columns = split(line, ',');
-        return;
-    }
-    const std::vector<std::string> cells = split(line, ',');
-    // Skip malformed rows instead of failing: the poller can race the
-    // run's writer, and the next refresh sees the repaired tail.
-    if (cells.size() < _columns.size())
-        return;
-    auto cell = [&](const char* name) -> const char* {
-        for (std::size_t i = 0; i < _columns.size(); ++i) {
-            if (_columns[i] == name)
-                return cells[i].c_str();
-        }
-        return nullptr;
-    };
-    const char* generation = cell("generation");
-    const char* best = cell("best_fitness");
-    if (generation == nullptr || best == nullptr)
-        return;
+    Totals& t = _totals;
+    const double best_fitness = _history.number("best_fitness");
+    t.lastGeneration = static_cast<int>(_history.number("generation"));
+    t.trajectory.push_back(best_fitness);
+    t.best = t.sawRow ? std::max(t.best, best_fitness) : best_fitness;
+    t.sawRow = true;
+    t.lastAverage = _history.number("average_fitness");
+    t.lastDiversity = _history.number("diversity");
+    t.hits += static_cast<std::uint64_t>(_history.number("cache_hits"));
+    t.misses +=
+        static_cast<std::uint64_t>(_history.number("cache_misses"));
+    t.selectionMs += _history.number("selection_ms");
+    t.crossoverMs += _history.number("crossover_ms");
+    t.mutationMs += _history.number("mutation_ms");
+    t.evaluationMs += _history.number("evaluation_ms");
+}
 
-    const double best_fitness = std::strtod(best, nullptr);
-    _lastGeneration =
-        static_cast<int>(std::strtol(generation, nullptr, 10));
-    _trajectory.push_back(best_fitness);
-    _best = _sawRow ? std::max(_best, best_fitness) : best_fitness;
-    _sawRow = true;
-    if (const char* v = cell("average_fitness"))
-        _lastAverage = std::strtod(v, nullptr);
-    if (const char* v = cell("diversity"))
-        _lastDiversity = std::strtod(v, nullptr);
-    if (const char* v = cell("cache_hits"))
-        _hits += std::strtoull(v, nullptr, 10);
-    if (const char* v = cell("cache_misses"))
-        _misses += std::strtoull(v, nullptr, 10);
-    if (const char* v = cell("selection_ms"))
-        _selectionMs += std::strtod(v, nullptr);
-    if (const char* v = cell("crossover_ms"))
-        _crossoverMs += std::strtod(v, nullptr);
-    if (const char* v = cell("mutation_ms"))
-        _mutationMs += std::strtod(v, nullptr);
-    if (const char* v = cell("evaluation_ms"))
-        _evaluationMs += std::strtod(v, nullptr);
+void
+TopFilePoller::readHistory()
+{
+    std::ifstream in(_runDir + "/" + ledger::history.file,
+                     std::ios::binary | std::ios::ate);
+    if (!in)
+        return;
+    const std::uint64_t size =
+        static_cast<std::uint64_t>(in.tellg());
+    if (size < _offset)
+        reset();  // truncated or replaced: re-parse from the top
+    if (size == _offset)
+        return;
+    in.seekg(static_cast<std::streamoff>(_offset));
+    std::string chunk(static_cast<std::size_t>(size - _offset), '\0');
+    in.read(&chunk[0], static_cast<std::streamsize>(chunk.size()));
+    chunk.resize(static_cast<std::size_t>(in.gcount()));
+    _offset += chunk.size();
+    _carry += chunk;
+    std::size_t start = 0;
+    for (std::size_t nl = _carry.find('\n'); nl != std::string::npos;
+         nl = _carry.find('\n', start)) {
+        if (_history.feed(_carry.substr(start, nl - start)))
+            addRow();
+        start = nl + 1;
+    }
+    _carry.erase(0, start);
 }
 
 bool
 TopFilePoller::poll(TopSnapshot& out)
 {
+    try {
+        return refresh(out);
+    } catch (const FatalError& err) {
+        reset();  // a retry re-reads the damaged ledger from the top
+        out.error = err.what();
+        return false;
+    }
+}
+
+bool
+TopFilePoller::refresh(TopSnapshot& out)
+{
     out = TopSnapshot();
     out.live = false;
     out.source = _runDir;
 
-    std::ifstream in(_runDir + "/history.csv",
-                     std::ios::binary | std::ios::ate);
-    if (!in) {
+    if (!fileExists(_runDir + "/" + ledger::history.file)) {
         if (!dirExists(_runDir)) {
             out.error =
                 "run directory '" + _runDir + "' does not exist";
@@ -440,51 +355,32 @@ TopFilePoller::poll(TopSnapshot& out)
         out.state = "waiting for first generation";
         return true;
     }
-    const std::uint64_t size =
-        static_cast<std::uint64_t>(in.tellg());
-    if (size < _offset)
-        reset();  // truncated or replaced: re-parse from the top
-    if (size > _offset) {
-        in.seekg(static_cast<std::streamoff>(_offset));
-        std::string chunk(static_cast<std::size_t>(size - _offset),
-                          '\0');
-        in.read(&chunk[0],
-                static_cast<std::streamsize>(chunk.size()));
-        chunk.resize(static_cast<std::size_t>(in.gcount()));
-        _offset += chunk.size();
-        _carry += chunk;
-        std::size_t start = 0;
-        for (std::size_t nl = _carry.find('\n');
-             nl != std::string::npos; nl = _carry.find('\n', start)) {
-            ingestLine(_carry.substr(start, nl - start));
-            start = nl + 1;
-        }
-        _carry.erase(0, start);
-    }
-    if (!_sawRow) {
+    readHistory();
+    if (!_totals.sawRow) {
         out.state = "waiting for first generation";
         return true;
     }
 
-    out.generation = _lastGeneration;
-    out.bestFitness = _best;
-    out.averageFitness = _lastAverage;
-    out.diversity = _lastDiversity;
-    out.bestTrajectory = _trajectory;
-    out.evaluations = _misses;
-    const std::uint64_t resolved = _hits + _misses;
+    const Totals& t = _totals;
+    out.generation = t.lastGeneration;
+    out.bestFitness = t.best;
+    out.averageFitness = t.lastAverage;
+    out.diversity = t.lastDiversity;
+    out.bestTrajectory = t.trajectory;
+    out.evaluations = t.misses;
+    const std::uint64_t resolved = t.hits + t.misses;
     out.cacheHitRate =
-        resolved > 0 ? static_cast<double>(_hits) /
+        resolved > 0 ? static_cast<double>(t.hits) /
                            static_cast<double>(resolved)
                      : 0.0;
-    out.evalsPerSec = _evaluationMs > 0.0
-                          ? static_cast<double>(_misses) /
-                                (_evaluationMs / 1e3)
+    out.evalsPerSec = t.evaluationMs > 0.0
+                          ? static_cast<double>(t.misses) /
+                                (t.evaluationMs / 1e3)
                           : 0.0;
-    out.selectionMs = _selectionMs;
-    out.crossoverMs = _crossoverMs;
-    out.mutationMs = _mutationMs;
-    out.evaluationMs = _evaluationMs;
+    out.selectionMs = t.selectionMs;
+    out.crossoverMs = t.crossoverMs;
+    out.mutationMs = t.mutationMs;
+    out.evaluationMs = t.evaluationMs;
 
     std::string status_text;
     if (tryReadFile(_runDir + "/status.json", status_text)) {

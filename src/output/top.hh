@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "output/ledger.hh"
+
 namespace gest {
 namespace output {
 
@@ -99,23 +101,16 @@ struct TopSnapshot
 bool fetchTopSnapshot(const std::string& url, TopSnapshot& out);
 
 /**
- * Build the same snapshot from @p run_dir's files (status.json +
- * history.csv), for runs without --listen. @return false with
- * snapshot.error set when the directory holds no readable run.
- */
-bool loadTopSnapshot(const std::string& run_dir, TopSnapshot& out);
-
-/**
- * The incremental file poller behind `gest top <run_dir>`'s refresh
- * loop. loadTopSnapshot() re-reads and re-parses the whole history.csv
- * every call — O(run length) per refresh, quadratic over a run's
- * lifetime. The poller remembers its byte offset into history.csv and
- * parses only the bytes appended since the last poll (a partial
- * trailing line is carried until its newline arrives; a file that
- * shrank — truncated or replaced — resets the parse from offset 0), so
- * each refresh costs O(new generations). status.json, coverage.csv and
- * alerts.csv stay whole-file reads: they are bounded-size snapshots,
- * not append-only logs.
+ * The file poller behind `gest top <run_dir>`, for runs without
+ * --listen. Each poll reads only the history.csv bytes appended since
+ * the last one and feeds its complete lines to the history ledger's
+ * decoder: a partial last line waits for its newline, and a file that
+ * shrank (truncated or replaced) is re-read from offset 0. So a refresh
+ * costs O(new generations), not O(run length). status.json is a
+ * snapshot and is re-read whole. coverage.csv and alerts.csv are
+ * per-generation append-only ledgers as well, but are still re-read
+ * whole each poll: O(run length) for coverage.csv, while alerts.csv
+ * holds at most one row per watchdog rule.
  */
 class TopFilePoller
 {
@@ -123,35 +118,42 @@ class TopFilePoller
     explicit TopFilePoller(std::string run_dir);
 
     /**
-     * Refresh @p out from the run directory. Same contract as
-     * loadTopSnapshot, except malformed history rows are skipped
-     * instead of failing the snapshot (the poller may observe a live
-     * file mid-write).
+     * Refresh @p out from the run directory (status.json refines the
+     * history.csv totals with rates and the live state). @return false
+     * with snapshot.error set when the directory is missing or a
+     * ledger is damaged (the error names the file and line); a run
+     * with no history.csv yet renders as a waiting frame.
      */
     bool poll(TopSnapshot& out);
 
   private:
+    /** Aggregates over every history row decoded so far. */
+    struct Totals
+    {
+        bool sawRow = false;
+        int lastGeneration = -1;
+        double lastAverage = 0.0;
+        double lastDiversity = 0.0;
+        double best = 0.0;
+        std::vector<double> trajectory;
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        double selectionMs = 0.0;
+        double crossoverMs = 0.0;
+        double mutationMs = 0.0;
+        double evaluationMs = 0.0;
+    };
+
+    bool refresh(TopSnapshot& out);  ///< poll() minus error handling
     void reset();
-    void ingestLine(const std::string& line);
+    void readHistory();
+    void addRow();
 
     std::string _runDir;
     std::uint64_t _offset = 0;  ///< history.csv bytes consumed
     std::string _carry;         ///< partial line awaiting its newline
-    std::vector<std::string> _columns;  ///< header → cell mapping
-
-    // Aggregates over every ingested row.
-    bool _sawRow = false;
-    int _lastGeneration = -1;
-    double _lastAverage = 0.0;
-    double _lastDiversity = 0.0;
-    double _best = 0.0;
-    std::vector<double> _trajectory;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    double _selectionMs = 0.0;
-    double _crossoverMs = 0.0;
-    double _mutationMs = 0.0;
-    double _evaluationMs = 0.0;
+    ledger::Decoder _history;
+    Totals _totals;
 };
 
 /**

@@ -6,7 +6,6 @@
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/sha256.hh"
-#include "util/strutil.hh"
 
 namespace gest {
 namespace provenance {
@@ -50,9 +49,9 @@ populationDigest(const isa::InstructionLibrary& lib,
 
 DigestLedger::DigestLedger(std::string run_dir,
                            const isa::InstructionLibrary& lib)
-    : _runDir(std::move(run_dir)), _lib(lib)
+    : _lib(lib), _csv(ledger::digests, run_dir + "/" + ledger::digests.file)
 {
-    ensureDir(_runDir);
+    ensureDir(run_dir);
 }
 
 void
@@ -63,16 +62,10 @@ DigestLedger::append(const core::Population& pop,
     const std::string digest = populationDigest(_lib, pop);
 
     std::ostringstream out;
-    const bool first = !_started;
-    if (first) {
-        out << "# gest-digests v" << digestsCsvVersion << "\n";
-        out << "generation,best_fitness,population_digest\n";
-        _started = true;
-    }
     out.precision(17);
     out << record.generation << ',' << record.bestFitness << ','
         << digest << '\n';
-    appendFile(path(), out.str(), first);
+    _csv.append(out.str());
     ++_rows;
     _digestUs += stats::nowUs() - start;
 }
@@ -83,31 +76,29 @@ loadDigests(const std::string& run_dir, std::vector<DigestRow>& out,
 {
     out.clear();
     std::string text;
-    const std::string path = run_dir + "/digests.csv";
+    const std::string path = run_dir + "/" + ledger::digests.file;
     if (!tryReadFile(path, text)) {
         if (error)
             *error = path + " is missing: the run was recorded without "
                             "provenance (or by a pre-provenance build)";
         return false;
     }
-    for (const std::string& raw : split(text, '\n')) {
-        const std::string line = trim(raw);
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (startsWith(line, "generation,"))
-            continue;
-        const std::vector<std::string> fields = split(line, ',');
-        if (fields.size() < 3 || fields[2].size() != 64) {
-            if (error)
-                *error = path + " has a malformed row: '" + line + "'";
-            return false;
-        }
-        DigestRow row;
-        row.generation =
-            static_cast<int>(parseInt(fields[0], "digest generation"));
-        row.bestFitness = parseDouble(fields[1], "digest best_fitness");
-        row.digest = fields[2];
-        out.push_back(std::move(row));
+    try {
+        ledger::decode(ledger::digests, path, text,
+                       [&](const ledger::Decoder& in) {
+            DigestRow row;
+            row.generation = static_cast<int>(in.integer("generation"));
+            row.bestFitness = in.number("best_fitness");
+            row.digest = in.text("population_digest");
+            if (row.digest.size() != 64)
+                fatal(in.where(), ": population_digest is not 64 hex "
+                      "digits");
+            out.push_back(std::move(row));
+        });
+    } catch (const FatalError& err) {
+        if (error)
+            *error = err.what();
+        return false;
     }
     if (out.empty()) {
         if (error)

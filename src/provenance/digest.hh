@@ -26,16 +26,10 @@
 
 #include "core/engine.hh"
 #include "core/population.hh"
+#include "output/ledger.hh"
 
 namespace gest {
 namespace provenance {
-
-/**
- * digests.csv format version written by this build. The first line of
- * the file is `# gest-digests v<N>`; columns are append-only across
- * versions, like every other ledger in the run directory.
- */
-constexpr int digestsCsvVersion = 1;
 
 /**
  * The canonical serialization of one individual that populationDigest()
@@ -84,19 +78,19 @@ class DigestLedger
     double digestUsTotal() const { return _digestUs; }
 
     /** The ledger file's path. */
-    std::string path() const { return _runDir + "/digests.csv"; }
+    const std::string& path() const { return _csv.path(); }
 
   private:
-    std::string _runDir;
     const isa::InstructionLibrary& _lib;
-    bool _started = false;
+    ledger::Writer _csv;
     std::uint64_t _rows = 0;
     double _digestUs = 0.0;
 };
 
 /**
  * Parse `<run_dir>/digests.csv`. @return false — with @p error set —
- * when the file is absent, has no rows, or is malformed.
+ * when the file is absent, has no rows, or is malformed (the ledger
+ * reader's message, naming the file and line).
  */
 bool loadDigests(const std::string& run_dir, std::vector<DigestRow>& out,
                  std::string* error);

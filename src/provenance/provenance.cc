@@ -39,6 +39,8 @@ inferArtifactKind(const std::string& rel_path)
         return "waveform";
     if (rel_path == "coverage.csv")
         return "coverage";
+    if (rel_path == "alerts.csv")
+        return "alerts";
     if (startsWith(rel_path, "attribution/"))
         return "attribution";
     if (endsWith(rel_path, "trace.json"))
@@ -54,8 +56,7 @@ ProvenanceRecorder::ProvenanceRecorder(std::string run_dir,
 {}
 
 std::string
-ProvenanceRecorder::seal(const SealInfo& info,
-                         const std::map<std::string, std::string>& kinds)
+ProvenanceRecorder::seal(const SealInfo& info)
 {
     if (_sealed)
         panic("ProvenanceRecorder::seal called twice for ", _runDir);
@@ -115,9 +116,7 @@ ProvenanceRecorder::seal(const SealInfo& info,
         }
         entry.bytes = static_cast<std::uint64_t>(
             fs::file_size(full, ec));
-        const auto kind = kinds.find(rel);
-        entry.kind =
-            kind != kinds.end() ? kind->second : inferArtifactKind(rel);
+        entry.kind = inferArtifactKind(rel);
         m.artifacts.push_back(std::move(entry));
     }
 

@@ -19,7 +19,6 @@
 #ifndef GEST_PROVENANCE_PROVENANCE_HH
 #define GEST_PROVENANCE_PROVENANCE_HH
 
-#include <map>
 #include <optional>
 #include <string>
 
@@ -72,14 +71,11 @@ class ProvenanceRecorder
 
     /**
      * Checksum every artifact under the run directory and write
-     * manifest.json. Call once, after all other artifacts are final.
-     * @param kinds artifact-kind labels by run-relative path (the
-     *        RunWriter's registry); unlisted artifacts get a kind
-     *        inferred from their name.
-     * @return the manifest's path.
+     * manifest.json, each artifact's kind inferred from its name
+     * (inferArtifactKind). Call once, after all other artifacts are
+     * final. @return the manifest's path.
      */
-    std::string seal(const SealInfo& info,
-                     const std::map<std::string, std::string>& kinds);
+    std::string seal(const SealInfo& info);
 
   private:
     std::string _runDir;

@@ -75,12 +75,6 @@ sealAttribution(const RunConfig& cfg, measure::Measurement& measurement,
                 attributed);
         result.attributionFiles.push_back(artifacts.csvPath);
         result.attributionFiles.push_back(artifacts.jsonPath);
-        if (pipeline.writer) {
-            pipeline.writer->noteArtifact(
-                "attribution/" + basename + ".csv", "attribution");
-            pipeline.writer->noteArtifact(
-                "attribution/" + basename + ".json", "attribution");
-        }
     }
     if (!targets.empty())
         debug("attribution sealed for ", targets.size(),
@@ -199,8 +193,8 @@ runFromConfig(const RunConfig& cfg)
     pipeline.attach(engine);
 
     engine.run();
-    // Every post-run step below reads the run directory or the run
-    // writer's artifact list: wait for the last write task first.
+    // Every post-run step below reads the run directory: wait for the
+    // last write task first.
     pipeline.drain();
 
     RunResult result;
@@ -223,19 +217,14 @@ runFromConfig(const RunConfig& cfg)
         warn("attribution requested but no output directory is set; "
              "skipping");
 
-    if (pipeline.coverage && fileExists(pipeline.coverage->csvPath())) {
+    if (pipeline.coverage && fileExists(pipeline.coverage->csvPath()))
         result.coverageFile = pipeline.coverage->csvPath();
-        if (pipeline.writer)
-            pipeline.writer->noteArtifact("coverage.csv", "coverage");
-    }
     if (pipeline.watchdog && fileExists(pipeline.watchdog->csvPath())) {
         const analysis::HealthSummary health =
             pipeline.watchdog->summary();
         if (health.alerts > 0)
             warn("health watchdog raised ", health.alerts,
                  " alert(s); see ", pipeline.watchdog->csvPath());
-        if (pipeline.writer)
-            pipeline.writer->noteArtifact("alerts.csv", "alerts");
     }
 
     if (trace) {
@@ -278,9 +267,7 @@ runFromConfig(const RunConfig& cfg)
         info.evaluations = result.evaluations;
         info.bestFitness = result.best.fitness;
         info.bestId = result.best.id;
-        result.manifestFile = pipeline.provenance->seal(
-            info, pipeline.writer ? pipeline.writer->artifactKinds()
-                                  : std::map<std::string, std::string>{});
+        result.manifestFile = pipeline.provenance->seal(info);
     }
     // Serve the completed status until the run is over, manifest
     // included, so a client never loses the server to a live run.

@@ -14,6 +14,9 @@
 #include <limits>
 
 #include "analysis/health.hh"
+#include "analysis/lineage.hh"
+#include "output/report.hh"
+#include "output/top.hh"
 #include "provenance/manifest.hh"
 #include "registry/registry.hh"
 #include "util/fileutil.hh"
@@ -415,6 +418,80 @@ TEST(Registry, SameTrajectoryCohortNeverFlagsARegression)
 
     EXPECT_THROW(registry::screenBaseline(ws, "absent", entries),
                  FatalError);
+    removeAll(ws);
+}
+
+TEST(Registry, RunKilledMidAppendReadsUpToItsLastCompleteRow)
+{
+    // A run killed in the middle of three appends: history.csv,
+    // lineage.csv and alerts.csv each end in an unterminated row.
+    const std::string ws = makeTempDir("gest-registry");
+    const std::string run = ws + "/killed";
+    writeHistory(run, {{1.0, 2.0}, {2.0, 2.0}, {3.0, 2.0}});
+    appendFile(run + "/history.csv", "3,4.5,2.2");
+    writeFile(run + "/lineage.csv",
+              "# gest-lineage v1\n"
+              "generation,id,op,parent1,parent2,mutated_genes,"
+              "mutated_indices,fitness\n"
+              "0,1,seed,0,0,0,,1.0\n"
+              "1,2,mutation,1,1,1,4,2.0\n"
+              "2,3,crossov");
+    writeFile(run + "/alerts.csv",
+              "# gest-alerts v1\n"
+              "generation,rule,severity,value,threshold,message\n"
+              "1,fitness_plateau,warning,1,1,no best-fitness improvement\n"
+              "2,coverage_st");
+
+    // gest runs
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].generationsCompleted, 3);
+    EXPECT_EQ(entries[0].alerts, 1u);
+    EXPECT_EQ(entries[0].note, "");
+    EXPECT_DOUBLE_EQ(entries[0].bestFitness, 3.0);
+
+    // gest report / gest explain
+    const output::RunReport report = output::analyzeRun(run);
+    EXPECT_EQ(report.rows.size(), 3u);
+    EXPECT_EQ(analysis::loadLineage(run).size(), 2u);
+
+    // gest top: the poller shows the last complete generation and the
+    // complete alert.
+    output::TopFilePoller poller(run);
+    output::TopSnapshot snapshot;
+    ASSERT_TRUE(poller.poll(snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.generation, 2);
+    EXPECT_DOUBLE_EQ(snapshot.bestFitness, 3.0);
+    EXPECT_EQ(snapshot.bestTrajectory.size(), 3u);
+    EXPECT_EQ(snapshot.alertsRaised, 1);
+
+    // The torn row completes: the next poll picks it up.
+    appendFile(run + "/history.csv", ",4,5,0.5,2,8,0.1,0.1,0.1,2,0.05\n");
+    ASSERT_TRUE(poller.poll(snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.generation, 3);
+    EXPECT_DOUBLE_EQ(snapshot.bestFitness, 4.5);
+    removeAll(ws);
+}
+
+TEST(Registry, DamagedLedgerIsReportedByFileAndLine)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    const std::string run = ws + "/damaged";
+    writeHistory(run, {{1.0, 2.0}, {2.0, 2.0}});
+    appendFile(run + "/history.csv", "2,3.0\n3,4.0,2,4,5,0.5,2,8,0,0,0,2,0\n");
+
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_NE(entries[0].note.find("history.csv:5"), std::string::npos)
+        << entries[0].note;
+
+    output::TopFilePoller poller(run);
+    output::TopSnapshot snapshot;
+    EXPECT_FALSE(poller.poll(snapshot));
+    EXPECT_NE(snapshot.error.find("history.csv:5"), std::string::npos)
+        << snapshot.error;
     removeAll(ws);
 }
 

@@ -488,7 +488,7 @@ cmdTop(const std::string& target, double interval_s, bool once)
         const bool ok = is_url ? output::fetchTopSnapshot(target, snapshot)
                                : poller.poll(snapshot);
         if (!ok) {
-            if (had_success) {
+            if (had_success && is_url) {
                 // The server went away mid-watch: the run finished and
                 // tore it down, which is a normal ending.
                 std::printf("telemetry source gone (%s); run finished?\n",
