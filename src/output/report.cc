@@ -8,45 +8,12 @@
 #include "isa/instr_class.hh"
 #include "output/ledger.hh"
 #include "util/fileutil.hh"
+#include "util/jsonlite.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
 namespace gest {
 namespace output {
-
-namespace {
-
-/**
- * Pull one counter value out of a metrics.json dump. The file is our
- * own StatsRegistry output (`"name": <integer>` pairs), so a targeted
- * string search is enough — no JSON parser needed or shipped.
- */
-bool
-tryMetricsCounter(const std::string& metrics, const std::string& name,
-                  std::uint64_t& out)
-{
-    const std::string key = detail::concat("\"", name, "\":");
-    const std::size_t at = metrics.find(key);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + key.size();
-    while (i < metrics.size() && metrics[i] == ' ')
-        ++i;
-    std::uint64_t value = 0;
-    bool any = false;
-    while (i < metrics.size() && metrics[i] >= '0' &&
-           metrics[i] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>(metrics[i] - '0');
-        any = true;
-        ++i;
-    }
-    if (!any)
-        return false;
-    out = value;
-    return true;
-}
-
-} // namespace
 
 double
 RunReport::cacheHitRate() const
@@ -161,22 +128,26 @@ analyzeRun(const std::string& run_dir)
         }
     }
 
-    std::string metrics;
-    if (tryReadFile(run_dir + "/metrics.json", metrics)) {
-        // All three eval.* counters are registered together, so any
-        // one present means the run used a fast-path-aware build.
-        const bool have =
-            tryMetricsCounter(metrics, "eval.steady_hits",
-                              report.steadyHits) &&
-            tryMetricsCounter(metrics, "eval.cycles_simulated",
-                              report.cyclesSimulated) &&
-            tryMetricsCounter(metrics, "eval.cycles_tiled",
-                              report.cyclesTiled);
-        if (have) {
-            report.hasSteadyStats = true;
-            tryMetricsCounter(metrics, "measure.sim.evaluations",
-                              report.simEvaluations);
-        }
+    std::string metrics_text;
+    json::Value metrics;
+    const json::Value* counters = nullptr;
+    if (tryReadFile(run_dir + "/metrics.json", metrics_text) &&
+        json::parse(metrics_text, metrics, nullptr))
+        counters = metrics.find("counters");
+    // All three eval.* counters are registered together, so any one
+    // present means the run used a fast-path-aware build.
+    if (counters && counters->find("eval.steady_hits") &&
+        counters->find("eval.cycles_simulated") &&
+        counters->find("eval.cycles_tiled")) {
+        const auto counter = [&](const char* name) {
+            return static_cast<std::uint64_t>(
+                counters->numberOr(name, 0.0));
+        };
+        report.hasSteadyStats = true;
+        report.steadyHits = counter("eval.steady_hits");
+        report.cyclesSimulated = counter("eval.cycles_simulated");
+        report.cyclesTiled = counter("eval.cycles_tiled");
+        report.simEvaluations = counter("measure.sim.evaluations");
     }
     return report;
 }

@@ -51,8 +51,8 @@ applyStatus(const json::Value& status, TopSnapshot& out)
         status.numberOr("cycles_simulated", 0.0));
     out.cyclesTiled = static_cast<std::uint64_t>(
         status.numberOr("cycles_tiled", 0.0));
-    // Negative sentinels survive analytics-off status.json (the
-    // telemetry fallback composer writes -1) and missing keys alike.
+    // Negative sentinels survive analytics-off status.json (which
+    // run::statusJson writes as -1) and missing keys alike.
     out.geneEntropyBits = status.numberOr("gene_entropy_bits", -1.0);
     out.pairwiseDiversity =
         status.numberOr("pairwise_diversity", -1.0);

@@ -172,17 +172,6 @@ collectSamples(const std::string& run_dir)
 }
 
 double
-meanOf(const std::vector<double>& v)
-{
-    if (v.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : v)
-        sum += x;
-    return sum / static_cast<double>(v.size());
-}
-
-double
 relDelta(double baseline, double candidate)
 {
     const double denom = std::max(std::fabs(baseline), 1e-12);
@@ -393,7 +382,7 @@ screenBaseline(const std::string& workspace,
         }
         cmp.fitnessP = stats::permutationPValue(base.best, cand.best);
         cmp.fitnessRelDelta =
-            relDelta(meanOf(base.best), meanOf(cand.best));
+            relDelta(stats::mean(base.best), stats::mean(cand.best));
         cmp.fitnessRegression = cmp.fitnessP < 0.05;
 
         cmp.baselineEvalsPerSec = base.evalsPerSec;
@@ -401,7 +390,7 @@ screenBaseline(const std::string& workspace,
         cmp.throughputP =
             stats::permutationPValue(base.rates, cand.rates);
         cmp.throughputRelDelta =
-            relDelta(meanOf(base.rates), meanOf(cand.rates));
+            relDelta(stats::mean(base.rates), stats::mean(cand.rates));
         cmp.throughputDrift =
             cmp.throughputP < 0.05 &&
             std::fabs(cmp.throughputRelDelta) > 0.10;

@@ -468,6 +468,37 @@ TEST(Report, JsonCarriesSummaryAndAnalytics)
               std::string::npos);
 }
 
+TEST(Report, ReadsSteadyCountersFromMetricsJson)
+{
+    const std::string dir = makeTempDir("gest-report");
+    writeFile(dir + "/history.csv",
+              "# gest-history v2\n"
+              "generation,best_fitness,average_fitness,best_id,"
+              "unique_instructions,diversity,cache_hits,cache_misses,"
+              "selection_ms,crossover_ms,mutation_ms,evaluation_ms,"
+              "io_ms\n"
+              "0,1.5,1.0,3,10,0.9,0,20,0.1,0.2,0.3,40.0,2.0\n");
+    EXPECT_FALSE(output::analyzeRun(dir).hasSteadyStats);
+
+    // A gauge of the same name ahead of the counters must not be read:
+    // the lookup is scoped to the "counters" object.
+    writeFile(dir + "/metrics.json",
+              "{\n  \"version\": 1,\n"
+              "  \"gauges\": {\"eval.steady_hits\": 999},\n"
+              "  \"counters\": {\n"
+              "    \"eval.steady_hits\": 12,\n"
+              "    \"eval.cycles_simulated\": 123456789012,\n"
+              "    \"eval.cycles_tiled\": 9876543210,\n"
+              "    \"measure.sim.evaluations\": 40\n"
+              "  },\n  \"histograms\": {}\n}\n");
+    const output::RunReport report = output::analyzeRun(dir);
+    EXPECT_TRUE(report.hasSteadyStats);
+    EXPECT_EQ(report.steadyHits, 12u);
+    EXPECT_EQ(report.cyclesSimulated, 123456789012u);
+    EXPECT_EQ(report.cyclesTiled, 9876543210u);
+    EXPECT_EQ(report.simEvaluations, 40u);
+}
+
 // ------------------------------------------------------------ explain
 
 TEST(Explain, ReconstructsAncestryAndFlagsPathologies)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Validate gest's fitness-attribution and coverage-ledger artifacts.
 
-Checks the `# gest-attribution v1` CSV format (sealed by a run with
+Checks the gest-attribution v1 CSV format (sealed by a run with
 <output attribution="true"/> or written by `gest attribute`) and the
-`# gest-coverage v1` per-generation ledger:
+gest-coverage v1 per-generation ledger:
 
   * the version comment, `# annotation` lines, the `# filler` line and
     the per-gene rows are well-formed, with one row per declared gene;
@@ -32,22 +32,19 @@ Usage:
                                               `gest attribute` against
                                               the sealed result
 
-With GEST_CHECK_ARTIFACT_DIR set, --drive copies its scratch run
-directory there before exiting on failure, so CI can upload it.
+On failure --drive keeps its scratch directory for post-mortem (see
+gestcheck.py).
 
 Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 """
 
-import json
 import math
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 import time
-import urllib.error
-import urllib.request
+
+from gestcheck import (RunEnded, fail, live_run, load_json, number, ok,
+                       read_framed, run, scratch)
 
 TOLERANCE = 1e-9
 
@@ -68,19 +65,12 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 CLASS_TOKENS = ("short_int", "long_int", "float_simd", "mem", "branch",
                 "nop")
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+ATTRIBUTION_COLUMNS = ("gene", "instruction", "class", "operands",
+                       "delta_fitness", "fitness_without")
 
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_attribution")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_attribution: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_attribution: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+COVERAGE_COLUMNS = (("generation", "cells_new", "cells_seen", "cells_total",
+                     "saturation_pct", "novelty_rate") +
+                    tuple(f"seen_{t}" for t in CLASS_TOKENS))
 
 
 # ---------------------------------------------------------------------
@@ -88,67 +78,38 @@ def fail(message):
 
 def parse_attribution_csv(path):
     """Parse one gest-attribution CSV into (annotations, filler, rows)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    if not lines or lines[0] != "# gest-attribution v1":
-        fail(f"{path} lacks the '# gest-attribution v1' version header")
-
-    annotations = {}
+    framed = read_framed(path, "attribution", columns=ATTRIBUTION_COLUMNS,
+                         preamble={"annotation": 2, "filler": 3})
     filler = None
-    body_start = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("# annotation "):
-            parts = line.split(" ", 3)
-            if len(parts) != 4:
-                fail(f"{path}:{lineno}: malformed annotation: {line}")
-            annotations[parts[2]] = float(parts[3])
-        elif line.startswith("# filler "):
-            fields = line.split(" ")
-            if len(fields) != 5 or fields[3] != "strategy":
-                fail(f"{path}:{lineno}: malformed filler line: {line}")
-            if fields[4] not in ("nop", "same-class"):
-                fail(f"{path}:{lineno}: unknown filler strategy "
-                     f"'{fields[4]}'")
-            filler = (fields[2], fields[4])
-        elif line.startswith("#"):
-            fail(f"{path}:{lineno}: unexpected comment: {line}")
-        else:
-            if line != ("gene,instruction,class,operands,delta_fitness,"
-                        "fitness_without"):
-                fail(f"{path}:{lineno}: expected the column header, "
-                     f"got: {line}")
-            body_start = lineno
-            break
-    if body_start is None:
-        fail(f"{path} has no column header row")
+    for where, (instruction, word, strategy) in framed.comment("filler"):
+        if word != "strategy":
+            fail(f"{where}: malformed filler line")
+        if strategy not in ("nop", "same-class"):
+            fail(f"{where}: unknown filler strategy '{strategy}'")
+        filler = (instruction, strategy)
     if filler is None:
-        fail(f"{path} has no '# filler' line")
+        fail(f"{path} has no filler line")
+    annotations = framed.annotations
     for key in ("individual_id", "baseline_fitness", "sum_delta",
                 "whole_ablation_delta", "evaluations", "genes"):
         if key not in annotations:
             fail(f"{path} lacks the '{key}' annotation")
 
     rows = []
-    for lineno, line in enumerate(lines[body_start:],
-                                  start=body_start + 1):
-        parts = line.split(",")
-        if len(parts) != 6:
-            fail(f"{path}:{lineno}: expected 6 columns: {line}")
-        gene, instruction, cls, operands, delta, without = parts
-        if int(gene) != len(rows):
-            fail(f"{path}:{lineno}: gene index {gene} out of order")
-        if not instruction:
-            fail(f"{path}:{lineno}: empty instruction name")
-        if cls not in CLASS_TOKENS:
-            fail(f"{path}:{lineno}: unknown class token '{cls}'")
-        delta, without = float(delta), float(without)
+    for row in framed.rows:
+        gene = row.int("gene")
+        if gene != len(rows):
+            fail(f"{row.where}: gene index {gene} out of order")
+        if not row["instruction"]:
+            fail(f"{row.where}: empty instruction name")
+        if row["class"] not in CLASS_TOKENS:
+            fail(f"{row.where}: unknown class token '{row['class']}'")
+        delta = row.float("delta_fitness")
+        without = row.float("fitness_without")
         if not math.isfinite(delta) or not math.isfinite(without):
-            fail(f"{path}:{lineno}: non-finite delta/fitness")
-        rows.append({"gene": int(gene), "instruction": instruction,
-                     "class": cls, "operands": operands,
+            fail(f"{row.where}: non-finite delta/fitness")
+        rows.append({"gene": gene, "instruction": row["instruction"],
+                     "class": row["class"], "operands": row["operands"],
                      "delta_fitness": delta,
                      "fitness_without": without})
     return annotations, filler, rows
@@ -194,11 +155,7 @@ def check_attribution_json_twin(csv_path, annotations, filler, rows):
     json_path = os.path.splitext(csv_path)[0] + ".json"
     if not os.path.exists(json_path):
         fail(f"{csv_path} has no JSON twin {json_path}")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{json_path} invalid: {err}")
+    doc = load_json(json_path)
     if doc.get("version") != 1:
         fail(f"{json_path}: version != 1")
     for key in ("individual_id", "baseline_fitness", "sum_delta",
@@ -235,9 +192,8 @@ def validate_attribution_file(path):
     annotations, filler, rows = parse_attribution_csv(path)
     check_attribution_semantics(path, annotations, rows)
     check_attribution_json_twin(path, annotations, filler, rows)
-    print(f"check_attribution: OK: {path}: {len(rows)} genes, "
-          f"filler {filler[0]} ({filler[1]}), sum_delta "
-          f"{annotations['sum_delta']}")
+    ok(f"{path}: {len(rows)} genes, filler {filler[0]} ({filler[1]}), "
+       f"sum_delta {annotations['sum_delta']}")
     return annotations, rows
 
 
@@ -245,36 +201,16 @@ def validate_attribution_file(path):
 # The coverage ledger.
 
 def validate_coverage_csv(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    if not lines or lines[0] != "# gest-coverage v1":
-        fail(f"{path} lacks the '# gest-coverage v1' version header")
-
+    framed = read_framed(path, "coverage", columns=COVERAGE_COLUMNS,
+                         preamble={"cells_total": 1, "class": 3})
     cells_total = None
+    for where, (total,) in framed.comment("cells_total"):
+        cells_total = number(total, where, int)
     class_cells = {}
-    body_start = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("# cells_total "):
-            cells_total = int(line.split(" ")[2])
-        elif line.startswith("# class "):
-            fields = line.split(" ")
-            if len(fields) != 5 or fields[3] != "cells":
-                fail(f"{path}:{lineno}: malformed class line: {line}")
-            class_cells[fields[2]] = int(fields[4])
-        elif line.startswith("#"):
-            fail(f"{path}:{lineno}: unexpected comment: {line}")
-        else:
-            expected = ("generation,cells_new,cells_seen,cells_total,"
-                        "saturation_pct,novelty_rate," +
-                        ",".join(f"seen_{t}" for t in CLASS_TOKENS))
-            if line != expected:
-                fail(f"{path}:{lineno}: expected the column header, "
-                     f"got: {line}")
-            body_start = lineno
-            break
+    for where, (name, word, cells) in framed.comment("class"):
+        if word != "cells":
+            fail(f"{where}: malformed class line")
+        class_cells[name] = number(cells, where, int)
     if cells_total is None or cells_total <= 0:
         fail(f"{path}: missing or non-positive cells_total")
     if set(class_cells) != set(CLASS_TOKENS):
@@ -284,52 +220,44 @@ def validate_coverage_csv(path):
         fail(f"{path}: per-class cells sum to "
              f"{sum(class_cells.values())}, not cells_total "
              f"{cells_total}")
-    if body_start is None:
-        fail(f"{path} has no column header row")
 
-    rows = 0
     prev_generation = None
     prev_seen = 0
-    for lineno, line in enumerate(lines[body_start:],
-                                  start=body_start + 1):
-        parts = line.split(",")
-        if len(parts) != 6 + len(CLASS_TOKENS):
-            fail(f"{path}:{lineno}: expected "
-                 f"{6 + len(CLASS_TOKENS)} columns: {line}")
-        generation, new, seen, total = (int(parts[0]), int(parts[1]),
-                                        int(parts[2]), int(parts[3]))
-        saturation, novelty = float(parts[4]), float(parts[5])
-        per_class = [int(p) for p in parts[6:]]
+    for row in framed.rows:
+        generation, new, seen, total = (
+            row.int("generation"), row.int("cells_new"),
+            row.int("cells_seen"), row.int("cells_total"))
+        saturation = row.float("saturation_pct")
+        novelty = row.float("novelty_rate")
+        per_class = [row.int(f"seen_{t}") for t in CLASS_TOKENS]
         if prev_generation is not None and \
                 generation <= prev_generation:
-            fail(f"{path}:{lineno}: generations not increasing")
+            fail(f"{row.where}: generations not increasing")
         if total != cells_total:
-            fail(f"{path}:{lineno}: cells_total changed mid-run")
+            fail(f"{row.where}: cells_total changed mid-run")
         if seen != prev_seen + new:
-            fail(f"{path}:{lineno}: cells_seen {seen} != previous "
+            fail(f"{row.where}: cells_seen {seen} != previous "
                  f"{prev_seen} + cells_new {new}")
         if seen > total:
-            fail(f"{path}:{lineno}: cells_seen exceeds the universe")
+            fail(f"{row.where}: cells_seen exceeds the universe")
         if abs(saturation - 100.0 * seen / total) > 1e-3:
-            fail(f"{path}:{lineno}: saturation_pct {saturation} != "
+            fail(f"{row.where}: saturation_pct {saturation} != "
                  f"100 * {seen} / {total}")
         if not 0.0 <= novelty <= 1.0:
-            fail(f"{path}:{lineno}: novelty_rate {novelty} outside "
+            fail(f"{row.where}: novelty_rate {novelty} outside "
                  f"[0, 1]")
         if sum(per_class) != seen:
-            fail(f"{path}:{lineno}: per-class seen sums to "
+            fail(f"{row.where}: per-class seen sums to "
                  f"{sum(per_class)}, not cells_seen {seen}")
         for token, cls_seen in zip(CLASS_TOKENS, per_class):
             if cls_seen > class_cells[token]:
-                fail(f"{path}:{lineno}: seen_{token} {cls_seen} "
+                fail(f"{row.where}: seen_{token} {cls_seen} "
                      f"exceeds its universe {class_cells[token]}")
         prev_generation, prev_seen = generation, seen
-        rows += 1
-    if rows == 0:
+    if not framed.rows:
         fail(f"{path} has no data rows")
-    print(f"check_attribution: OK: {path}: {rows} generations, "
-          f"{prev_seen}/{cells_total} cells "
-          f"({100.0 * prev_seen / cells_total:.1f}%)")
+    ok(f"{path}: {len(framed.rows)} generations, {prev_seen}/"
+       f"{cells_total} cells ({100.0 * prev_seen / cells_total:.1f}%)")
     return cells_total, prev_seen
 
 
@@ -354,18 +282,6 @@ def validate_run_dir(run_dir):
 # ---------------------------------------------------------------------
 # Drive mode.
 
-def get_json(url, what):
-    try:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            body = response.read().decode("utf-8", "replace")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-    try:
-        return json.loads(body), None
-    except json.JSONDecodeError as err:
-        fail(f"{what}: GET {url} returned invalid JSON: {err}")
-
-
 def check_live_coverage(doc):
     for key in ("generation", "cells_seen", "cells_total", "cells_new",
                 "saturation_pct", "novelty_rate", "classes"):
@@ -382,52 +298,15 @@ def check_live_coverage(doc):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    # The child runs with cwd inside the scratch dir; keep a relative
-    # binary path working.
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-attr-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
-        process = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            out = os.path.join(work, "out")
-            status_path = os.path.join(out, "status.json")
-            listen = None
-            for _ in range(600):
-                if process.poll() is not None:
-                    break
-                try:
-                    with open(status_path, encoding="utf-8") as handle:
-                        listen = json.load(handle).get("listen")
-                except (OSError, json.JSONDecodeError):
-                    listen = None
-                if listen:
-                    break
-                time.sleep(0.05)
-            if not listen:
-                stdout, stderr = process.communicate(timeout=60)
-                fail("no listen address appeared in status.json; "
-                     f"gest exited {process.returncode}:\n"
-                     f"{stdout}{stderr}")
-
+    with scratch("check_attribution") as work:
+        with live_run(gest_binary, work, DRIVE_CONFIG) as live:
             # /coverage must render live while the run is in flight.
             live_passes = 0
             last_seen = 0
-            while process.poll() is None and live_passes < 10:
-                doc, err = get_json(f"http://{listen}/coverage",
-                                    "/coverage")
-                if doc is None:
-                    # The run can complete between the poll and the
-                    # GET; tolerate only if it did.
-                    time.sleep(0.5)
-                    if process.poll() is None:
-                        fail(f"/coverage unreachable while the run is "
-                             f"alive: {err}")
+            while live.alive() and live_passes < 10:
+                try:
+                    doc = live.get_json("/coverage")
+                except RunEnded:
                     break
                 if doc.get("cells_total", 0) > 0:
                     check_live_coverage(doc)
@@ -437,20 +316,14 @@ def drive(gest_binary):
                     last_seen = doc["cells_seen"]
                     live_passes += 1
                 time.sleep(0.1)
-            stdout, stderr = process.communicate(timeout=120)
-            if process.returncode != 0:
-                fail(f"gest run failed ({process.returncode}):\n"
-                     f"{stdout}{stderr}")
+            live.finish()
             if live_passes == 0:
                 fail("the run finished before a single live /coverage "
                      "pass — raise generations in DRIVE_CONFIG")
-            print(f"check_attribution: OK: {live_passes} live "
-                  f"/coverage passes, final cells_seen {last_seen}")
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+            ok(f"{live_passes} live /coverage passes, final cells_seen "
+               f"{last_seen}")
 
+        out = os.path.join(work, "out")
         results, coverage = validate_run_dir(out)
         if not results:
             fail("the run sealed no attribution artifacts")
@@ -461,9 +334,7 @@ def drive(gest_binary):
                  f"the live scrape's {last_seen}")
 
         # The manifest must label and checksum the new artifacts.
-        with open(os.path.join(out, "manifest.json"),
-                  encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_json(os.path.join(out, "manifest.json"))
         settings = manifest.get("settings", {})
         if settings.get("record_coverage") is not True or \
                 settings.get("record_attribution") is not True:
@@ -481,23 +352,13 @@ def drive(gest_binary):
             fail(f"manifest attribution kinds wrong: "
                  f"{attribution_kinds}")
 
-        result = subprocess.run([gest_binary, "verify", out, "--quiet"],
-                                cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest verify failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
-        print("check_attribution: OK: gest verify replayed the sealed "
-              "run")
+        run([gest_binary, "verify", out, "--quiet"], work)
+        ok("gest verify replayed the sealed run")
 
         # `gest attribute` after the fact must reproduce the sealed
         # attribution exactly (deterministic simulated measurement).
-        result = subprocess.run(
-            [gest_binary, "attribute", config, out, "--out",
-             os.path.join(work, "re_attr"), "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest attribute failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run([gest_binary, "attribute", os.path.join(work, "config.xml"),
+             out, "--out", os.path.join(work, "re_attr"), "--quiet"], work)
         re_csvs = [name
                    for name in sorted(os.listdir(
                        os.path.join(work, "re_attr")))
@@ -526,9 +387,7 @@ def drive(gest_binary):
                    re_row["delta_fitness"]) > TOLERANCE:
                 fail(f"re-attribution gene {re_row['gene']} delta "
                      f"disagrees with the sealed artifact")
-        print("check_attribution: OK: gest attribute reproduced the "
-              "sealed attribution bit-for-bit")
-        ARTIFACT_SRC = None
+        ok("gest attribute reproduced the sealed attribution bit-for-bit")
 
 
 def main(argv):

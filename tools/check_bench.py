@@ -35,12 +35,9 @@ Exit status 0 when the report is valid; 1 with a message otherwise.
 import json
 import math
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+from gestcheck import fail, load_json, ok, run, scratch
 
 REQUIRED_FIELDS = {
     "platform": str,
@@ -59,18 +56,6 @@ REQUIRED_FIELDS = {
     "evals_per_sec_fast_cov": (int, float),
     "coverage_overhead": (int, float),
 }
-
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_bench")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_bench: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_bench: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def check_speedup(record, fast_key, full_key, speedup_key):
@@ -92,14 +77,7 @@ def check_speedup(record, fast_key, full_key, speedup_key):
 
 
 def validate(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
-        fail(f"{path} is not valid JSON: {err}")
-
+    doc = load_json(path)
     if not isinstance(doc, dict):
         fail(f"{path} is not a JSON object")
     if doc.get("version") != 1:
@@ -151,8 +129,8 @@ def validate(path):
     summary = ", ".join(
         f"{r['platform']} {r['speedup']:.2f}x/"
         f"{r['speedup_steady']:.2f}x" for r in platforms)
-    print(f"check_bench: OK: {path}: {len(platforms)} platforms "
-          f"(random/steady speedups: {summary})")
+    ok(f"{path}: {len(platforms)} platforms (random/steady speedups: "
+       f"{summary})")
     return platforms
 
 
@@ -194,18 +172,10 @@ def diff_previous(platforms, previous_path):
 
 
 def drive(bench_binary):
-    global ARTIFACT_SRC
-    with tempfile.TemporaryDirectory(prefix="gest-bench-") as work:
-        ARTIFACT_SRC = work
+    with scratch("check_bench") as work:
         report = os.path.join(work, "BENCH_engine.json")
-        result = subprocess.run(
-            [bench_binary, f"--smoke_json={report}"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"bench smoke failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run([bench_binary, f"--smoke_json={report}"], work)
         validate(report)
-        ARTIFACT_SRC = None
 
 
 def main(argv):

@@ -4,10 +4,10 @@
 Standalone mode schema-checks a workspace's sealed index and every
 run's alerts ledger (docs/fleet.md):
 
-  * registry.csv opens with `# gest-registry v1`, a column header, and
-    column-complete rows; registry.json is valid JSON with the same
+  * registry.csv opens with the gest-registry v1 tag, a column header
+    and column-complete rows; registry.json is valid JSON with the same
     run set;
-  * every <run>/alerts.csv opens with `# gest-alerts v1` and carries
+  * every <run>/alerts.csv opens with the gest-alerts v1 tag and carries
     well-typed rows (int generation, known severity, float
     value/threshold, comma-free message).
 
@@ -34,23 +34,18 @@ Usage:
   check_fleet.py --drive <gest-binary>    full end-to-end drive
 
 Exit status 0 when everything validates; 1 with a message otherwise.
-On failure with GEST_CHECK_ARTIFACT_DIR set, the scratch directory is
-copied there for post-mortem.
+On failure --drive keeps its scratch directory for post-mortem (see
+gestcheck.py).
 """
 
 import json
 import os
 import shutil
-import socket
-import subprocess
 import sys
-import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+from gestcheck import (RunEnded, fail, live_run, ok, read_framed, run,
+                       run_gest, scratch)
 
 COHORT_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -101,44 +96,21 @@ IDENTITY_CONFIG = """<?xml version="1.0"?>
 REGISTRY_COLUMNS = (
     "run,status,state,config_hash,seed,git_sha,measurement,fitness,"
     "created,generations,generations_completed,evaluations,"
-    "best_fitness,best_id,alerts,listen,note")
+    "best_fitness,best_id,alerts,listen,note").split(",")
 
-ALERTS_COLUMNS = "generation,rule,severity,value,threshold,message"
-
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_fleet")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_fleet: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_fleet: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+ALERTS_COLUMNS = ("generation", "rule", "severity", "value", "threshold",
+                  "message")
 
 
 # ------------------------------------------------------ schema checks
 
-def validate_registry_csv(text, where):
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != "# gest-registry v1":
-        fail(f"{where}: missing '# gest-registry v1' header: "
-             f"{lines[:1]!r}")
-    if len(lines) < 2 or lines[1] != REGISTRY_COLUMNS:
-        fail(f"{where}: unexpected column header: {lines[1:2]!r}")
-    columns = len(REGISTRY_COLUMNS.split(","))
-    rows = []
-    for lineno, line in enumerate(lines[2:], 3):
-        cells = line.split(",")
-        if len(cells) != columns:
-            fail(f"{where} line {lineno}: {len(cells)} fields, "
-                 f"expected {columns}: {line!r}")
-        if cells[1] not in ("sealed", "unsealed", "corrupt"):
-            fail(f"{where} line {lineno}: bad status {cells[1]!r}")
-        int(cells[14])  # alerts must be integral
-        float(cells[12])  # best_fitness must parse
-        rows.append(cells)
+def validate_registry_csv(path):
+    rows = read_framed(path, "registry", columns=REGISTRY_COLUMNS).rows
+    for row in rows:
+        if row["status"] not in ("sealed", "unsealed", "corrupt"):
+            fail(f"{row.where}: bad status {row['status']!r}")
+        row.int("alerts")
+        row.float("best_fitness")
     return rows
 
 
@@ -159,35 +131,19 @@ def validate_registry_json(text, where):
     return doc["runs"]
 
 
-def validate_alerts_csv(text, where):
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != "# gest-alerts v1":
-        fail(f"{where}: missing '# gest-alerts v1' header")
-    if len(lines) < 2 or lines[1] != ALERTS_COLUMNS:
-        fail(f"{where}: unexpected column header: {lines[1:2]!r}")
-    rows = []
-    for lineno, line in enumerate(lines[2:], 3):
-        cells = line.split(",")
-        if len(cells) != 6:
-            fail(f"{where} line {lineno}: {len(cells)} fields "
-                 f"(messages are comma-free by contract): {line!r}")
-        int(cells[0])
-        if cells[2] not in ("warning", "critical"):
-            fail(f"{where} line {lineno}: bad severity {cells[2]!r}")
-        float(cells[3])
-        float(cells[4])
-        rows.append(cells)
+def validate_alerts_csv(path):
+    rows = read_framed(path, "alerts", columns=ALERTS_COLUMNS).rows
+    for row in rows:
+        row.int("generation")
+        if row["severity"] not in ("warning", "critical"):
+            fail(f"{row.where}: bad severity {row['severity']!r}")
+        row.float("value")
+        row.float("threshold")
     return rows
 
 
 def validate_workspace(workspace):
-    csv_path = os.path.join(workspace, "registry.csv")
-    try:
-        with open(csv_path, encoding="utf-8") as handle:
-            csv_rows = validate_registry_csv(handle.read(), csv_path)
-    except OSError as err:
-        fail(f"cannot read {csv_path} (run `gest runs {workspace}` "
-             f"first): {err}")
+    csv_rows = validate_registry_csv(os.path.join(workspace, "registry.csv"))
     json_path = os.path.join(workspace, "registry.json")
     try:
         with open(json_path, encoding="utf-8") as handle:
@@ -199,184 +155,59 @@ def validate_workspace(workspace):
              f"{len(json_rows)} JSON rows")
     alerts = 0
     for row in csv_rows:
-        ledger = os.path.join(workspace, row[0], "alerts.csv")
+        ledger = os.path.join(workspace, row["run"], "alerts.csv")
         if os.path.exists(ledger):
-            with open(ledger, encoding="utf-8") as handle:
-                parsed = validate_alerts_csv(handle.read(), ledger)
-            if len(parsed) != int(row[14]):
+            parsed = validate_alerts_csv(ledger)
+            if len(parsed) != row.int("alerts"):
                 fail(f"{ledger}: {len(parsed)} rows but the registry "
-                     f"says {row[14]}")
+                     f"says {row['alerts']}")
             alerts += len(parsed)
     return len(csv_rows), alerts
 
 
 # ------------------------------------------------------ drive helpers
 
-def get(url, timeout=5):
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-
-
-class SseReader(threading.Thread):
-    """Drains /events over a raw socket until the server closes it."""
-
-    def __init__(self, host, port, last_event_id=None):
-        super().__init__(daemon=True)
-        self.host, self.port = host, port
-        self.last_event_id = last_event_id
-        self.raw = b""
-        self.error = None
-
-    def run(self):
-        try:
-            request = (f"GET /events HTTP/1.1\r\nHost: {self.host}\r\n"
-                       "Connection: close\r\n")
-            if self.last_event_id is not None:
-                request += f"Last-Event-ID: {self.last_event_id}\r\n"
-            request += "\r\n"
-            with socket.create_connection(
-                    (self.host, self.port), timeout=120) as conn:
-                conn.sendall(request.encode())
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    self.raw += chunk
-        except OSError as err:
-            self.error = str(err)
-
-    def blocks(self):
-        text = self.raw.decode("utf-8", errors="replace")
-        head, sep, body = text.partition("\r\n\r\n")
-        if not sep:
-            fail(f"SSE response has no header/body separator: "
-                 f"{text[:200]!r}")
-        out = []
-        for block in body.split("\n\n"):
-            block = block.strip("\n")
-            if not block or block.startswith("retry:"):
-                continue
-            fields = {}
-            for line in block.split("\n"):
-                key, _, value = line.partition(":")
-                fields[key] = value.strip()
-            out.append(fields)
-        return out
-
-
-def run_gest(gest, args, cwd, what):
-    done = subprocess.run([gest] + args, cwd=cwd, capture_output=True,
-                          text=True)
-    if done.returncode != 0:
-        fail(f"{what}: gest {' '.join(args)} exited "
-             f"{done.returncode}:\n{done.stdout}{done.stderr}")
-    return done.stdout
-
-
-def drive_cohort_run(gest, scratch, name):
-    work = os.path.join(scratch, name + "_work")
-    os.makedirs(work)
-    config = os.path.join(work, "config.xml")
-    with open(config, "w", encoding="utf-8") as handle:
-        handle.write(COHORT_CONFIG)
-    run_gest(gest, ["run", "config.xml", "--quiet"], work,
-             f"cohort run {name}")
-    return os.path.join(work, "out")
-
-
-def drive_plateau_run(gest, scratch):
+def drive_plateau_run(gest, scratch_dir):
     """Run the health-armed config; scrape /alerts and SSE while live.
 
     Returns (run_dir, live_alert_rows, sse_blocks, resumed_blocks).
     """
-    work = os.path.join(scratch, "plateau_work")
-    os.makedirs(work)
-    config = os.path.join(work, "config.xml")
-    with open(config, "w", encoding="utf-8") as handle:
-        handle.write(PLATEAU_CONFIG)
-    process = subprocess.Popen(
-        [gest, "run", "config.xml", "--quiet"], cwd=work,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        status_path = os.path.join(work, "out", "status.json")
-        listen = None
-        for _ in range(600):
-            if process.poll() is not None:
-                break
-            try:
-                with open(status_path, encoding="utf-8") as handle:
-                    listen = json.load(handle).get("listen")
-            except (OSError, json.JSONDecodeError):
-                listen = None
-            if listen:
-                break
-            time.sleep(0.05)
-        if not listen:
-            out, err = process.communicate(timeout=60)
-            fail("no listen address appeared in status.json; gest "
-                 f"exited {process.returncode}:\n{out}{err}")
-        host, port = listen.rsplit(":", 1)
-
-        sse = SseReader(host, int(port))
-        sse.start()
+    work = os.path.join(scratch_dir, "plateau_work")
+    with live_run(gest, work, PLATEAU_CONFIG) as live:
+        sse = live.events()
 
         # Poll /alerts until the induced plateau surfaces.
         live_alerts = []
         for _ in range(2000):
-            if process.poll() is not None:
+            if not live.alive():
                 break
-            code, body = get(f"http://{listen}/alerts", timeout=2)
-            if code == 200:
-                try:
-                    live_alerts = json.loads(body)
-                except json.JSONDecodeError as err:
-                    fail(f"/alerts is not valid JSON: {err}: {body!r}")
-                if live_alerts:
-                    break
+            try:
+                live_alerts = live.get_json("/alerts")
+            except RunEnded:
+                break
+            if live_alerts:
+                break
             time.sleep(0.025)
         if not live_alerts:
-            process.communicate(timeout=120)
+            live.finish()
             fail("the induced plateau never surfaced on /alerts while "
                  "the run was live")
 
         # Last-Event-ID resume: a huge id suppresses every generation
         # frame, but the keyless alert frame must be redelivered.
-        resumed = SseReader(host, int(port), last_event_id=10**6)
-        resumed.start()
+        resumed = live.events(last_event_id=10**6)
 
-        out, err = process.communicate(timeout=300)
-        if process.returncode != 0:
-            fail(f"plateau run failed ({process.returncode}):\n"
-                 f"{out}{err}")
-        sse.join(timeout=60)
-        resumed.join(timeout=60)
-        if sse.error:
-            fail(f"SSE read failed: {sse.error}")
-        if resumed.error:
-            fail(f"resumed SSE read failed: {resumed.error}")
+        live.finish()
         return (os.path.join(work, "out"), live_alerts, sse.blocks(),
                 resumed.blocks())
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.communicate()
 
 
-def check_observer_byte_identity(gest, scratch):
+def check_observer_byte_identity(gest, scratch_dir):
     """health on vs off: history/lineage/digests must be byte-equal."""
-    outs = {}
-    for health in ("false", "true"):
-        work = os.path.join(scratch, f"identity_{health}")
-        os.makedirs(work)
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(IDENTITY_CONFIG.format(health=health))
-        run_gest(gest, ["run", "config.xml", "--quiet"], work,
-                 f"identity run health={health}")
-        outs[health] = os.path.join(work, "out")
+    outs = {health: run_gest(gest,
+                             os.path.join(scratch_dir, f"identity_{health}"),
+                             IDENTITY_CONFIG.format(health=health))
+            for health in ("false", "true")}
     for artifact in ("history.csv", "lineage.csv", "digests.csv"):
         paths = [os.path.join(outs[h], artifact)
                  for h in ("false", "true")]
@@ -396,25 +227,23 @@ def check_observer_byte_identity(gest, scratch):
              "header must prove the run was watched)")
     if os.path.exists(os.path.join(outs["false"], "alerts.csv")):
         fail("health=false identity run wrote an alerts.csv")
-    print("check_fleet: OK: watchdog on/off artifacts byte-identical")
+    ok("watchdog on/off artifacts byte-identical")
 
 
 def drive(gest):
-    global ARTIFACT_SRC
-    gest = os.path.abspath(gest)
-    with tempfile.TemporaryDirectory(prefix="gest-fleet-") as scratch:
-        ARTIFACT_SRC = scratch
-        workspace = os.path.join(scratch, "workspace")
+    with scratch("check_fleet") as scratch_dir:
+        workspace = os.path.join(scratch_dir, "workspace")
         os.makedirs(workspace)
 
         # Two sealed same-seed/same-config runs + one unsealed
         # (provenance off) health-armed run.
-        shutil.move(drive_cohort_run(gest, scratch, "run_a"),
-                    os.path.join(workspace, "run_a"))
-        shutil.move(drive_cohort_run(gest, scratch, "run_b"),
-                    os.path.join(workspace, "run_b"))
+        for name in ("run_a", "run_b"):
+            shutil.move(run_gest(gest,
+                                 os.path.join(scratch_dir, name + "_work"),
+                                 COHORT_CONFIG),
+                        os.path.join(workspace, name))
         plateau_out, live_alerts, sse_blocks, resumed_blocks = \
-            drive_plateau_run(gest, scratch)
+            drive_plateau_run(gest, scratch_dir)
         shutil.move(plateau_out, os.path.join(workspace, "run_c"))
 
         # The plateau raised exactly one alert, everywhere.
@@ -424,10 +253,9 @@ def drive(gest):
         if live_alerts[0].get("rule") != "fitness_plateau":
             fail(f"/alerts rule is not fitness_plateau: "
                  f"{live_alerts[0]!r}")
-        ledger = os.path.join(workspace, "run_c", "alerts.csv")
-        with open(ledger, encoding="utf-8") as handle:
-            rows = validate_alerts_csv(handle.read(), ledger)
-        if len(rows) != 1 or rows[0][1] != "fitness_plateau":
+        rows = validate_alerts_csv(
+            os.path.join(workspace, "run_c", "alerts.csv"))
+        if len(rows) != 1 or rows[0]["rule"] != "fitness_plateau":
             fail(f"alerts.csv should hold exactly the plateau alert: "
                  f"{rows!r}")
 
@@ -455,8 +283,8 @@ def drive(gest):
                  "frame")
 
         # `gest runs` must index all three with the right statuses.
-        runs_json = run_gest(gest, ["runs", workspace, "--json",
-                                    "--quiet"], scratch, "gest runs")
+        runs_json = run([gest, "runs", workspace, "--json", "--quiet"],
+                        scratch_dir).stdout
         indexed = {row["run"]: row
                    for row in validate_registry_json(
                        runs_json, "gest runs --json")}
@@ -476,9 +304,9 @@ def drive(gest):
             fail("same-config runs got different config hashes")
 
         # Same-seed cohort screening: p = 1, no flags, exit 0.
-        screening = json.loads(run_gest(
-            gest, ["runs", workspace, "--baseline", "run_a", "--json",
-                   "--quiet"], scratch, "gest runs --baseline"))
+        screening = json.loads(run(
+            [gest, "runs", workspace, "--baseline", "run_a", "--json",
+             "--quiet"], scratch_dir).stdout)
         if len(screening) != 1 or screening[0]["candidate"] != "run_b":
             fail(f"cohort should be exactly run_b: {screening!r}")
         if screening[0]["fitness_regression"] or \
@@ -496,18 +324,16 @@ def drive(gest):
                  "expected 3 / 1")
 
         # The fleet pane shows the run and its alert.
-        pane = run_gest(gest, ["top", workspace, "--fleet", "--once",
-                               "--quiet"], scratch, "gest top --fleet")
+        pane = run([gest, "top", workspace, "--fleet", "--once",
+                    "--quiet"], scratch_dir).stdout
         if "run_c" not in pane:
             fail(f"fleet pane does not list run_c:\n{pane}")
         if "1 alert(s)" not in pane:
             fail(f"fleet pane does not count the alert:\n{pane}")
 
-        check_observer_byte_identity(gest, scratch)
-        print("check_fleet: OK: 3-run workspace indexed, cohort "
-              "screened clean, plateau alert visible in alerts.csv, "
-              "/alerts, SSE and the fleet pane")
-        ARTIFACT_SRC = None
+        check_observer_byte_identity(gest, scratch_dir)
+        ok("3-run workspace indexed, cohort screened clean, plateau "
+           "alert visible in alerts.csv, /alerts, SSE and the fleet pane")
 
 
 def main(argv):
@@ -516,8 +342,8 @@ def main(argv):
         return 0
     if len(argv) == 2 and not argv[1].startswith("-"):
         runs, alerts = validate_workspace(argv[1])
-        print(f"check_fleet: OK: {argv[1]}: {runs} runs indexed, "
-              f"{alerts} alerts, schemas valid")
+        ok(f"{argv[1]}: {runs} runs indexed, {alerts} alerts, schemas "
+           "valid")
         return 0
     print(__doc__.strip(), file=sys.stderr)
     return 2

@@ -25,24 +25,17 @@ Usage:
                                           cross-check stats.txt
 
 Exit status 0 when everything validates; 1 with a message otherwise.
-On failure with GEST_CHECK_ARTIFACT_DIR set, the scratch directory is
-copied there for post-mortem.
+On failure --drive keeps its scratch directory for post-mortem (see
+gestcheck.py).
 """
 
 import json
 import os
 import re
-import shutil
-import socket
-import subprocess
 import sys
-import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+from gestcheck import RunEnded, fail, get, get_json, live_run, ok, scratch
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -71,48 +64,6 @@ HISTORY_KEYS = (
 
 SAMPLE_RE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$")
-
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_metrics")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_metrics: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_metrics: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
-class ServerGone(Exception):
-    """A GET failed at the transport level (refused/reset/timeout).
-
-    During --drive this is usually the normal end-of-run race: the
-    run completed between the process-aliveness check and the GET, so
-    the server is already down. The drive loop decides whether that
-    is benign; everywhere else it is converted to fail().
-    """
-
-
-def get(url, timeout=5):
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, TimeoutError) as err:
-        return None, str(err)
-
-
-def get_json(url, what):
-    status, body = get(url)
-    if status is None:
-        raise ServerGone(f"{what}: GET {url} failed: {body}")
-    if status != 200:
-        fail(f"{what}: GET {url} failed: {body}")
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as err:
-        fail(f"{what} is not valid JSON: {err}\n{body[:400]}")
 
 
 def check_status(doc, require_listen):
@@ -206,28 +157,17 @@ def check_metrics_text(text):
     return counters
 
 
-def check_sse(raw):
-    """Validate SSE framing; return the number of generation events."""
-    if not raw.startswith("retry:"):
-        fail(f"SSE stream does not open with a retry line: {raw[:80]!r}")
+def check_sse(blocks):
+    """Validate the /events blocks; return the number of generations."""
     generations = []
-    for block in raw.split("\n\n"):
-        block = block.strip("\n")
-        if not block or block.startswith("retry:"):
-            continue
-        fields = {}
-        for line in block.split("\n"):
-            if ":" not in line:
-                fail(f"SSE block line without a colon: {line!r}")
-            key, _, value = line.partition(":")
-            fields[key] = value.strip()
+    for fields in blocks:
         if fields.get("event") == "end":
             continue
         if fields.get("event") == "alert":
             # Health-watchdog frames: keyless (no id line — a resumed
             # client must get them redelivered) JSON alert objects.
             if "id" in fields:
-                fail(f"SSE alert frame carries an id: {block!r}")
+                fail(f"SSE alert frame carries an id: {fields!r}")
             try:
                 alert = json.loads(fields.get("data", ""))
             except json.JSONDecodeError as err:
@@ -239,7 +179,7 @@ def check_sse(raw):
             fail(f"SSE block with unexpected event: {fields!r}")
         for key in ("id", "data"):
             if key not in fields:
-                fail(f"SSE generation block lacks '{key}': {block!r}")
+                fail(f"SSE generation block lacks '{key}': {fields!r}")
         try:
             payload = json.loads(fields["data"])
         except json.JSONDecodeError as err:
@@ -253,57 +193,23 @@ def check_sse(raw):
     return len(generations)
 
 
-class SseReader(threading.Thread):
-    """Drains /events over a raw socket until the server closes it."""
+def validate_endpoints(base, process=None):
+    """One scrape pass; returns (generations_seen, counters).
 
-    def __init__(self, host, port):
-        super().__init__(daemon=True)
-        self.host, self.port = host, port
-        self.raw = b""
-        self.error = None
-
-    def run(self):
-        try:
-            with socket.create_connection(
-                    (self.host, self.port), timeout=60) as conn:
-                conn.sendall(
-                    f"GET /events HTTP/1.1\r\nHost: {self.host}\r\n"
-                    "Connection: close\r\n\r\n".encode())
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    self.raw += chunk
-        except OSError as err:
-            self.error = str(err)
-
-    def body(self):
-        text = self.raw.decode("utf-8", errors="replace")
-        head, sep, body = text.partition("\r\n\r\n")
-        if not sep:
-            fail(f"SSE response has no header/body separator: {text[:200]!r}")
-        if "text/event-stream" not in head:
-            fail(f"SSE response is not text/event-stream: {head!r}")
-        return body
-
-
-def validate_endpoints(base, require_listen):
-    """One scrape pass; returns (generations_seen, counters)."""
-    status_doc = get_json(base + "/status", "/status")
-    check_status(status_doc, require_listen)
-    rows = check_history(get_json(base + "/history", "/history"))
-    check_champion(get_json(base + "/champion", "/champion"), rows > 0)
-    code, metrics_text = get(base + "/metrics")
-    if code is None:
-        raise ServerGone(f"/metrics: {metrics_text}")
+    `process` is the driven run serving `base` (None for a standalone
+    URL); once it has exited a GET raises RunEnded. A driven run was
+    started with a listen address, so /status must report it."""
+    check_status(get_json(base + "/status", process),
+                 require_listen=process is not None)
+    rows = check_history(get_json(base + "/history", process))
+    check_champion(get_json(base + "/champion", process), rows > 0)
+    code, metrics_text = get(base + "/metrics", process)
     if code != 200:
-        fail(f"/metrics failed: {metrics_text}")
+        fail(f"/metrics answered {code}: {metrics_text}")
     counters = check_metrics_text(metrics_text)
-    code, health = get(base + "/healthz")
-    if code is None:
-        raise ServerGone(f"/healthz: {health}")
-    if code != 200 or json.loads(health).get("status") != "ok":
-        fail(f"/healthz unhealthy: {code} {health!r}")
+    health = get_json(base + "/healthz", process)
+    if health.get("status") != "ok":
+        fail(f"/healthz unhealthy: {health!r}")
     return rows, counters
 
 
@@ -339,92 +245,37 @@ def cross_check(scraped, stats_path):
             fail(f"counter {name}: final stats.txt value {final[name]} "
                  f"< last scraped value {value} (counters are "
                  "monotonic; the artifacts must agree with the scrape)")
-    print(f"check_metrics: OK: {len(scraped)} scraped counters "
-          f"cross-checked against stats.txt")
+    ok(f"{len(scraped)} scraped counters cross-checked against "
+       "stats.txt")
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    # The run executes with cwd inside the scratch dir; a relative
-    # binary path (e.g. build/tools/gest) must survive the chdir.
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-metrics-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
-        process = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            # The bound (ephemeral) port surfaces in the status.json
-            # heartbeat after the first generation.
-            status_path = os.path.join(work, "out", "status.json")
-            listen = None
-            for _ in range(600):
-                if process.poll() is not None:
-                    break
-                try:
-                    with open(status_path, encoding="utf-8") as handle:
-                        listen = json.load(handle).get("listen")
-                except (OSError, json.JSONDecodeError):
-                    listen = None
-                if listen:
-                    break
-                time.sleep(0.05)
-            if not listen:
-                out, err = process.communicate(timeout=60)
-                fail("no listen address appeared in status.json; "
-                     f"gest exited {process.returncode}:\n{out}{err}")
+    with scratch("check_metrics") as work, \
+            live_run(gest_binary, work, DRIVE_CONFIG) as live:
+        sse = live.events()
+        scraped = {}
+        passes = 0
+        while live.alive() and passes < 50:
+            try:
+                _, counters = validate_endpoints(f"http://{live.listen}",
+                                                 live.process)
+            except RunEnded:
+                break
+            scraped.update(counters)
+            passes += 1
+            time.sleep(0.2)
+        live.finish()
+        if passes == 0:
+            fail("the run finished before a single scrape pass — "
+                 "raise generations in DRIVE_CONFIG")
 
-            base = f"http://{listen}"
-            host, port = listen.rsplit(":", 1)
-            sse = SseReader(host, int(port))
-            sse.start()
+        events = check_sse(sse.blocks())
+        if events == 0:
+            fail("SSE stream carried no generation events")
 
-            scraped = {}
-            passes = 0
-            while process.poll() is None and passes < 50:
-                try:
-                    rows, counters = validate_endpoints(
-                        base, require_listen=True)
-                except ServerGone as err:
-                    # The run can complete between the aliveness check
-                    # above and the GET; a refused connection is only a
-                    # failure if the run is still going after a grace
-                    # period.
-                    time.sleep(0.5)
-                    if process.poll() is None:
-                        fail("server vanished while the run is still "
-                             f"alive: {err}")
-                    break
-                scraped.update(counters)
-                passes += 1
-                time.sleep(0.2)
-            out, err = process.communicate(timeout=120)
-            if process.returncode != 0:
-                fail(f"gest run failed ({process.returncode}):\n"
-                     f"{out}{err}")
-            if passes == 0:
-                fail("the run finished before a single scrape pass — "
-                     "raise generations in DRIVE_CONFIG")
-
-            sse.join(timeout=30)
-            if sse.error:
-                fail(f"SSE read failed: {sse.error}")
-            events = check_sse(sse.body())
-            if events == 0:
-                fail("SSE stream carried no generation events")
-
-            cross_check(scraped,
-                        os.path.join(work, "out", "stats.txt"))
-            print(f"check_metrics: OK: {passes} scrape passes, "
-                  f"{events} SSE generation events, run exit 0")
-            ARTIFACT_SRC = None
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+        cross_check(scraped, os.path.join(work, "out", "stats.txt"))
+        ok(f"{passes} scrape passes, {events} SSE generation events, run "
+           "exit 0")
 
 
 def main(argv):
@@ -435,13 +286,8 @@ def main(argv):
         base = argv[1].rstrip("/")
         if not base.startswith("http://"):
             base = "http://" + base
-        try:
-            rows, counters = validate_endpoints(
-                base, require_listen=False)
-        except ServerGone as err:
-            fail(str(err))
-        print(f"check_metrics: OK: {base}: {rows} history rows, "
-              f"{len(counters)} counters")
+        rows, counters = validate_endpoints(base)
+        ok(f"{base}: {rows} history rows, {len(counters)} counters")
         return 0
     print(__doc__.strip(), file=sys.stderr)
     return 2

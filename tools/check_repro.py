@@ -6,8 +6,8 @@ Static mode checks a sealed run directory's provenance artifacts:
   * manifest.json parses, carries the v1 schema, a 64-hex config hash,
     the RNG seed/generator and one checksum entry per artifact;
   * every checksummed artifact exists with its recorded SHA-256;
-  * digests.csv carries the `# gest-digests v1` header and one 64-hex
-    population digest per recorded generation.
+  * digests.csv carries the gest-digests v1 tag, its column header and
+    one 64-hex population digest per recorded generation.
 
 Drive mode exercises the whole audit loop against a gest binary:
 
@@ -25,8 +25,8 @@ Usage:
   check_repro.py --drive <gest-binary>  full run/verify/tamper/compare
                                         loop in a scratch directory
 
-With GEST_CHECK_ARTIFACT_DIR set, --drive copies its scratch directory
-there before exiting on failure, so CI can upload it.
+On failure --drive keeps its scratch directory for post-mortem (see
+gestcheck.py).
 
 Exit status 0 when everything holds; 1 with a message otherwise.
 """
@@ -34,10 +34,11 @@ Exit status 0 when everything holds; 1 with a message otherwise.
 import hashlib
 import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
+
+from gestcheck import fail, load_json, ok, read_framed, run, run_gest, scratch
+
+DIGESTS_COLUMNS = ("generation", "best_fitness", "population_digest")
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -48,23 +49,9 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
     <config platform="cortex-a15"/>
   </measurement>
   <fitness class="DefaultFitness"/>
-  <output directory="{out}"/>
+  <output directory="out"/>
 </gest_configuration>
 """
-
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
-
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_repro")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_repro: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_repro: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
 
 
 def sha256_of(path):
@@ -80,14 +67,7 @@ def is_hex_digest(text):
 
 
 def validate_run(run_dir):
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        fail(f"no manifest.json in {run_dir}")
-    with open(manifest_path, encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle)
-        except json.JSONDecodeError as err:
-            fail(f"manifest.json is not valid JSON: {err}")
+    manifest = load_json(os.path.join(run_dir, "manifest.json"))
 
     version = manifest.get("gest_manifest_version")
     if version != 1:
@@ -121,57 +101,30 @@ def validate_run(run_dir):
             fail(f"artifact {rel}: recorded {entry.get('bytes')} bytes "
                  f"but file holds {os.path.getsize(path)}")
 
-    digests_path = os.path.join(run_dir, "digests.csv")
-    if not os.path.isfile(digests_path):
-        fail(f"no digests.csv in {run_dir}")
-    with open(digests_path, encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or not lines[0].startswith("# gest-digests v1"):
-        fail("digests.csv lacks the `# gest-digests v1` header")
-    rows = [line for line in lines[1:]
-            if line and not line.startswith("#") and
-            not line.startswith("generation,")]
+    rows = read_framed(os.path.join(run_dir, "digests.csv"), "digests",
+                       columns=DIGESTS_COLUMNS).rows
     expected = manifest.get("result", {}).get("digests_sealed")
     if expected is not None and expected != len(rows):
         fail(f"manifest records {expected} sealed digests but "
              f"digests.csv holds {len(rows)} rows")
-    for line in rows:
-        fields = line.split(",")
-        if len(fields) != 3 or not is_hex_digest(fields[2]):
-            fail(f"malformed digests.csv row: {line!r}")
-    print(f"check_repro: OK: {len(artifacts)} artifacts verified, "
-          f"{len(rows)} population digests well-formed")
+    for row in rows:
+        if not is_hex_digest(row["population_digest"]):
+            fail(f"{row.where}: malformed population digest")
+    ok(f"{len(artifacts)} artifacts verified, {len(rows)} population "
+       "digests well-formed")
     return len(rows)
 
 
-def run_gest(args, cwd, expect=0, what=""):
-    result = subprocess.run(args, cwd=cwd, capture_output=True,
-                            text=True)
-    if expect is not None and result.returncode != expect:
-        fail(f"{what or ' '.join(args)} exited {result.returncode}, "
-             f"expected {expect}:\n{result.stdout}{result.stderr}")
-    return result
-
-
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-repro-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG.format(out="runA"))
-        run_gest([gest_binary, "run", config, "--quiet"], work,
-                 what="gest run")
-        run_a = os.path.join(work, "runA")
+    with scratch("check_repro") as work:
+        run_a = run_gest(gest_binary, os.path.join(work, "a"),
+                         DRIVE_CONFIG)
         validate_run(run_a)
 
         # 1. An untampered deterministic run verifies, fully and
         # quickly.
-        run_gest([gest_binary, "verify", run_a, "--quiet"], work,
-                 what="gest verify (untampered)")
-        run_gest([gest_binary, "verify", run_a, "--quick", "--quiet"],
-                 work, what="gest verify --quick (untampered)")
+        run([gest_binary, "verify", run_a, "--quiet"], work)
+        run([gest_binary, "verify", run_a, "--quick", "--quiet"], work)
 
         # 2. Flip one byte of lineage.csv: verify must fail and name
         # the artifact.
@@ -181,9 +134,8 @@ def drive(gest_binary):
         tampered[len(tampered) // 2] ^= 0x01
         with open(lineage, "wb") as handle:
             handle.write(bytes(tampered))
-        result = run_gest([gest_binary, "verify", run_a, "--quiet"],
-                          work, expect=1,
-                          what="gest verify (tampered lineage)")
+        result = run([gest_binary, "verify", run_a, "--quiet"], work,
+                     expect=1)
         if "lineage.csv" not in result.stdout:
             fail(f"tampered-lineage verify does not name lineage.csv:\n"
                  f"{result.stdout}")
@@ -199,28 +151,21 @@ def drive(gest_binary):
         with open(manifest_path, "w", encoding="utf-8") as handle:
             handle.write(
                 manifest_text.replace('"seed": "23"', '"seed": "24"'))
-        result = run_gest([gest_binary, "verify", run_a, "--quiet"],
-                          work, expect=1,
-                          what="gest verify (seed drift)")
+        result = run([gest_binary, "verify", run_a, "--quiet"], work,
+                     expect=1)
         if "generation 0" not in result.stdout:
             fail(f"seed-drift verify does not name the first divergent "
                  f"generation:\n{result.stdout}")
         with open(manifest_path, "w", encoding="utf-8") as handle:
             handle.write(manifest_text)
-        run_gest([gest_binary, "verify", run_a, "--quiet"], work,
-                 what="gest verify (restored)")
+        run([gest_binary, "verify", run_a, "--quiet"], work)
 
         # 4. Same configuration + seed into a second directory: compare
         # must report zero significant deltas.
-        config_b = os.path.join(work, "config_b.xml")
-        with open(config_b, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG.format(out="runB"))
-        run_gest([gest_binary, "run", config_b, "--quiet"], work,
-                 what="gest run (second)")
-        run_b = os.path.join(work, "runB")
-        result = run_gest(
-            [gest_binary, "compare", run_a, run_b, "--json", "--quiet"],
-            work, what="gest compare")
+        run_b = run_gest(gest_binary, os.path.join(work, "b"),
+                         DRIVE_CONFIG)
+        result = run([gest_binary, "compare", run_a, run_b, "--json",
+                      "--quiet"], work)
         try:
             report = json.loads(result.stdout)
         except json.JSONDecodeError as err:
@@ -233,9 +178,8 @@ def drive(gest_binary):
         if deltas != 0:
             fail(f"same-seed runs report {deltas} significant deltas:\n"
                  f"{result.stdout}")
-        print("check_repro: OK: verify catches tampering and seed "
-              "drift; same-seed compare reports zero deltas")
-        ARTIFACT_SRC = None
+        ok("verify catches tampering and seed drift; same-seed compare "
+           "reports zero deltas")
 
 
 def main(argv):

@@ -28,14 +28,10 @@ Usage:
 Exit status 0 when the trace is valid; 1 with a message otherwise.
 """
 
-import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+from gestcheck import fail, load_json, ok, run_gest, scratch
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -51,18 +47,6 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 """
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_trace")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_trace: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_trace: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def check_common(event, index, phase):
     for key in ("name", "pid", "tid"):
         if key not in event:
@@ -76,14 +60,7 @@ def check_common(event, index, phase):
 
 
 def validate(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
-        fail(f"{path} is not valid JSON: {err}")
-
+    doc = load_json(path)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         fail(f"{path} lacks a traceEvents object")
     events = doc["traceEvents"]
@@ -156,45 +133,23 @@ def validate(path):
                      f"[{stack[-1][0]}, {stack[-1][1]})")
             stack.append((start, end, index))
 
-    print(f"check_trace: OK: {path}: {counts['X']} complete, "
-          f"{counts['i']} instant, {counts['M']} metadata events on "
-          f"{len(used_tids)} threads")
+    ok(f"{path}: {counts['X']} complete, {counts['i']} instant, "
+       f"{counts['M']} metadata events on {len(used_tids)} threads")
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    # The run executes with cwd inside the scratch dir; a relative
-    # binary path (e.g. build/tools/gest) must survive the chdir.
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-trace-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
-        result = subprocess.run(
-            [gest_binary, "run", config, "--trace", "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest run failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
-        out = os.path.join(work, "out")
+    with scratch("check_trace") as work:
+        out = run_gest(gest_binary, work, DRIVE_CONFIG, "--trace")
         validate(os.path.join(out, "trace.json"))
-        metrics = os.path.join(out, "metrics.json")
-        try:
-            with open(metrics, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            fail(f"metrics.json invalid: {err}")
+        doc = load_json(os.path.join(out, "metrics.json"))
         for section in ("counters", "gauges", "histograms"):
             if section not in doc:
                 fail(f"metrics.json lacks '{section}'")
         if doc["counters"].get("engine.generations") != 3:
             fail("metrics.json engine.generations != 3: "
                  f"{doc['counters'].get('engine.generations')!r}")
-        print(f"check_trace: OK: metrics.json has "
-              f"{len(doc['counters'])} counters, "
-              f"{len(doc['histograms'])} histograms")
-        ARTIFACT_SRC = None
+        ok(f"metrics.json has {len(doc['counters'])} counters, "
+           f"{len(doc['histograms'])} histograms")
 
 
 def main(argv):

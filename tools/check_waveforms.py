@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate waveform artifacts written by gest's signal-capture layer.
 
-Checks the `# gest-waveforms v1` CSV format (flight-recorder captures in
+Checks the gest-waveforms v1 CSV format (flight-recorder captures in
 <run_dir>/waveforms/ and `gest probe` output) plus physics sanity:
 
   * the version comment, `# annotation` and `# signal` headers and the
@@ -29,19 +29,18 @@ Usage:
                                                   probe` the run and
                                                   validate that too
 
-With GEST_CHECK_ARTIFACT_DIR set, --drive copies its scratch run
-directory there before exiting on failure, so CI can upload it.
+On failure --drive keeps its scratch directory for post-mortem (see
+gestcheck.py).
 
 Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 """
 
-import json
 import math
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
+
+from gestcheck import (fail, load_json, number, ok, read_framed, run,
+                       run_gest, scratch)
 
 TOLERANCE = 1e-9
 
@@ -58,19 +57,10 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 </gest_configuration>
 """
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
+COLUMNS = ("signal", "kind", "index", "time_s", "value")
 
-
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_waveforms")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"check_waveforms: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"check_waveforms: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+INDEX_COLUMNS = ("rank", "id", "generation", "fitness", "csv", "json",
+                 "spectrum")
 
 
 def parse_csv(path):
@@ -79,94 +69,57 @@ def parse_csv(path):
     signals: name -> dict(unit, rate_hz, warmup, samples=[...],
     declared_samples, dropped). marks: list of (kind, index, time_s).
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    if not lines or lines[0] != "# gest-waveforms v1":
-        fail(f"{path} lacks the '# gest-waveforms v1' version header")
-
-    annotations = {}
+    framed = read_framed(path, "waveforms", columns=COLUMNS,
+                         preamble={"annotation": 2, "signal": 6})
     signals = {}
-    body_start = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("# annotation "):
-            parts = line.split(" ", 3)
-            if len(parts) != 4:
-                fail(f"{path}:{lineno}: malformed annotation: {line}")
-            annotations[parts[2]] = float(parts[3])
-        elif line.startswith("# signal "):
-            fields = line.split(" ")
-            if len(fields) != 8:
-                fail(f"{path}:{lineno}: malformed signal header: {line}")
-            name = fields[2]
-            meta = {}
-            for field in fields[3:]:
-                key, _, value = field.partition("=")
-                meta[key] = value
-            for key in ("unit", "rate_hz", "warmup", "samples",
-                        "dropped"):
-                if key not in meta:
-                    fail(f"{path}:{lineno}: signal '{name}' lacks "
-                         f"'{key}='")
-            signals[name] = {
-                "unit": meta["unit"],
-                "rate_hz": float(meta["rate_hz"]),
-                "warmup": int(meta["warmup"]),
-                "declared_samples": int(meta["samples"]),
-                "dropped": int(meta["dropped"]),
-                "samples": [],
-            }
-            if signals[name]["rate_hz"] <= 0:
-                fail(f"{path}:{lineno}: signal '{name}' has "
-                     f"non-positive rate_hz")
-        elif line.startswith("#"):
-            fail(f"{path}:{lineno}: unexpected comment: {line}")
-        else:
-            if line != "signal,kind,index,time_s,value":
-                fail(f"{path}:{lineno}: expected the column header, "
-                     f"got: {line}")
-            body_start = lineno
-            break
-    if body_start is None:
-        fail(f"{path} has no column header row")
+    for where, (name, *fields) in framed.comment("signal"):
+        meta = dict(field.partition("=")[::2] for field in fields)
+        for key in ("unit", "rate_hz", "warmup", "samples", "dropped"):
+            if key not in meta:
+                fail(f"{where}: signal '{name}' lacks '{key}='")
+        signals[name] = {
+            "unit": meta["unit"],
+            "rate_hz": number(meta["rate_hz"], where),
+            "warmup": number(meta["warmup"], where, int),
+            "declared_samples": number(meta["samples"], where, int),
+            "dropped": number(meta["dropped"], where, int),
+            "samples": [],
+        }
+        if signals[name]["rate_hz"] <= 0:
+            fail(f"{where}: signal '{name}' has non-positive rate_hz")
 
     marks = []
-    for lineno, line in enumerate(lines[body_start:],
-                                  start=body_start + 1):
-        parts = line.split(",")
-        if len(parts) != 5:
-            fail(f"{path}:{lineno}: expected 5 columns: {line}")
-        name, kind, index, time_s, value = parts
+    for row in framed.rows:
+        name, kind = row["signal"], row["kind"]
+        index, time_s = row.int("index"), row.float("time_s")
         if kind == "sample":
             if name not in signals:
-                fail(f"{path}:{lineno}: sample for undeclared signal "
+                fail(f"{row.where}: sample for undeclared signal "
                      f"'{name}'")
-            sig = sig_entry = signals[name]
-            if int(index) != len(sig_entry["samples"]):
-                fail(f"{path}:{lineno}: signal '{name}' sample index "
+            sig = signals[name]
+            if index != len(sig["samples"]):
+                fail(f"{row.where}: signal '{name}' sample index "
                      f"{index} out of order")
-            expected_t = int(index) / sig["rate_hz"]
-            if not math.isclose(float(time_s), expected_t,
-                                rel_tol=1e-12, abs_tol=1e-15):
-                fail(f"{path}:{lineno}: signal '{name}' time {time_s} "
+            expected_t = index / sig["rate_hz"]
+            if not math.isclose(time_s, expected_t, rel_tol=1e-12,
+                                abs_tol=1e-15):
+                fail(f"{row.where}: signal '{name}' time {time_s} "
                      f"does not match index/rate {expected_t}")
-            sample = float(value)
+            sample = row.float("value")
             if not math.isfinite(sample):
-                fail(f"{path}:{lineno}: non-finite sample {value}")
-            sig_entry["samples"].append(sample)
+                fail(f"{row.where}: non-finite sample {sample}")
+            sig["samples"].append(sample)
         elif kind == "mark":
-            marks.append((name, int(index), float(time_s)))
+            marks.append((name, index, time_s))
         else:
-            fail(f"{path}:{lineno}: unknown row kind '{kind}'")
+            fail(f"{row.where}: unknown row kind '{kind}'")
 
     for name, sig in signals.items():
         if len(sig["samples"]) != sig["declared_samples"]:
             fail(f"{path}: signal '{name}' declares "
                  f"{sig['declared_samples']} samples but carries "
                  f"{len(sig['samples'])}")
-    return annotations, signals, marks
+    return framed.annotations, signals, marks
 
 
 def summary_start(sig):
@@ -226,11 +179,7 @@ def check_json_twin(csv_path, annotations, signals, marks):
     json_path = os.path.splitext(csv_path)[0] + ".json"
     if not os.path.exists(json_path):
         fail(f"{csv_path} has no JSON twin {json_path}")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{json_path} invalid: {err}")
+    doc = load_json(json_path)
     if doc.get("version") != 1:
         fail(f"{json_path}: version != 1")
     if doc.get("annotations") != annotations:
@@ -251,23 +200,18 @@ def check_spectrum(csv_path):
     spectrum_path = os.path.splitext(csv_path)[0] + "_spectrum.csv"
     if not os.path.exists(spectrum_path):
         return
-    with open(spectrum_path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != "# gest-spectrum v1":
-        fail(f"{spectrum_path} lacks the spectrum version header")
-    if len(lines) < 4 or not lines[1].startswith("# resonance_hz "):
-        fail(f"{spectrum_path} lacks the resonance header")
-    if lines[2] != "frequency_hz,amplitude_a":
-        fail(f"{spectrum_path} lacks the column header")
+    spectrum = read_framed(spectrum_path, "spectrum",
+                           columns=("frequency_hz", "amplitude_a"),
+                           preamble={"resonance_hz": 1})
+    if not spectrum.comment("resonance_hz") or not spectrum.rows:
+        fail(f"{spectrum_path} lacks the resonance header or any rows")
     last_freq = 0.0
-    for lineno, line in enumerate(lines[3:], start=4):
-        freq_text, _, amp_text = line.partition(",")
-        freq, amp = float(freq_text), float(amp_text)
+    for row in spectrum.rows:
+        freq, amp = row.float("frequency_hz"), row.float("amplitude_a")
         if freq <= last_freq:
-            fail(f"{spectrum_path}:{lineno}: frequencies not "
-                 f"strictly ascending")
+            fail(f"{row.where}: frequencies not strictly ascending")
         if amp < 0 or not math.isfinite(amp):
-            fail(f"{spectrum_path}:{lineno}: bad amplitude {amp_text}")
+            fail(f"{row.where}: bad amplitude {amp}")
         last_freq = freq
 
 
@@ -279,9 +223,8 @@ def validate_file(path):
     check_json_twin(path, annotations, signals, marks)
     check_spectrum(path)
     total = sum(len(s["samples"]) for s in signals.values())
-    print(f"check_waveforms: OK: {path}: {len(signals)} signals, "
-          f"{total} samples, {len(marks)} marks, "
-          f"{len(annotations)} annotations")
+    ok(f"{path}: {len(signals)} signals, {total} samples, "
+       f"{len(marks)} marks, {len(annotations)} annotations")
     return annotations
 
 
@@ -289,25 +232,13 @@ def validate_index(directory):
     index_path = os.path.join(directory, "index.csv")
     if not os.path.exists(index_path):
         fail(f"{directory} has no index.csv")
-    with open(index_path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != "# gest-waveform-index v1":
-        fail(f"{index_path} lacks the index version header")
-    if len(lines) < 2 or lines[1] != \
-            "rank,id,generation,fitness,csv,json,spectrum":
-        fail(f"{index_path} lacks the column header")
     rows = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split(",")
-        if len(parts) != 7:
-            fail(f"{index_path}:{lineno}: expected 7 columns: {line}")
-        rank, _, _, fitness = (int(parts[0]), parts[1], parts[2],
-                               float(parts[3]))
-        for ref in (parts[4], parts[5], parts[6]):
+    for row in read_framed(index_path, "waveform-index",
+                           columns=INDEX_COLUMNS).rows:
+        for ref in (row["csv"], row["json"], row["spectrum"]):
             if ref and not os.path.exists(os.path.join(directory, ref)):
-                fail(f"{index_path}:{lineno}: referenced file {ref} "
-                     f"does not exist")
-        rows.append((rank, fitness, parts[3]))
+                fail(f"{row.where}: referenced file {ref} does not exist")
+        rows.append((row.int("rank"), row.float("fitness"), row["fitness"]))
     for (rank_a, fit_a, _), (rank_b, fit_b, _) in zip(rows, rows[1:]):
         if rank_b != rank_a + 1:
             fail(f"{index_path}: ranks not consecutive")
@@ -321,44 +252,23 @@ def validate_index(directory):
 
 def validate_dir(directory):
     rows = validate_index(directory)
-    champion_fitness = None
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".csv") or name == "index.csv" or \
                 name.endswith("_spectrum.csv"):
             continue
-        annotations = validate_file(os.path.join(directory, name))
-        if champion_fitness is None:
-            champion_fitness = annotations
-    print(f"check_waveforms: OK: {directory}: index lists "
-          f"{len(rows)} captures, champion fitness {rows[0][2]}")
+        validate_file(os.path.join(directory, name))
+    ok(f"{directory}: index lists {len(rows)} captures, champion "
+       f"fitness {rows[0][2]}")
     return rows
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    # The child runs with cwd inside the scratch dir; keep a relative
-    # binary path working.
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-waveforms-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
-        result = subprocess.run(
-            [gest_binary, "run", config, "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest run failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
-        out = os.path.join(work, "out")
+    with scratch("check_waveforms") as work:
+        out = run_gest(gest_binary, work, DRIVE_CONFIG)
         rows = validate_dir(os.path.join(out, "waveforms"))
 
-        result = subprocess.run(
-            [gest_binary, "probe", config, out, "--quiet"],
-            cwd=work, capture_output=True, text=True)
-        if result.returncode != 0:
-            fail(f"gest probe failed ({result.returncode}):\n"
-                 f"{result.stdout}{result.stderr}")
+        run([gest_binary, "probe", os.path.join(work, "config.xml"), out,
+             "--quiet"], work)
         probe_dir = os.path.join(out, "probe")
         probe_csvs = [name for name in sorted(os.listdir(probe_dir))
                       if name.endswith(".csv") and
@@ -378,9 +288,7 @@ def drive(gest_binary):
             fail(f"probe peak_to_peak_v "
                  f"{annotations['peak_to_peak_v']!r} disagrees with "
                  f"the champion fitness {champion_fitness!r}")
-        print("check_waveforms: OK: probe capture matches the "
-              "champion fitness")
-        ARTIFACT_SRC = None
+        ok("probe capture matches the champion fitness")
 
 
 def main(argv):

@@ -24,16 +24,10 @@ Exit status 0 on success; 1 with a message otherwise.
 
 import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 import time
 
-ARTIFACT_SRC = None  # set by drive(); copied out by fail() on failure
-
-LINEAGE_VERSION_PREFIX = "# gest-lineage v"
-ANALYTICS_VERSION_PREFIX = "# gest-analytics v"
+from gestcheck import fail, live_run, number, ok, read_framed, scratch
 
 LINEAGE_COLUMNS = [
     "generation", "id", "op", "parent1", "parent2", "mutated_genes",
@@ -73,72 +67,30 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 """
 
 
-def fail(message):
-    if ARTIFACT_SRC is not None:
-        dest = os.environ.get("GEST_CHECK_ARTIFACT_DIR")
-        if dest:
-            target = os.path.join(dest, "check_lineage")
-            shutil.copytree(ARTIFACT_SRC, target, dirs_exist_ok=True)
-            print(f"lineage_to_dot: scratch copied to {target}",
-                  file=sys.stderr)
-    print(f"lineage_to_dot: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def parse_lineage(path):
     """Parse and schema-validate a lineage.csv; returns event dicts."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-
-    if not lines or not lines[0].startswith(LINEAGE_VERSION_PREFIX):
-        fail(f"{path} lacks the '{LINEAGE_VERSION_PREFIX}N' version "
-             "comment on line 1")
-    header = None
     events = []
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if header is None:
-            header = fields
-            missing = [c for c in LINEAGE_COLUMNS if c not in header]
-            if missing:
-                fail(f"{path} header lacks columns {missing}")
-            continue
-        if len(fields) < len(header):
-            fail(f"{path} line {number} is truncated "
-                 f"({len(fields)} of {len(header)} columns)")
-        row = dict(zip(header, fields))
-        try:
-            event = {
-                "generation": int(row["generation"]),
-                "id": int(row["id"]),
-                "op": row["op"],
-                "parent1": int(row["parent1"]),
-                "parent2": int(row["parent2"]),
-                "mutated_genes": int(row["mutated_genes"]),
-                "mutated_indices": [
-                    int(g) for g in row["mutated_indices"].split(";")
-                    if g],
-                "fitness": float(row["fitness"]),
-            }
-        except ValueError as err:
-            fail(f"{path} line {number}: {err}")
+    for row in read_framed(path, "lineage", required=LINEAGE_COLUMNS).rows:
+        event = {
+            "generation": row.int("generation"),
+            "id": row.int("id"),
+            "op": row["op"],
+            "parent1": row.int("parent1"),
+            "parent2": row.int("parent2"),
+            "mutated_genes": row.int("mutated_genes"),
+            "mutated_indices": [
+                number(g, f"{row.where}: mutated_indices", int)
+                for g in row["mutated_indices"].split(";") if g],
+            "fitness": row.float("fitness"),
+        }
         if event["op"] not in OPS:
-            fail(f"{path} line {number}: unknown op {event['op']!r}")
+            fail(f"{row.where}: unknown op {event['op']!r}")
         if event["generation"] < 0 or event["id"] <= 0:
-            fail(f"{path} line {number}: bad generation/id")
+            fail(f"{row.where}: bad generation/id")
         if event["mutated_genes"] != len(event["mutated_indices"]):
-            fail(f"{path} line {number}: mutated_genes="
-                 f"{event['mutated_genes']} but "
-                 f"{len(event['mutated_indices'])} indices listed")
+            fail(f"{row.where}: mutated_genes={event['mutated_genes']} "
+                 f"but {len(event['mutated_indices'])} indices listed")
         events.append(event)
-    if header is None:
-        fail(f"{path} has no header row")
     if not events:
         fail(f"{path} has no birth events — the run has not completed "
              "generation 0 yet")
@@ -226,50 +178,24 @@ def check_dot(text, events):
 
 
 def validate_analytics(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    if not lines or not lines[0].startswith(ANALYTICS_VERSION_PREFIX):
-        fail(f"{path} lacks the '{ANALYTICS_VERSION_PREFIX}N' version "
-             "comment on line 1")
-    header = None
-    rows = 0
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if header is None:
-            header = fields
-            missing = [c for c in ANALYTICS_COLUMNS if c not in header]
-            if missing:
-                fail(f"{path} header lacks columns {missing}")
-            continue
-        if len(fields) < len(header):
-            fail(f"{path} line {number} is truncated")
-        row = dict(zip(header, fields))
-        try:
-            mix = [int(row[c]) for c in ANALYTICS_COLUMNS[1:7]]
-            diversity = float(row["pairwise_diversity"])
-            quartiles = [float(row[c]) for c in (
-                "fitness_min", "fitness_q1", "fitness_median",
-                "fitness_q3", "fitness_max")]
-        except ValueError as err:
-            fail(f"{path} line {number}: {err}")
+    rows = read_framed(path, "analytics", required=ANALYTICS_COLUMNS).rows
+    for row in rows:
+        mix = [row.int(c) for c in ANALYTICS_COLUMNS[1:7]]
+        diversity = row.float("pairwise_diversity")
+        quartiles = [row.float(c) for c in (
+            "fitness_min", "fitness_q1", "fitness_median", "fitness_q3",
+            "fitness_max")]
         if any(m < 0 for m in mix):
-            fail(f"{path} line {number}: negative mix count")
+            fail(f"{row.where}: negative mix count")
         if not 0.0 <= diversity <= 1.0:
-            fail(f"{path} line {number}: pairwise_diversity "
-                 f"{diversity} outside [0, 1]")
+            fail(f"{row.where}: pairwise_diversity {diversity} outside "
+                 "[0, 1]")
         if any(a > b + 1e-9 for a, b in zip(quartiles, quartiles[1:])):
-            fail(f"{path} line {number}: fitness quartiles not "
-                 f"monotonic: {quartiles}")
-        rows += 1
-    if rows == 0:
+            fail(f"{row.where}: fitness quartiles not monotonic: "
+                 f"{quartiles}")
+    if not rows:
         fail(f"{path} has no rows")
-    return rows
+    return len(rows)
 
 
 def check_status(path, require_completed=False):
@@ -296,36 +222,26 @@ def check_status(path, require_completed=False):
 
 
 def drive(gest_binary):
-    global ARTIFACT_SRC
-    gest_binary = os.path.abspath(gest_binary)
-    with tempfile.TemporaryDirectory(prefix="gest-lineage-") as work:
-        ARTIFACT_SRC = work
-        config = os.path.join(work, "config.xml")
-        with open(config, "w", encoding="utf-8") as handle:
-            handle.write(DRIVE_CONFIG)
+    with scratch("check_lineage") as work:
         out = os.path.join(work, "out")
         status = os.path.join(out, "status.json")
 
         # Poll status.json while the run is live: the atomic replace
         # must never expose a torn file to a concurrent reader.
-        proc = subprocess.Popen(
-            [gest_binary, "run", config, "--quiet"], cwd=work,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         polls = 0
-        while proc.poll() is None:
-            if check_status(status) is not None:
-                polls += 1
-            time.sleep(0.001)
-        stdout, stderr = proc.communicate()
-        if proc.returncode != 0:
-            fail(f"gest run failed ({proc.returncode}):\n"
-                 f"{stdout}{stderr}")
+        with live_run(gest_binary, work, DRIVE_CONFIG,
+                      listen=False) as live:
+            while live.alive():
+                if check_status(status) is not None:
+                    polls += 1
+                time.sleep(0.001)
+            live.finish()
         final = check_status(status, require_completed=True)
         if final is None:
             fail("run completed without writing status.json")
-        print(f"lineage_to_dot: OK: status.json valid on {polls} live "
-              f"polls; final state '{final['state']}', generation "
-              f"{final['generation']}/{final['total_generations'] - 1}")
+        ok(f"status.json valid on {polls} live polls; final state "
+           f"'{final['state']}', generation "
+           f"{final['generation']}/{final['total_generations'] - 1}")
 
         events = parse_lineage(os.path.join(out, "lineage.csv"))
         generations = {e["generation"] for e in events}
@@ -355,24 +271,21 @@ def drive(gest_binary):
                     if birth[i]["op"] in ("seed", "resumed"))
         if roots == 0:
             fail("champion ancestry has no generation-0 root")
-        print(f"lineage_to_dot: OK: lineage.csv has {len(events)} birth "
-              f"events; champion id {champ_id} closes over "
-              f"{len(ancestry)} ancestors down to {roots} seed(s)")
+        ok(f"lineage.csv has {len(events)} birth events; champion id "
+           f"{champ_id} closes over {len(ancestry)} ancestors down to "
+           f"{roots} seed(s)")
 
         rows = validate_analytics(os.path.join(out, "analytics.csv"))
         if rows != final["total_generations"]:
             fail(f"analytics.csv has {rows} rows, expected "
                  f"{final['total_generations']}")
-        print(f"lineage_to_dot: OK: analytics.csv has {rows} "
-              "schema-valid rows")
+        ok(f"analytics.csv has {rows} schema-valid rows")
 
         for champion_only in (False, True):
             dot = to_dot(events, champion_only=champion_only)
             check_dot(dot, events if not champion_only else
                       [e for e in events if e["id"] in ancestry])
-        print("lineage_to_dot: OK: dot export is well-formed "
-              "(full and --champion-only)")
-        ARTIFACT_SRC = None
+        ok("dot export is well-formed (full and --champion-only)")
 
 
 def main(argv):
