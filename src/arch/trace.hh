@@ -87,10 +87,18 @@ struct SimResult
     util::TraceTiling tiling;
 
     /**
-     * Measured cycles actually stepped by the simulator. Equal to
-     * `cycles` when no period was found; much smaller on a steady hit.
+     * Measured cycles the simulator accounted for one by one, whether
+     * it stepped them or skipped them as idle. Equal to `cycles` when
+     * no period was found; much smaller on a steady hit.
      */
     std::uint64_t simulatedCycles = 0;
+
+    /**
+     * The part of `simulatedCycles` that was skipped rather than
+     * stepped: idle cycles (nothing fetched, nothing issued) jumped
+     * over to the next cycle at which anything can change.
+     */
+    std::uint64_t skippedCycles = 0;
 
     /** True when the steady-state detector cut the run short. */
     bool steadyHit() const { return simulatedCycles < cycles; }

@@ -97,7 +97,11 @@ SimMeasurementBase::evaluate(
         static stats::Counter& cycles_simulated =
             stats::StatsRegistry::instance().counter(
                 "eval.cycles_simulated",
-                "measured cycles actually stepped");
+                "measured cycles simulated, stepped or skipped as idle");
+        static stats::Counter& cycles_skipped =
+            stats::StatsRegistry::instance().counter(
+                "eval.cycles_skipped",
+                "simulated cycles skipped as idle instead of stepped");
         static stats::Counter& cycles_tiled =
             stats::StatsRegistry::instance().counter(
                 "eval.cycles_tiled",
@@ -108,6 +112,7 @@ SimMeasurementBase::evaluate(
         if (eval.sim.steadyHit())
             steady_hits.inc();
         cycles_simulated.inc(eval.sim.simulatedCycles);
+        cycles_skipped.inc(eval.sim.skippedCycles);
         cycles_tiled.inc(eval.sim.cycles - eval.sim.simulatedCycles);
     }
     return eval;

@@ -146,6 +146,7 @@ analyzeRun(const std::string& run_dir)
         report.hasSteadyStats = true;
         report.steadyHits = counter("eval.steady_hits");
         report.cyclesSimulated = counter("eval.cycles_simulated");
+        report.cyclesSkipped = counter("eval.cycles_skipped");
         report.cyclesTiled = counter("eval.cycles_tiled");
         report.simEvaluations = counter("measure.sim.evaluations");
     }
@@ -198,9 +199,10 @@ formatReport(const RunReport& report)
         os << buf;
         std::snprintf(
             buf, sizeof(buf),
-            "              %llu cycles stepped, %llu tiled "
-            "(%.1f%% of measured cycles skipped)\n",
+            "              %llu cycles simulated (%llu skipped idle), "
+            "%llu tiled (%.1f%% of measured cycles tiled)\n",
             static_cast<unsigned long long>(report.cyclesSimulated),
+            static_cast<unsigned long long>(report.cyclesSkipped),
             static_cast<unsigned long long>(report.cyclesTiled),
             100.0 * report.tiledCycleFraction());
         os << buf;
@@ -337,6 +339,8 @@ formatReportJson(const RunReport& report)
            << ", "
            << "\"cycles_simulated\": "
            << jsonNumber(report.cyclesSimulated) << ", "
+           << "\"cycles_skipped\": " << jsonNumber(report.cyclesSkipped)
+           << ", "
            << "\"cycles_tiled\": " << jsonNumber(report.cyclesTiled)
            << ", "
            << "\"tiled_cycle_fraction\": "

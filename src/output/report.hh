@@ -105,6 +105,7 @@ struct RunReport
     std::uint64_t simEvaluations = 0;   ///< measure.sim.evaluations
     std::uint64_t steadyHits = 0;       ///< eval.steady_hits
     std::uint64_t cyclesSimulated = 0;  ///< eval.cycles_simulated
+    std::uint64_t cyclesSkipped = 0;    ///< eval.cycles_skipped (0 if absent)
     std::uint64_t cyclesTiled = 0;      ///< eval.cycles_tiled
 
     /** Cache hit rate in [0, 1]. */

@@ -488,6 +488,7 @@ TEST(Report, ReadsSteadyCountersFromMetricsJson)
               "  \"counters\": {\n"
               "    \"eval.steady_hits\": 12,\n"
               "    \"eval.cycles_simulated\": 123456789012,\n"
+              "    \"eval.cycles_skipped\": 23456789012,\n"
               "    \"eval.cycles_tiled\": 9876543210,\n"
               "    \"measure.sim.evaluations\": 40\n"
               "  },\n  \"histograms\": {}\n}\n");
@@ -497,6 +498,10 @@ TEST(Report, ReadsSteadyCountersFromMetricsJson)
     EXPECT_EQ(report.cyclesSimulated, 123456789012u);
     EXPECT_EQ(report.cyclesTiled, 9876543210u);
     EXPECT_EQ(report.simEvaluations, 40u);
+    EXPECT_NE(output::formatReport(report).find(
+                  "123456789012 cycles simulated (23456789012 skipped "
+                  "idle), 9876543210 tiled"),
+              std::string::npos);
 }
 
 // ------------------------------------------------------------ explain
