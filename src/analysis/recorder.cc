@@ -10,8 +10,8 @@ namespace {
 
 /**
  * Recorder-wide stat handles, resolved once (the engineStats()
- * pattern): the headline analytics mirrored into stats.txt and
- * metrics.json, subject to the global stats::enabled() flag.
+ * pattern): the headline analytics mirrored into metrics.json,
+ * subject to the global stats::enabled() flag.
  */
 struct AnalysisStats
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
 
 #include "stats/stats.hh"
 #include "util/logging.hh"
@@ -108,7 +107,6 @@ computeAttribution(const isa::InstructionLibrary& lib,
     result.baselineFitness = eval(ind.code);
 
     std::array<ClassAttribution, isa::numInstrClasses> by_class{};
-    std::map<std::string, OperandBinAttribution> by_bin;
     std::vector<isa::InstructionInstance> body = ind.code;
     for (std::size_t i = 0; i < ind.code.size(); ++i) {
         const isa::InstructionInstance& gene = ind.code[i];
@@ -142,17 +140,6 @@ computeAttribution(const isa::InstructionLibrary& lib,
         cagg.cls = def.cls;
         ++cagg.genes;
         cagg.deltaSum += g.deltaFitness;
-        for (std::size_t s = 0; s < gene.operandChoice.size(); ++s) {
-            const isa::OperandDef& op = lib.operand(def.operandIndex[s]);
-            const std::string key =
-                def.name + "/op" + std::to_string(s + 1) + "=" +
-                isa::operandBinLabel(
-                    op, isa::operandBin(op, gene.operandChoice[s]));
-            OperandBinAttribution& bagg = by_bin[key];
-            bagg.key = key;
-            ++bagg.genes;
-            bagg.deltaSum += g.deltaFitness;
-        }
 
         result.genes.push_back(std::move(g));
     }
@@ -175,8 +162,6 @@ computeAttribution(const isa::InstructionLibrary& lib,
         if (cagg.genes > 0)
             result.classes.push_back(cagg);
     }
-    for (const auto& [key, bagg] : by_bin)
-        result.operandBins.push_back(bagg);
 
     std::vector<std::size_t> order(result.genes.size());
     for (std::size_t i = 0; i < order.size(); ++i)

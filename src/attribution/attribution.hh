@@ -9,9 +9,9 @@
  * gene, in turn, replaced by a class-neutral filler and recording the
  * fitness drop: Δfitness(i) = fitness(champion) - fitness(champion
  * with gene i ablated). Per-gene deltas aggregate into per-InstrClass
- * and per-operand-bin sums, and a whole-champion ablation (every gene
- * replaced at once) bounds how much of the fitness the additive
- * per-gene story can explain.
+ * sums, and a whole-champion ablation (every gene replaced at once)
+ * bounds how much of the fitness the additive per-gene story can
+ * explain.
  *
  * The filler is the library's NOP where one exists (all bundled
  * libraries register one); a NOP-less user library falls back to the
@@ -68,14 +68,6 @@ struct ClassAttribution
     double deltaSum = 0.0;
 };
 
-/** Summed deltas of all genes sharing one (slot, value-bin) cell. */
-struct OperandBinAttribution
-{
-    std::string key;  ///< "<instruction>/op<slot>=<bin label>"
-    int genes = 0;
-    double deltaSum = 0.0;
-};
-
 /** Everything one attribution pass produces. */
 struct AttributionResult
 {
@@ -92,7 +84,6 @@ struct AttributionResult
 
     std::vector<GeneAttribution> genes;
     std::vector<ClassAttribution> classes;  ///< classes present only
-    std::vector<OperandBinAttribution> operandBins;
 
     /** Gene indices by |Δfitness| descending, at most options.topK. */
     std::vector<std::size_t> topGenes;

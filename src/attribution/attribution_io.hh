@@ -1,15 +1,14 @@
 /**
  * @file
- * Attribution artifact I/O: the `# gest-attribution v1` CSV and its
- * JSON twin (docs/attribution.md, "Artifact format").
+ * Attribution artifact I/O: the `# gest-attribution v1` CSV
+ * (docs/attribution.md, "Artifact format").
  *
  * The CSV leads with `# annotation <key> <value>` comment lines
  * (individual id, baseline fitness, the delta sums, evaluation count)
  * and a `# filler` line naming the substitute instruction, then one
- * row per gene. The JSON twin additionally carries the per-class and
- * per-operand-bin aggregates and the top-K index list. Both render
- * doubles at %.17g so a reader can round-trip them exactly;
- * tools/check_attribution.py validates the schema end to end.
+ * row per gene. Doubles render at %.17g so a reader can round-trip
+ * them exactly; tools/check_attribution.py validates the schema end
+ * to end.
  */
 
 #ifndef GEST_ATTRIBUTION_ATTRIBUTION_IO_HH
@@ -25,24 +24,14 @@ namespace attribution {
 /** Attribution CSV format version written by this build. */
 constexpr int attributionCsvVersion = 1;
 
-/** Paths written by writeAttributionArtifacts(). */
-struct AttributionArtifacts
-{
-    std::string csvPath;
-    std::string jsonPath;
-};
-
 /** Render @p result as the `# gest-attribution v1` CSV. */
 std::string formatAttributionCsv(const AttributionResult& result);
 
-/** Render @p result as the JSON twin. */
-std::string formatAttributionJson(const AttributionResult& result);
-
 /**
- * Write `<dir>/<basename>.csv` and `<dir>/<basename>.json` (the
- * directory is created if absent) and return both paths.
+ * Write `<dir>/<basename>.csv` (the directory is created if absent)
+ * and return its path.
  */
-AttributionArtifacts writeAttributionArtifacts(
+std::string writeAttributionArtifacts(
     const std::string& dir, const std::string& basename,
     const AttributionResult& result);
 

@@ -78,8 +78,8 @@ struct RunConfig
 
     /**
      * Record run statistics (<output stats="...">, default true): the
-     * stats registry is enabled for the run and stats.txt +
-     * metrics.json are written into the output directory.
+     * stats registry is enabled for the run and metrics.json is
+     * written into the output directory.
      */
     bool recordStats = true;
 
@@ -261,8 +261,8 @@ struct RunResult
     std::string coverageFile;
 
     /**
-     * Attribution artifacts sealed after the run (CSV and JSON twins
-     * interleaved; empty when attribution was off).
+     * Attribution CSVs sealed after the run, one per attributed
+     * individual (empty when attribution was off).
      */
     std::vector<std::string> attributionFiles;
 };

@@ -240,7 +240,7 @@ Engine::measureBatch(const std::vector<std::size_t>& indices)
     engineStats().evaluations.inc(indices.size());
     if (record) {
         // Publish per-worker busy time so pool utilization/imbalance is
-        // visible in stats.txt and metrics.json.
+        // visible in metrics.json.
         for (std::size_t w = _workerBusyCounters.size();
              w < _workerBusyUs.size(); ++w)
             _workerBusyCounters.push_back(

@@ -250,7 +250,7 @@ class Engine
 
     /**
      * engine.worker.N.busy_us, one per slot of _workerBusyUs, registered
-     * in index order on the first timed batch so stats.txt lists them
+     * in index order on the first timed batch so metrics.json lists them
      * in the same order whatever the scheduling.
      */
     std::vector<stats::Counter*> _workerBusyCounters;

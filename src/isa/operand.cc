@@ -113,26 +113,8 @@ operandBin(const OperandDef& def, std::uint32_t choice)
     if (def.kind() == OperandKind::Register)
         return c;
     // Equal-width partition of the value indices: bin = c * bins / n is
-    // monotone, onto, and inverse-consistent with operandBinLabel.
+    // monotone and onto.
     return c * operandBinCount(def) / n;
-}
-
-std::string
-operandBinLabel(const OperandDef& def, std::size_t bin)
-{
-    if (def.kind() == OperandKind::Register)
-        return def.registerName(bin);
-    const std::size_t n = def.valueCount();
-    const std::size_t bins = operandBinCount(def);
-    if (bins == 0 || bin >= bins)
-        panic("operand bin ", bin, " out of range for '", def.id(), "'");
-    // First and last value index mapped to this bin by operandBin().
-    const std::size_t lo = (bin * n + bins - 1) / bins;
-    const std::size_t hi = ((bin + 1) * n + bins - 1) / bins - 1;
-    if (lo == hi)
-        return std::to_string(def.immediateValue(lo));
-    return "[" + std::to_string(def.immediateValue(lo)) + ".." +
-           std::to_string(def.immediateValue(hi)) + "]";
 }
 
 } // namespace isa

@@ -89,19 +89,16 @@ class OperandDef
 };
 
 /**
- * Value-bin universe of one operand slot, for the coverage ledger and
- * attribution aggregates: every register is its own bin (port and bank
- * behavior depend on the exact register), immediate ranges fold into at
- * most 8 equal-width bins (what matters for stress behavior is the
- * magnitude band — a stride or offset class — not the exact constant).
+ * Value-bin universe of one operand slot, for the coverage ledger:
+ * every register is its own bin (port and bank behavior depend on the
+ * exact register), immediate ranges fold into at most 8 equal-width
+ * bins (what matters for stress behavior is the magnitude band — a
+ * stride or offset class — not the exact constant).
  */
 std::size_t operandBinCount(const OperandDef& def);
 
 /** Bin of value choice @p choice; always < operandBinCount(def). */
 std::size_t operandBin(const OperandDef& def, std::uint32_t choice);
-
-/** Human-readable label of @p bin, e.g. "x3" or "[8..64]". */
-std::string operandBinLabel(const OperandDef& def, std::size_t bin);
 
 } // namespace isa
 } // namespace gest

@@ -109,7 +109,7 @@ class GenerationEventBuffer
  * native Prometheus histograms (cumulative `le` buckets, `_sum`,
  * `_count`) plus a p50/p95/p99 quantile series derived by
  * stats::Histogram::quantile — the same implementation behind
- * stats.txt and metrics.json. Metric names are `gest_` plus the stat
+ * metrics.json. Metric names are `gest_` plus the stat
  * name with every non-alphanumeric character mapped to '_'.
  */
 std::string renderPrometheusMetrics();

@@ -83,8 +83,8 @@ FlightRecorder::seal()
     ensureDir(dir);
 
     std::vector<std::string> files;
-    std::string index = "# gest-waveform-index v1\n"
-                        "rank,id,generation,fitness,csv,json,spectrum\n";
+    std::string index = "# gest-waveform-index v2\n"
+                        "rank,id,generation,fitness,csv,spectrum\n";
     int rank = 1;
     for (const Entry& e : _entries) {
         const std::string basename = std::to_string(e.id);
@@ -95,14 +95,12 @@ FlightRecorder::seal()
                       e.fitness);
         index += std::to_string(rank) + "," + std::to_string(e.id) +
                  "," + std::to_string(e.generation) + "," +
-                 fitness_text + "," + basename + ".csv," + basename +
-                 ".json," +
+                 fitness_text + "," + basename + ".csv," +
                  (art.spectrumPath.empty()
                       ? std::string()
                       : basename + "_spectrum.csv") +
                  "\n";
         files.push_back(art.csvPath);
-        files.push_back(art.jsonPath);
         if (!art.spectrumPath.empty())
             files.push_back(art.spectrumPath);
         ++rank;

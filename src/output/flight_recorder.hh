@@ -15,8 +15,8 @@
  * or off.
  *
  * At the end of the run, seal() writes one waveform artifact set per
- * surviving champion into `<run_dir>/waveforms/` (CSV + JSON + the
- * PDN current spectrum where applicable, see signal/waveform_io.hh)
+ * surviving champion into `<run_dir>/waveforms/` (CSV plus the PDN
+ * current spectrum where applicable, see signal/waveform_io.hh)
  * plus an `index.csv` mapping ids to fitness and files.
  */
 

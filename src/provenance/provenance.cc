@@ -26,7 +26,7 @@ inferArtifactKind(const std::string& rel_path)
         return "analytics";
     if (rel_path == "status.json")
         return "status";
-    if (rel_path == "stats.txt" || rel_path == "metrics.json")
+    if (rel_path == "metrics.json")
         return "stats";
     if (rel_path == "run_configuration.xml")
         return "config";

@@ -276,8 +276,6 @@ writeRegistry(const std::string& workspace,
 {
     const std::string csv_path = workspace + "/registry.csv";
     writeFileAtomic(csv_path, formatRegistryCsv(entries));
-    writeFileAtomic(workspace + "/registry.json",
-                    formatRegistryJson(workspace, entries));
     return csv_path;
 }
 

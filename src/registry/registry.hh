@@ -5,8 +5,9 @@
  * directories; the registry scans it, indexes every run — sealed runs
  * via their manifest.json, unsealed (in-flight or provenance-off) runs
  * via history.csv/status.json, unreadable ones as "corrupt" — and
- * writes a `# gest-registry v1` CSV plus a JSON twin into the
- * workspace, keyed by config hash, seed, git sha and final fitness.
+ * writes a `# gest-registry v1` CSV into the workspace (and prints the
+ * same index as JSON for `gest runs --json`), keyed by config hash,
+ * seed, git sha and final fitness.
  *
  * On top of the index sits cross-run regression screening
  * (`gest runs --baseline <run>`): every cohort member sharing the
@@ -79,13 +80,13 @@ std::vector<RunEntry> scanWorkspace(const std::string& workspace);
 /** Render the `# gest-registry v1` CSV index. */
 std::string formatRegistryCsv(const std::vector<RunEntry>& entries);
 
-/** Render the JSON twin of the index. */
+/** Render the index as JSON (what `gest runs --json` prints). */
 std::string formatRegistryJson(const std::string& workspace,
                                const std::vector<RunEntry>& entries);
 
 /**
- * Write registry.csv and registry.json into @p workspace (atomically:
- * a concurrent reader sees the previous index or this one).
+ * Write registry.csv into @p workspace (atomically: a concurrent
+ * reader sees the previous index or this one).
  * @return the CSV path.
  */
 std::string writeRegistry(const std::string& workspace,

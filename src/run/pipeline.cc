@@ -42,7 +42,7 @@ statusJson(const core::GenerationRecord& record,
     // Steady-state fast-path counters, looked up without find-or-create:
     // a run that never touches the simulated fast path (native
     // measurements, stats off) must not grow eval.* entries in its
-    // stats.txt just by heartbeating.
+    // metrics.json just by heartbeating.
     unsigned long long steady_hits = 0, cycles_simulated = 0,
                        cycles_tiled = 0;
     for (const stats::Counter* counter :

@@ -69,12 +69,10 @@ sealAttribution(const RunConfig& cfg, measure::Measurement& measurement,
         attributed.generation = target.generation;
         const std::string basename =
             "individual_" + std::to_string(target.ind.id);
-        const attribution::AttributionArtifacts artifacts =
+        result.attributionFiles.push_back(
             attribution::writeAttributionArtifacts(
                 cfg.outputDirectory + "/attribution", basename,
-                attributed);
-        result.attributionFiles.push_back(artifacts.csvPath);
-        result.attributionFiles.push_back(artifacts.jsonPath);
+                attributed));
     }
     if (!targets.empty())
         debug("attribution sealed for ", targets.size(),
@@ -209,7 +207,7 @@ runFromConfig(const RunConfig& cfg)
         result.waveformFiles = pipeline.flight->seal();
 
     // Attribution before the stats dump, so the attribution.* counters
-    // land in stats.txt, and before the provenance seal, so the
+    // land in metrics.json, and before the provenance seal, so the
     // manifest covers its artifacts.
     if (cfg.recordAttribution && !dir.empty())
         sealAttribution(cfg, *measurement, *fit, pipeline, result);
@@ -236,11 +234,9 @@ runFromConfig(const RunConfig& cfg)
         // dump agrees with what a final /metrics scrape would have
         // shown.
         stats::updateProcessGauges();
-        writeFile(dir + "/stats.txt",
-                  stats::StatsRegistry::instance().textDump());
         writeFile(dir + "/metrics.json",
                   stats::StatsRegistry::instance().jsonDump());
-        debug("stats recorded in ", dir, "/stats.txt and metrics.json");
+        debug("stats recorded in ", dir, "/metrics.json");
     }
     // After the stats dump: the last scrape a client can make agrees
     // with the sealed artifacts.

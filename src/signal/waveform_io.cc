@@ -4,7 +4,6 @@
 
 #include "pdn/spectrum.hh"
 #include "util/fileutil.hh"
-#include "util/strutil.hh"
 
 namespace gest {
 namespace signal {
@@ -66,52 +65,6 @@ formatWaveformsCsv(const SignalProbe& probe)
 }
 
 std::string
-formatWaveformsJson(const SignalProbe& probe)
-{
-    std::string out = "{\n  \"version\": " +
-                      std::to_string(waveformCsvVersion) + ",\n";
-    out += "  \"annotations\": {";
-    bool first = true;
-    for (const auto& [key, value] : probe.annotations()) {
-        out += first ? "\n" : ",\n";
-        out += "    \"" + jsonEscape(key) + "\": " + formatExact(value);
-        first = false;
-    }
-    out += first ? "},\n" : "\n  },\n";
-    out += "  \"signals\": [";
-    first = true;
-    for (const Waveform& w : probe.waveforms()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"name\": \"" + jsonEscape(w.name) +
-               "\", \"unit\": \"" + jsonEscape(w.unit) +
-               "\", \"rate_hz\": " + formatExact(w.sampleRateHz) +
-               ", \"warmup\": " + std::to_string(w.warmupSamples) +
-               ", \"dropped\": " + std::to_string(w.dropped) +
-               ", \"samples\": [";
-        for (std::size_t i = 0; i < w.samples.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += formatExact(w.samples[i]);
-        }
-        out += "]}";
-    }
-    out += first ? "],\n" : "\n  ],\n";
-    out += "  \"marks\": [";
-    first = true;
-    for (const EventMark& m : probe.marks()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"kind\": \"" + jsonEscape(m.kind) +
-               "\", \"index\": " + std::to_string(m.index) +
-               ", \"time_s\": " + formatExact(m.timeS) + "}";
-    }
-    out += first ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
-}
-
-std::string
 formatSpectrumCsv(const SignalProbe& probe, int tones)
 {
     const Waveform* current = probe.find("chip_current_a");
@@ -159,8 +112,6 @@ writeWaveformArtifacts(const std::string& dir,
     WaveformArtifacts paths;
     paths.csvPath = dir + "/" + basename + ".csv";
     writeFile(paths.csvPath, formatWaveformsCsv(probe));
-    paths.jsonPath = dir + "/" + basename + ".json";
-    writeFile(paths.jsonPath, formatWaveformsJson(probe));
     const std::string spectrum = formatSpectrumCsv(probe);
     if (!spectrum.empty()) {
         paths.spectrumPath = dir + "/" + basename + "_spectrum.csv";

@@ -2,17 +2,13 @@
  * @file
  * Sealing captured signals as versioned run artifacts.
  *
- * A probe's capture is written in two forms, both validated by
- * tools/check_waveforms.py:
- *
- *  - `<basename>.csv` — long-format CSV, one row per sample or mark,
- *    headed by `# gest-waveforms v1` plus one `# signal ...` comment
- *    per waveform (unit, sample rate, warmup, drop count) and one
- *    `# annotation ...` comment per scalar. Values are printed with 17
- *    significant digits so the scalar Evaluation can be re-derived
- *    from the samples to 1e-9.
- *  - `<basename>.json` — the same content as one machine-readable
- *    object (`gest probe --json` consumers, notebooks).
+ * A probe's capture is written as `<basename>.csv`, validated by
+ * tools/check_waveforms.py: long-format CSV, one row per sample or
+ * mark, headed by `# gest-waveforms v1` plus one `# signal ...` comment
+ * per waveform (unit, sample rate, warmup, drop count) and one
+ * `# annotation ...` comment per scalar. Values are printed with 17
+ * significant digits so the scalar Evaluation can be re-derived from
+ * the samples to 1e-9.
  *
  * When the capture includes a chip-current waveform and PDN
  * annotations, a `<basename>_spectrum.csv` companion is written: the
@@ -38,9 +34,6 @@ constexpr int waveformCsvVersion = 1;
 /** Render a capture as the long-format CSV artifact. */
 std::string formatWaveformsCsv(const SignalProbe& probe);
 
-/** Render a capture as a JSON object. */
-std::string formatWaveformsJson(const SignalProbe& probe);
-
 /**
  * Amplitude spectrum of the probe's chip-current waveform as
  * `frequency_hz,amplitude_a` CSV rows. The scanned band is centred on
@@ -54,13 +47,12 @@ std::string formatSpectrumCsv(const SignalProbe& probe, int tones = 96);
 struct WaveformArtifacts
 {
     std::string csvPath;
-    std::string jsonPath;
     std::string spectrumPath; ///< empty when no spectrum applies
 };
 
 /**
- * Write `<dir>/<basename>.csv`, `.json` and (when applicable)
- * `_spectrum.csv`; @p dir is created if absent.
+ * Write `<dir>/<basename>.csv` and (when applicable)
+ * `<dir>/<basename>_spectrum.csv`; @p dir is created if absent.
  */
 WaveformArtifacts writeWaveformArtifacts(const std::string& dir,
                                          const std::string& basename,

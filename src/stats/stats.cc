@@ -77,8 +77,8 @@ updateExtremum(std::atomic<double>& current, double v, Cmp better)
 std::string
 formatValue(double v)
 {
-    // Integral values print without a decimal tail so stats.txt stays
-    // scannable; everything else keeps six significant digits.
+    // Integral values print without a decimal tail so metrics.json
+    // stays scannable; everything else keeps six significant digits.
     if (v == static_cast<double>(static_cast<long long>(v)) &&
         v > -1e15 && v < 1e15) {
         return std::to_string(static_cast<long long>(v));
@@ -293,41 +293,6 @@ StatsRegistry::histogramList() const
     for (const std::unique_ptr<Histogram>& h : _histograms)
         out.push_back(h.get());
     return out;
-}
-
-std::string
-StatsRegistry::textDump() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    std::ostringstream os;
-    os << "---------- gest stats ----------\n";
-    auto line = [&](const std::string& name, const std::string& value,
-                    const std::string& desc) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf), "%-42s %16s", name.c_str(),
-                      value.c_str());
-        os << buf;
-        if (!desc.empty())
-            os << "  # " << desc;
-        os << '\n';
-    };
-    for (const std::unique_ptr<Counter>& c : _counters)
-        line(c->name(), std::to_string(c->value()), c->desc());
-    for (const std::unique_ptr<Gauge>& g : _gauges)
-        line(g->name(), formatValue(g->value()), g->desc());
-    for (const std::unique_ptr<Histogram>& h : _histograms) {
-        line(h->name() + "::count", std::to_string(h->count()),
-             h->desc());
-        line(h->name() + "::mean", formatValue(h->mean()), "");
-        line(h->name() + "::min", formatValue(h->minSeen()), "");
-        line(h->name() + "::max", formatValue(h->maxSeen()), "");
-        line(h->name() + "::p50", formatValue(h->quantile(0.50)), "");
-        line(h->name() + "::p95", formatValue(h->quantile(0.95)), "");
-        line(h->name() + "::p99", formatValue(h->quantile(0.99)), "");
-        line(h->name() + "::sum", formatValue(h->sum()), "");
-    }
-    os << "---------- end stats ----------\n";
-    return os.str();
 }
 
 std::string

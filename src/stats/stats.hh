@@ -18,9 +18,10 @@
  *     references that live as long as the process, so hot paths hold
  *     the pointer instead of re-hashing the name.
  *
- * End-of-run, the registry renders itself as a human-readable
- * `stats.txt` (textDump) and a machine-readable `metrics.json`
- * (jsonDump); `gest report` and tools consume the latter.
+ * End-of-run, the registry renders itself as `metrics.json`
+ * (jsonDump), which `gest report` and tools consume; the live
+ * `/metrics` endpoint renders the same registry in the Prometheus
+ * text format.
  */
 
 #ifndef GEST_STATS_STATS_HH
@@ -170,9 +171,9 @@ class Histogram
      * linear interpolation within the covering bucket, clamped to the
      * observed [minSeen, maxSeen] range (mass in the underflow or
      * overflow bucket resolves to those extremes); 0 when empty. This
-     * is the one implementation behind the `::p50/::p95/::p99` lines
-     * in stats.txt, the `p50/p95/p99` keys in metrics.json and the
-     * quantile series of the /metrics Prometheus endpoint.
+     * is the one implementation behind the `p50/p95/p99` keys in
+     * metrics.json and the quantile series of the /metrics Prometheus
+     * endpoint.
      */
     double quantile(double q) const;
 
@@ -255,9 +256,6 @@ class StatsRegistry
 
     /** Zero every value; names and layouts survive. */
     void resetValues();
-
-    /** Human-readable dump (the `stats.txt` artifact). */
-    std::string textDump() const;
 
     /** Machine-readable dump (the `metrics.json` artifact). */
     std::string jsonDump() const;

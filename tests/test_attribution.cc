@@ -107,10 +107,8 @@ TEST(OperandBins, RegistersGetOneBinEach)
     const isa::OperandDef def = isa::OperandDef::makeRegisters(
         "r", {"x0", "x1", "x2", "x3"});
     EXPECT_EQ(isa::operandBinCount(def), 4u);
-    for (std::uint32_t c = 0; c < 4; ++c) {
+    for (std::uint32_t c = 0; c < 4; ++c)
         EXPECT_EQ(isa::operandBin(def, c), c);
-        EXPECT_EQ(isa::operandBinLabel(def, c), def.registerName(c));
-    }
 }
 
 TEST(OperandBins, WideImmediatesFoldIntoAtMostEightBins)
@@ -132,12 +130,6 @@ TEST(OperandBins, WideImmediatesFoldIntoAtMostEightBins)
         used.insert(b);
     }
     EXPECT_EQ(used.size(), bins);  // no empty bin
-
-    // Labels describe disjoint, ordered, exhaustive value ranges.
-    for (std::size_t b = 0; b < bins; ++b) {
-        const std::string label = isa::operandBinLabel(def, b);
-        EXPECT_FALSE(label.empty());
-    }
 }
 
 TEST(OperandBins, NarrowImmediatesKeepOneBinPerValue)
@@ -145,11 +137,8 @@ TEST(OperandBins, NarrowImmediatesKeepOneBinPerValue)
     const isa::OperandDef def =
         isa::OperandDef::makeImmediate("imm", 0, 3, 1);
     EXPECT_EQ(isa::operandBinCount(def), 4u);
-    for (std::uint32_t c = 0; c < 4; ++c) {
+    for (std::uint32_t c = 0; c < 4; ++c)
         EXPECT_EQ(isa::operandBin(def, c), c);
-        EXPECT_EQ(isa::operandBinLabel(def, c),
-                  std::to_string(def.immediateValue(c)));
-    }
 }
 
 TEST(OperandBins, OutOfRangeChoiceClampsIntoLastBin)
@@ -299,13 +288,6 @@ TEST(Attribution, DeterministicWithExactBookkeeping)
         class_genes += c.genes;
     }
     EXPECT_EQ(class_genes, static_cast<int>(ind.code.size()));
-    int bin_genes = 0;
-    for (const attribution::OperandBinAttribution& ob : a.operandBins) {
-        EXPECT_GT(ob.genes, 0);
-        EXPECT_FALSE(ob.key.empty());
-        bin_genes += ob.genes;
-    }
-    EXPECT_GE(bin_genes, 0);
 
     // topGenes: |Δ| descending, bounded by topK.
     EXPECT_LE(a.topGenes.size(), 5u);
@@ -356,11 +338,12 @@ TEST(Attribution, ArtifactsRoundTrip)
     result.generation = 3;
 
     const std::string dir = makeTempDir("gest-attribution");
-    const attribution::AttributionArtifacts artifacts =
-        attribution::writeAttributionArtifacts(dir, "individual_99",
-                                               result);
+    const std::string path = attribution::writeAttributionArtifacts(
+        dir, "individual_99", result);
+    EXPECT_EQ(path, dir + "/individual_99.csv");
+    EXPECT_EQ(listFiles(dir), std::vector<std::string>{"individual_99.csv"});
 
-    const std::string csv = readFile(artifacts.csvPath);
+    const std::string csv = readFile(path);
     EXPECT_TRUE(startsWith(csv, "# gest-attribution v1\n"));
     EXPECT_NE(csv.find("# annotation individual_id 99\n"),
               std::string::npos);
@@ -377,24 +360,6 @@ TEST(Attribution, ArtifactsRoundTrip)
             ++rows;
     }
     EXPECT_EQ(rows, ind.code.size());
-
-    json::Value twin;
-    std::string error;
-    ASSERT_TRUE(
-        json::parse(readFile(artifacts.jsonPath), twin, &error))
-        << error;
-    EXPECT_EQ(twin.numberOr("version", 0),
-              attribution::attributionCsvVersion);
-    EXPECT_EQ(twin.numberOr("individual_id", 0), 99.0);
-    EXPECT_EQ(twin.numberOr("generation", -1), 3.0);
-    EXPECT_DOUBLE_EQ(twin.numberOr("baseline_fitness", 0.0),
-                     result.baselineFitness);
-    const json::Value* genes = twin.find("genes");
-    ASSERT_NE(genes, nullptr);
-    EXPECT_EQ(genes->array.size(), ind.code.size());
-    EXPECT_NE(twin.find("classes"), nullptr);
-    EXPECT_NE(twin.find("operand_bins"), nullptr);
-    EXPECT_NE(twin.find("top_genes"), nullptr);
     removeAll(dir);
 }
 

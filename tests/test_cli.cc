@@ -170,8 +170,8 @@ TEST_F(CliTest, RunWithTraceWritesObservabilityArtifacts)
 
     const std::string run_dir = _dir + "/run_out";
     ASSERT_TRUE(fileExists(run_dir + "/trace.json"));
-    EXPECT_TRUE(fileExists(run_dir + "/stats.txt"));
     EXPECT_TRUE(fileExists(run_dir + "/metrics.json"));
+    EXPECT_FALSE(fileExists(run_dir + "/stats.txt"));
 
     const std::string trace = readFile(run_dir + "/trace.json");
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
@@ -181,8 +181,7 @@ TEST_F(CliTest, RunWithTraceWritesObservabilityArtifacts)
     const std::string metrics = readFile(run_dir + "/metrics.json");
     EXPECT_NE(metrics.find("\"engine.generations\": 3"),
               std::string::npos);
-    const std::string stats = readFile(run_dir + "/stats.txt");
-    EXPECT_NE(stats.find("engine.evaluations"), std::string::npos);
+    EXPECT_NE(metrics.find("\"engine.evaluations\""), std::string::npos);
 
     // The v2 history carries the per-phase timing columns.
     const std::string history = readFile(run_dir + "/history.csv");
@@ -345,9 +344,10 @@ TEST_F(CliTest, AnalyticsOffIsBitIdenticalAndSuppressesArtifacts)
 
 TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
 {
-    // A PDN-instrumented search with the flight recorder on: the run
-    // seals waveform artifacts, and `gest probe` re-measures the
-    // champion with full capture.
+    // A PDN-instrumented search with the flight recorder and
+    // attribution on: the run seals waveform and attribution CSVs (and
+    // no JSON twins), and `gest probe` re-measures the champion with
+    // full capture.
     writeFile(_dir + "/didt.xml", R"(
 <gest_configuration>
   <ga population_size="8" individual_size="6" mutation_rate="0.2"
@@ -357,7 +357,8 @@ TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
     <config platform="athlon-x4" min_cycles="1024"/>
   </measurement>
   <fitness class="DefaultFitness"/>
-  <output directory="didt_out" waveforms="2" stats="false"/>
+  <output directory="didt_out" waveforms="2" attribution="true"
+          stats="false"/>
 </gest_configuration>
 )");
     std::string output;
@@ -370,8 +371,19 @@ TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
     const std::string run_dir = _dir + "/didt_out";
     ASSERT_TRUE(fileExists(run_dir + "/waveforms/index.csv"));
     const std::string index = readFile(run_dir + "/waveforms/index.csv");
-    EXPECT_NE(index.find("# gest-waveform-index v1"),
-              std::string::npos);
+    EXPECT_TRUE(startsWith(index, "# gest-waveform-index v2\n"
+                                  "rank,id,generation,fitness,csv,"
+                                  "spectrum\n"))
+        << index;
+    const auto json_files = [](const std::string& dir) {
+        std::size_t n = 0;
+        for (const std::string& name : listFiles(dir))
+            n += endsWith(name, ".json");
+        return n;
+    };
+    EXPECT_EQ(json_files(run_dir + "/waveforms"), 0u);
+    ASSERT_FALSE(listFiles(run_dir + "/attribution").empty());
+    EXPECT_EQ(json_files(run_dir + "/attribution"), 0u);
 
     ASSERT_EQ(runCli("probe '" + _dir + "/didt.xml' '" + run_dir + "'",
                      output, _dir),
@@ -381,8 +393,7 @@ TEST_F(CliTest, WaveformsSealedAndProbeReMeasures)
     EXPECT_NE(output.find("droop depth"), std::string::npos);
     EXPECT_NE(output.find("resonance"), std::string::npos);
     EXPECT_TRUE(dirExists(run_dir + "/probe"));
-    const auto probe_files = listFiles(run_dir + "/probe");
-    EXPECT_GE(probe_files.size(), 3u); // csv + json + spectrum
+    EXPECT_EQ(listFiles(run_dir + "/probe").size(), 2u); // csv + spectrum
 
     // probe also accepts a population file directly, with --out.
     ASSERT_EQ(runCli("probe '" + _dir + "/didt.xml' '" + run_dir +
@@ -594,6 +605,7 @@ TEST_F(CliTest, AttributeExplainsTheChampion)
         }
     }
     EXPECT_TRUE(found_csv) << output;
+    EXPECT_EQ(listFiles(csv_dir).size(), 1u);
     EXPECT_EQ(runCli("verify '" + run_dir + "' --quick", output, _dir),
               0)
         << output;

@@ -121,11 +121,12 @@ TEST(HistogramQuantile, AppearsInDumps)
     const bool was = stats::enabled();
     stats::setEnabled(true);
     hist.sample(5.0);
-    const std::string text =
-        stats::StatsRegistry::instance().textDump();
-    EXPECT_NE(text.find("test.net.dump::p50"), std::string::npos);
-    EXPECT_NE(text.find("test.net.dump::p95"), std::string::npos);
-    EXPECT_NE(text.find("test.net.dump::p99"), std::string::npos);
+    const std::string text = net::renderPrometheusMetrics();
+    for (const char* q : {"0.5", "0.95", "0.99"})
+        EXPECT_NE(text.find("gest_test_net_dump_quantile{quantile=\"" +
+                            std::string(q) + "\"}"),
+                  std::string::npos)
+            << q;
 
     json::Value metrics;
     ASSERT_TRUE(json::parse(stats::StatsRegistry::instance().jsonDump(),

@@ -534,7 +534,7 @@ TEST(Provenance, InferredArtifactKinds)
               "individual");
     EXPECT_EQ(provenance::inferArtifactKind("run_configuration.xml"),
               "config");
-    EXPECT_EQ(provenance::inferArtifactKind("stats.txt"), "stats");
+    EXPECT_EQ(provenance::inferArtifactKind("metrics.json"), "stats");
 }
 
 } // namespace

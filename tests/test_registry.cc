@@ -333,7 +333,7 @@ TEST(Registry, IndexesMixedWorkspace)
     removeAll(ws);
 }
 
-TEST(Registry, CsvAndJsonTwinsShareTheSchema)
+TEST(Registry, CsvIsWrittenAndJsonIsOnlyRendered)
 {
     const std::string ws = makeTempDir("gest-registry");
     writeManifest(ws + "/a", "hash-a", 1, 2.0);
@@ -363,7 +363,7 @@ TEST(Registry, CsvAndJsonTwinsShareTheSchema)
 
     const std::string csv_path = registry::writeRegistry(ws, entries);
     EXPECT_TRUE(fileExists(csv_path));
-    EXPECT_TRUE(fileExists(ws + "/registry.json"));
+    EXPECT_FALSE(fileExists(ws + "/registry.json"));
     removeAll(ws);
 }
 

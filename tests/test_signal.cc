@@ -214,12 +214,6 @@ TEST(WaveformIo, CsvCarriesVersionHeadersAndRows)
     EXPECT_NE(csv.find("v,sample,0,0,1.25\n"), std::string::npos);
     EXPECT_NE(csv.find("v,sample,1,0.001,2.5\n"), std::string::npos);
     EXPECT_NE(csv.find("l1_miss,mark,7,0.007"), std::string::npos);
-
-    const std::string json = formatWaveformsJson(probe);
-    EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"answer\": 42"), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"v\""), std::string::npos);
-    EXPECT_NE(json.find("\"kind\": \"l1_miss\""), std::string::npos);
 }
 
 TEST(WaveformIo, SpectrumNeedsCurrentAndPdnAnnotation)
@@ -244,7 +238,7 @@ TEST(WaveformIo, SpectrumNeedsCurrentAndPdnAnnotation)
               std::string::npos);
 }
 
-TEST(WaveformIo, WriteArtifactsSealsCsvJsonAndSpectrum)
+TEST(WaveformIo, WriteArtifactsSealsCsvAndSpectrum)
 {
     const auto plat = platform::athlonX4Platform();
     SignalProbe probe;
@@ -254,9 +248,10 @@ TEST(WaveformIo, WriteArtifactsSealsCsvJsonAndSpectrum)
     const WaveformArtifacts art =
         writeWaveformArtifacts(dir + "/wf", "champ", probe);
     EXPECT_TRUE(fileExists(art.csvPath));
-    EXPECT_TRUE(fileExists(art.jsonPath));
     ASSERT_FALSE(art.spectrumPath.empty());
     EXPECT_TRUE(fileExists(art.spectrumPath));
+    EXPECT_EQ(listFiles(dir + "/wf"),
+              (std::vector<std::string>{"champ.csv", "champ_spectrum.csv"}));
     EXPECT_EQ(readFile(art.csvPath).rfind("# gest-waveforms v1\n", 0),
               0u);
     removeAll(dir);
@@ -386,21 +381,18 @@ TEST_F(FlightRecorderTest, SealWritesIndexAndArtifacts)
     fr.onGenerationEvaluated(pop, recordFor(pop));
 
     const std::vector<std::string> files = fr.seal();
-    ASSERT_GE(files.size(), 5u); // index + 2x (csv + json)
+    ASSERT_GE(files.size(), 3u); // index + 2x csv
     EXPECT_EQ(files[0], dir + "/waveforms/index.csv");
     for (const std::string& f : files)
         EXPECT_TRUE(fileExists(f)) << f;
 
     const std::string index = readFile(files[0]);
-    EXPECT_EQ(index.rfind("# gest-waveform-index v1\n", 0), 0u);
-    EXPECT_NE(
-        index.find("rank,id,generation,fitness,csv,json,spectrum\n"),
-        std::string::npos);
+    EXPECT_EQ(index.rfind("# gest-waveform-index v2\n", 0), 0u);
+    EXPECT_NE(index.find("rank,id,generation,fitness,csv,spectrum\n"),
+              std::string::npos);
     // Strongest first: the fitness-4.0 individual (id 22) is rank 1.
-    EXPECT_NE(index.find("1,22,0,4,22.csv,22.json,"),
-              std::string::npos);
-    EXPECT_NE(index.find("2,23,0,2,23.csv,23.json,"),
-              std::string::npos);
+    EXPECT_NE(index.find("1,22,0,4,22.csv,"), std::string::npos);
+    EXPECT_NE(index.find("2,23,0,2,23.csv,"), std::string::npos);
     removeAll(dir);
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/telemetry.hh"
 #include "output/report.hh"
 #include "output/trace_writer.hh"
 #include "stats/stats.hh"
@@ -189,9 +190,10 @@ TEST_F(StatsTest, DumpsCarryNamesValuesAndEscaping)
     stats::setEnabled(true);
     ctr.inc(7);
 
-    const std::string text = reg.textDump();
-    EXPECT_NE(text.find("test.dump_counter"), std::string::npos);
-    EXPECT_NE(text.find("desc with \"quotes\""), std::string::npos);
+    const std::string text = net::renderPrometheusMetrics();
+    EXPECT_NE(text.find("# HELP gest_test_dump_counter_total desc with "
+                        "\"quotes\"\n"),
+              std::string::npos);
 
     const std::string json = reg.jsonDump();
     EXPECT_NE(json.find("\"test.dump_counter\": 7"), std::string::npos);

@@ -13,8 +13,8 @@ gest-coverage v1 per-generation ledger:
     interaction sanity band: |sum_delta - whole_ablation_delta| must
     not exceed max(1, |baseline_fitness|) (gene interactions explain
     the gap; a violation means the deltas are nonsense);
-  * the JSON twin (<base>.json) carries the same annotations, genes,
-    class and operand-bin aggregates;
+  * a run directory's attribution/ holds nothing but
+    individual_<id>.csv files;
   * coverage.csv declares the cell universe once and its rows are
     cumulative: cells_seen is non-decreasing, never exceeds
     cells_total, saturation_pct is recomputed exactly, per-class seen
@@ -40,6 +40,7 @@ Exit status 0 when the artifacts are valid; 1 with a message otherwise.
 
 import math
 import os
+import re
 import sys
 import time
 
@@ -47,6 +48,7 @@ from gestcheck import (RunEnded, fail, live_run, load_json, number, ok,
                        read_framed, run, scratch)
 
 TOLERANCE = 1e-9
+ATTRIBUTION_FILE = re.compile(r"individual_[0-9]+\.csv")
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -151,47 +153,9 @@ def check_attribution_semantics(path, annotations, rows):
         fail(f"{path}: evaluations {evals} outside [1, genes+2]")
 
 
-def check_attribution_json_twin(csv_path, annotations, filler, rows):
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    if not os.path.exists(json_path):
-        fail(f"{csv_path} has no JSON twin {json_path}")
-    doc = load_json(json_path)
-    if doc.get("version") != 1:
-        fail(f"{json_path}: version != 1")
-    for key in ("individual_id", "baseline_fitness", "sum_delta",
-                "whole_ablation_delta", "evaluations", "genes"):
-        if key not in doc:
-            fail(f"{json_path}: missing '{key}'")
-    for key in ("baseline_fitness", "sum_delta",
-                "whole_ablation_delta"):
-        if abs(doc[key] - annotations[key]) > TOLERANCE:
-            fail(f"{json_path}: {key} disagrees with the CSV")
-    if doc.get("filler", {}).get("instruction") != filler[0] or \
-            doc.get("filler", {}).get("strategy") != filler[1]:
-        fail(f"{json_path}: filler disagrees with the CSV")
-    genes = doc["genes"]
-    if len(genes) != len(rows):
-        fail(f"{json_path}: {len(genes)} genes vs {len(rows)} CSV rows")
-    for gene, row in zip(genes, rows):
-        if gene.get("instruction") != row["instruction"] or \
-                gene.get("class") != row["class"] or \
-                abs(gene.get("delta_fitness", math.nan) -
-                    row["delta_fitness"]) > TOLERANCE:
-            fail(f"{json_path}: gene {row['gene']} disagrees with the "
-                 f"CSV")
-    for key in ("classes", "operand_bins", "top_genes"):
-        if key not in doc or not isinstance(doc[key], list):
-            fail(f"{json_path}: missing aggregate list '{key}'")
-    class_genes = sum(c.get("genes", 0) for c in doc["classes"])
-    if class_genes != len(rows):
-        fail(f"{json_path}: class aggregates cover {class_genes} genes "
-             f"of {len(rows)}")
-
-
 def validate_attribution_file(path):
     annotations, filler, rows = parse_attribution_csv(path)
     check_attribution_semantics(path, annotations, rows)
-    check_attribution_json_twin(path, annotations, filler, rows)
     ok(f"{path}: {len(rows)} genes, filler {filler[0]} ({filler[1]}), "
        f"sum_delta {annotations['sum_delta']}")
     return annotations, rows
@@ -266,9 +230,11 @@ def validate_run_dir(run_dir):
     results = []
     if os.path.isdir(attribution_dir):
         for name in sorted(os.listdir(attribution_dir)):
-            if name.endswith(".csv"):
-                results.append(validate_attribution_file(
-                    os.path.join(attribution_dir, name)))
+            if not ATTRIBUTION_FILE.fullmatch(name):
+                fail(f"{attribution_dir} holds {name}, which is not an "
+                     f"individual_<id>.csv artifact")
+            results.append(validate_attribution_file(
+                os.path.join(attribution_dir, name)))
     coverage_path = os.path.join(run_dir, "coverage.csv")
     coverage = None
     if os.path.exists(coverage_path):

@@ -5,8 +5,7 @@ Standalone mode schema-checks a workspace's sealed index and every
 run's alerts ledger (docs/fleet.md):
 
   * registry.csv opens with the gest-registry v1 tag, a column header
-    and column-complete rows; registry.json is valid JSON with the same
-    run set;
+    and column-complete rows;
   * every <run>/alerts.csv opens with the gest-alerts v1 tag and carries
     well-typed rows (int generation, known severity, float
     value/threshold, comma-free message).
@@ -17,7 +16,8 @@ whole chain:
   * two same-seed, same-config runs (sealed) plus one provenance-off
     run with the health watchdog armed and a hair-trigger plateau rule
     (unsealed) — `gest runs` must index all three with the right
-    statuses;
+    statuses, and its --json rows must agree with the registry.csv it
+    wrote;
   * the same-seed cohort must screen clean (`--baseline` exit 0, zero
     regression flags: identical trajectories give permutation p = 1);
   * the induced plateau must raise exactly one alert, visible in all
@@ -142,17 +142,24 @@ def validate_alerts_csv(path):
     return rows
 
 
+def check_json_matches_csv(json_rows, csv_rows):
+    """`gest runs --json` prints the index registry.csv seals."""
+    by_run = {row["run"]: row for row in csv_rows}
+    json_runs = sorted(row["run"] for row in json_rows)
+    if json_runs != sorted(by_run):
+        fail(f"gest runs --json indexes {json_runs} but registry.csv "
+             f"indexes {sorted(by_run)}")
+    for row in json_rows:
+        csv_row = by_run[row["run"]]
+        for key in ("status", "state", "config_hash", "seed", "alerts"):
+            value = "" if row[key] is None else str(row[key])
+            if value != csv_row[key]:
+                fail(f"{row['run']}: gest runs --json {key} {value!r} "
+                     f"vs registry.csv {csv_row[key]!r}")
+
+
 def validate_workspace(workspace):
     csv_rows = validate_registry_csv(os.path.join(workspace, "registry.csv"))
-    json_path = os.path.join(workspace, "registry.json")
-    try:
-        with open(json_path, encoding="utf-8") as handle:
-            json_rows = validate_registry_json(handle.read(), json_path)
-    except OSError as err:
-        fail(f"cannot read {json_path}: {err}")
-    if len(csv_rows) != len(json_rows):
-        fail(f"registry twins disagree: {len(csv_rows)} CSV rows vs "
-             f"{len(json_rows)} JSON rows")
     alerts = 0
     for row in csv_rows:
         ledger = os.path.join(workspace, row["run"], "alerts.csv")
@@ -285,9 +292,10 @@ def drive(gest):
         # `gest runs` must index all three with the right statuses.
         runs_json = run([gest, "runs", workspace, "--json", "--quiet"],
                         scratch_dir).stdout
-        indexed = {row["run"]: row
-                   for row in validate_registry_json(
-                       runs_json, "gest runs --json")}
+        json_rows = validate_registry_json(runs_json, "gest runs --json")
+        check_json_matches_csv(json_rows, validate_registry_csv(
+            os.path.join(workspace, "registry.csv")))
+        indexed = {row["run"]: row for row in json_rows}
         if sorted(indexed) != ["run_a", "run_b", "run_c"]:
             fail(f"gest runs indexed {sorted(indexed)}")
         for name in ("run_a", "run_b"):

@@ -11,7 +11,7 @@ wall-clock time, scheduling or the build:
   * status.json: elapsed_seconds, eta_seconds, evals_per_sec, git_sha,
     build, listen and the alerts block (it counts timing alerts too);
   * history.csv: the *_ms columns;
-  * the trace, stats.txt and metrics.json;
+  * the trace and metrics.json;
   * alerts.csv rows of the timing rules (throughput_collapse,
     worker_starvation);
   * manifest.json: created, build, run.digest_ms_total and each
@@ -60,7 +60,7 @@ EVERY_OUTPUT = {
     "trace": "trace.json",
     "listen": "127.0.0.1:0",
 }
-UNCOMPARED = {"trace.json", "stats.txt", "metrics.json"}
+UNCOMPARED = {"trace.json", "metrics.json"}
 STATUS_VOLATILE = {"elapsed_seconds", "eta_seconds", "evals_per_sec",
                    "git_sha", "build", "listen", "alerts"}
 TIMING_RULES = {"throughput_collapse", "worker_starvation"}

@@ -13,7 +13,7 @@ endpoints"):
   * /events is well-framed SSE: "event:"/"id:"/"data:" lines, blank-line
     separated, each data payload valid JSON with a generation number;
   * counters scraped from /metrics reappear in the run's final
-    stats.txt with values >= the last scraped value (counters are
+    metrics.json with values >= the last scraped value (counters are
     monotonic and the artifacts outlive the server).
 
 Usage:
@@ -22,7 +22,7 @@ Usage:
   check_metrics.py --drive <gest-binary>  run a GA with --listen
                                           127.0.0.1:0 in a temp dir,
                                           scrape it while it runs, then
-                                          cross-check stats.txt
+                                          cross-check metrics.json
 
 Exit status 0 when everything validates; 1 with a message otherwise.
 On failure --drive keeps its scratch directory for post-mortem (see
@@ -35,7 +35,8 @@ import re
 import sys
 import time
 
-from gestcheck import RunEnded, fail, get, get_json, live_run, ok, scratch
+from gestcheck import (RunEnded, fail, get, get_json, live_run, load_json,
+                       ok, scratch)
 
 DRIVE_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -213,40 +214,28 @@ def validate_endpoints(base, process=None):
     return rows, counters
 
 
-def stats_txt_counters(path):
-    """Parse stats.txt into {prometheus_counter_name: value}."""
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as err:
-        fail(f"cannot read {path}: {err}")
-    for line in lines:
-        parts = line.split()
-        if len(parts) < 2 or line.startswith("-") or "::" in parts[0]:
-            continue
-        try:
-            value = float(parts[1])
-        except ValueError:
-            continue
-        mangled = "gest_" + re.sub(r"[^a-zA-Z0-9]", "_", parts[0])
-        out[mangled + "_total"] = value
-    return out
+def metrics_json_counters(path):
+    """metrics.json "counters" as {prometheus_counter_name: value}."""
+    counters = load_json(path).get("counters")
+    if not isinstance(counters, dict):
+        fail(f"{path} has no \"counters\" object")
+    return {"gest_" + re.sub(r"[^a-zA-Z0-9]", "_", name) + "_total": value
+            for name, value in counters.items()}
 
 
-def cross_check(scraped, stats_path):
-    """Scraped counters must reappear in stats.txt, never smaller."""
-    final = stats_txt_counters(stats_path)
+def cross_check(scraped, metrics_path):
+    """Scraped counters must reappear in metrics.json, never smaller."""
+    final = metrics_json_counters(metrics_path)
     for name, value in scraped.items():
         if name not in final:
             fail(f"counter {name} was scraped from /metrics but has no "
-                 f"counterpart in {stats_path}")
+                 f"counterpart in {metrics_path}")
         if final[name] < value:
-            fail(f"counter {name}: final stats.txt value {final[name]} "
+            fail(f"counter {name}: final metrics.json value {final[name]} "
                  f"< last scraped value {value} (counters are "
                  "monotonic; the artifacts must agree with the scrape)")
     ok(f"{len(scraped)} scraped counters cross-checked against "
-       "stats.txt")
+       "metrics.json")
 
 
 def drive(gest_binary):
@@ -273,7 +262,7 @@ def drive(gest_binary):
         if events == 0:
             fail("SSE stream carried no generation events")
 
-        cross_check(scraped, os.path.join(work, "out", "stats.txt"))
+        cross_check(scraped, os.path.join(work, "out", "metrics.json"))
         ok(f"{passes} scrape passes, {events} SSE generation events, run "
            "exit 0")
 

@@ -13,12 +13,11 @@ Checks the gest-waveforms v1 CSV format (flight-recorder captures in
     pdn_voltage_v samples match to 1e-9 (when no samples were dropped),
     the voltage stays below the supply, the thermal transient stays
     inside its endpoints, interval IPC is non-negative and bounded;
-  * the JSON twin (<base>.json) carries the same annotations, signals
-    and sample data;
   * the spectrum companion (<base>_spectrum.csv), when present, scans
     ascending frequencies with non-negative amplitudes;
-  * a directory's index.csv references existing files with fitness
-    non-increasing by rank.
+  * a directory's index.csv (gest-waveform-index v2) references
+    existing files with fitness non-increasing by rank, and the
+    directory holds no file the index does not name.
 
 Usage:
   check_waveforms.py <file.csv | waveforms_dir>   validate artifacts
@@ -39,8 +38,8 @@ import math
 import os
 import sys
 
-from gestcheck import (fail, load_json, number, ok, read_framed, run,
-                       run_gest, scratch)
+from gestcheck import (fail, number, ok, read_framed, run, run_gest,
+                       scratch)
 
 TOLERANCE = 1e-9
 
@@ -59,8 +58,7 @@ DRIVE_CONFIG = """<?xml version="1.0"?>
 
 COLUMNS = ("signal", "kind", "index", "time_s", "value")
 
-INDEX_COLUMNS = ("rank", "id", "generation", "fitness", "csv", "json",
-                 "spectrum")
+INDEX_COLUMNS = ("rank", "id", "generation", "fitness", "csv", "spectrum")
 
 
 def parse_csv(path):
@@ -175,27 +173,6 @@ def check_physics(path, annotations, signals, marks):
             fail(f"{path}: mark {kind} has negative index/time")
 
 
-def check_json_twin(csv_path, annotations, signals, marks):
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    if not os.path.exists(json_path):
-        fail(f"{csv_path} has no JSON twin {json_path}")
-    doc = load_json(json_path)
-    if doc.get("version") != 1:
-        fail(f"{json_path}: version != 1")
-    if doc.get("annotations") != annotations:
-        fail(f"{json_path}: annotations disagree with the CSV")
-    json_signals = {s["name"]: s for s in doc.get("signals", [])}
-    if set(json_signals) != set(signals):
-        fail(f"{json_path}: signal set disagrees with the CSV: "
-             f"{sorted(json_signals)} vs {sorted(signals)}")
-    for name, sig in signals.items():
-        if json_signals[name]["samples"] != sig["samples"]:
-            fail(f"{json_path}: signal '{name}' samples disagree with "
-                 f"the CSV")
-    if len(doc.get("marks", [])) != len(marks):
-        fail(f"{json_path}: mark count disagrees with the CSV")
-
-
 def check_spectrum(csv_path):
     spectrum_path = os.path.splitext(csv_path)[0] + "_spectrum.csv"
     if not os.path.exists(spectrum_path):
@@ -220,7 +197,6 @@ def validate_file(path):
     if not signals:
         fail(f"{path} declares no signals")
     check_physics(path, annotations, signals, marks)
-    check_json_twin(path, annotations, signals, marks)
     check_spectrum(path)
     total = sum(len(s["samples"]) for s in signals.values())
     ok(f"{path}: {len(signals)} signals, {total} samples, "
@@ -229,17 +205,21 @@ def validate_file(path):
 
 
 def validate_index(directory):
+    """The index rows, and every file name the index accounts for."""
     index_path = os.path.join(directory, "index.csv")
     if not os.path.exists(index_path):
         fail(f"{directory} has no index.csv")
-    rows = []
+    rows, named = [], {"index.csv"}
     for row in read_framed(index_path, "waveform-index",
-                           columns=INDEX_COLUMNS).rows:
-        for ref in (row["csv"], row["json"], row["spectrum"]):
-            if ref and not os.path.exists(os.path.join(directory, ref)):
+                           columns=INDEX_COLUMNS, version=2).rows:
+        refs = [ref for ref in (row["csv"], row["spectrum"]) if ref]
+        for ref in refs:
+            if not os.path.exists(os.path.join(directory, ref)):
                 fail(f"{row.where}: referenced file {ref} does not exist")
-        rows.append((row.int("rank"), row.float("fitness"), row["fitness"]))
-    for (rank_a, fit_a, _), (rank_b, fit_b, _) in zip(rows, rows[1:]):
+        named.update(refs)
+        rows.append((row.int("rank"), row.float("fitness"), row["fitness"],
+                     row["csv"]))
+    for (rank_a, fit_a, *_), (rank_b, fit_b, *_) in zip(rows, rows[1:]):
         if rank_b != rank_a + 1:
             fail(f"{index_path}: ranks not consecutive")
         if fit_b > fit_a:
@@ -247,16 +227,17 @@ def validate_index(directory):
                  f"({fit_a}) to {rank_b} ({fit_b})")
     if not rows:
         fail(f"{index_path} lists no captures")
-    return rows
+    return rows, named
 
 
 def validate_dir(directory):
-    rows = validate_index(directory)
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".csv") or name == "index.csv" or \
-                name.endswith("_spectrum.csv"):
-            continue
-        validate_file(os.path.join(directory, name))
+    rows, named = validate_index(directory)
+    stray = sorted(set(os.listdir(directory)) - named)
+    if stray:
+        fail(f"{directory} holds {', '.join(stray)}, which index.csv does "
+             f"not name")
+    for *_, csv_name in rows:
+        validate_file(os.path.join(directory, csv_name))
     ok(f"{directory}: index lists {len(rows)} captures, champion "
        f"fitness {rows[0][2]}")
     return rows

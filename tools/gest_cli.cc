@@ -333,7 +333,6 @@ cmdProbe(const std::string& config_path, const std::string& target,
                           signal::summarizeProbe(probe), probe)
                           .c_str());
     std::printf("waveforms: %s\n", artifacts.csvPath.c_str());
-    std::printf("           %s\n", artifacts.jsonPath.c_str());
     if (!artifacts.spectrumPath.empty())
         std::printf("           %s\n", artifacts.spectrumPath.c_str());
     return 0;
@@ -376,7 +375,7 @@ cmdAttribute(const std::string& config_path, const std::string& target,
     const std::string out_dir =
         out_override ? std::string(out_override)
                      : target + "/attribute";
-    const attribution::AttributionArtifacts artifacts =
+    const std::string artifact =
         attribution::writeAttributionArtifacts(
             out_dir, "individual_" + std::to_string(ind.id), result);
 
@@ -417,8 +416,7 @@ cmdAttribute(const std::string& config_path, const std::string& target,
     std::printf("sum of per-gene deltas %.6f; whole-champion ablation "
                 "delta %.6f\n",
                 result.sumDelta, result.wholeAblationDelta);
-    std::printf("artifacts: %s\n", artifacts.csvPath.c_str());
-    std::printf("           %s\n", artifacts.jsonPath.c_str());
+    std::printf("artifact: %s\n", artifact.c_str());
     return 0;
 }
 
@@ -616,7 +614,7 @@ cmdRuns(const std::string& workspace,
         registry::scanWorkspace(workspace);
     const std::string csv_path =
         registry::writeRegistry(workspace, all);
-    inform("registry written to ", csv_path, " (+ registry.json)");
+    inform("registry written to ", csv_path);
 
     // Filters narrow the printed view only; the sealed registry always
     // indexes the whole workspace.

@@ -309,8 +309,9 @@ class Framed:
                 if key == keyword]
 
 
-def read_framed(path, name, columns=None, required=(), preamble=None):
-    """Read and frame-check a `# gest-<name> v1` file.
+def read_framed(path, name, columns=None, required=(), preamble=None,
+                version=1):
+    """Read and frame-check a `# gest-<name> v<version>` file.
 
     Line 1 must be exactly that tag. Then come comment lines, each
     `# <keyword> <args...>` with a keyword from `preamble` (a dict of
@@ -323,7 +324,7 @@ def read_framed(path, name, columns=None, required=(), preamble=None):
             lines = handle.read().splitlines()
     except OSError as err:
         fail(f"cannot read {path}: {err}")
-    tag = f"# gest-{name} v1"
+    tag = f"# gest-{name} v{version}"
     if not lines or lines[0] != tag:
         fail(f"{path}: line 1 is {lines[0] if lines else ''!r}, "
              f"expected {tag!r}")

@@ -92,6 +92,12 @@ class FramingTest(CheckTest):
     def test_v10_is_not_v1(self):
         self.rejects(GOOD.replace("v1", "v10"))
 
+    def test_declared_version(self):
+        v2 = GOOD.replace("v1", "v2")
+        self.assertEqual(len(self.read(v2, version=2).rows), 2)
+        message = self.rejects(GOOD, version=2)
+        self.assertIn("'# gest-demo v2'", message)
+
     def test_renamed_column_fails_exact_header(self):
         renamed = GOOD.replace("a,b,c", "a,bb,c")
         self.assertIn("column header",
