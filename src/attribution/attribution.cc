@@ -75,7 +75,7 @@ fillerFor(const isa::InstructionLibrary& lib,
 AttributionResult
 computeAttribution(const isa::InstructionLibrary& lib,
                    measure::Measurement& measurement,
-                   fitness::Fitness& fitness,
+                   const fitness::Fitness& fitness,
                    const core::Individual& ind,
                    const AttributionOptions& options)
 {

@@ -112,7 +112,7 @@ isa::InstructionInstance fillerFor(const isa::InstructionLibrary& lib,
  */
 AttributionResult computeAttribution(const isa::InstructionLibrary& lib,
                                      measure::Measurement& measurement,
-                                     fitness::Fitness& fitness,
+                                     const fitness::Fitness& fitness,
                                      const core::Individual& ind,
                                      const AttributionOptions& options =
                                          AttributionOptions());

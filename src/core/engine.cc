@@ -205,6 +205,23 @@ Engine::ensureWorkers()
 }
 
 void
+Engine::forEachOnWorkers(std::size_t count, const WorkerTask& task)
+{
+    if (count == 0)
+        return;
+    if (_params.threads <= 1 || count == 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            task(i, 0, _measurement);
+        return;
+    }
+    ensureWorkers();
+    _pool->parallelFor(count, [&](std::size_t i, int worker) {
+        task(i, worker,
+             *_workerMeasurements[static_cast<std::size_t>(worker)]);
+    });
+}
+
+void
 Engine::measureBatch(const std::vector<std::size_t>& indices)
 {
     if (indices.empty())
@@ -214,28 +231,14 @@ Engine::measureBatch(const std::vector<std::size_t>& indices)
         _workerBusyUs.assign(
             static_cast<std::size_t>(std::max(_params.threads, 1)), 0.0);
     std::vector<Individual>& inds = _population.individuals;
-    if (_params.threads <= 1 || indices.size() == 1) {
-        for (std::size_t index : indices) {
+    forEachOnWorkers(
+        indices.size(),
+        [&](std::size_t k, int worker, measure::Measurement& measurement) {
             if (record)
-                measureOneTimed(inds[index], _measurement, 0);
+                measureOneTimed(inds[indices[k]], measurement, worker);
             else
-                measureOne(inds[index], _measurement);
-        }
-    } else {
-        ensureWorkers();
-        _pool->parallelFor(
-            indices.size(), [&](std::size_t k, int worker) {
-                if (record)
-                    measureOneTimed(inds[indices[k]],
-                                    *_workerMeasurements[
-                                        static_cast<std::size_t>(worker)],
-                                    worker);
-                else
-                    measureOne(inds[indices[k]],
-                               *_workerMeasurements[
-                                   static_cast<std::size_t>(worker)]);
-            });
-    }
+                measureOne(inds[indices[k]], measurement);
+        });
     _evaluations += indices.size();
     engineStats().evaluations.inc(indices.size());
     if (record) {

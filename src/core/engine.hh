@@ -84,6 +84,14 @@ class Engine
     using GenerationCallback =
         std::function<void(const Population&, const GenerationRecord&)>;
 
+    /**
+     * One item of a forEachOnWorkers() loop: the item index, the id of
+     * the worker running it (0 on the serial path) and the measurement
+     * that worker owns.
+     */
+    using WorkerTask = std::function<void(
+        std::size_t index, int worker, measure::Measurement& measurement)>;
+
     Engine(GaParams params, const isa::InstructionLibrary& lib,
            measure::Measurement& measurement, fitness::Fitness& fitness);
 
@@ -134,6 +142,17 @@ class Engine
     /** initialize() + step() until done; @return the final population. */
     const Population& run();
 
+    /**
+     * Run task(i, ...) for every i in [0, count) on the evaluation
+     * pool, each item on its worker's private measurement clone; with
+     * threads=1 (or a single item) serially on the main measurement.
+     * Blocks until every item is done and rethrows the first error.
+     * Generation evaluation runs through here; the run driver reuses
+     * the pool for its post-run seal. Call from the coordinator only,
+     * one loop at a time.
+     */
+    void forEachOnWorkers(std::size_t count, const WorkerTask& task);
+
     /** The current population. */
     const Population& population() const { return _population; }
 
@@ -183,10 +202,10 @@ class Engine
                          measure::Measurement& measurement, int worker);
 
     /**
-     * Measure the individuals at @p indices, serially or fanned out
-     * across the worker pool. Results are written back by index, so
-     * the outcome is independent of scheduling order for measurements
-     * that are pure functions of the code.
+     * Measure the individuals at @p indices through forEachOnWorkers.
+     * Results are written back by index, so the outcome is independent
+     * of scheduling order for measurements that are pure functions of
+     * the code.
      */
     void measureBatch(const std::vector<std::size_t>& indices);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "signal/waveform_io.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 
@@ -76,26 +75,38 @@ FlightRecorder::onGenerationEvaluated(const core::Population& pop,
     }
 }
 
-std::vector<std::string>
-FlightRecorder::seal()
+signal::WaveformArtifacts
+FlightRecorder::writeCapture(std::size_t rank) const
 {
+    const Entry& e = _entries.at(rank);
+    return signal::writeWaveformArtifacts(_runDir + "/waveforms",
+                                          std::to_string(e.id), e.probe);
+}
+
+std::vector<std::string>
+FlightRecorder::writeIndex(
+    const std::vector<signal::WaveformArtifacts>& captures) const
+{
+    if (captures.size() != _entries.size())
+        panic("flight recorder index needs ", _entries.size(),
+              " captures, got ", captures.size());
     const std::string dir = _runDir + "/waveforms";
     ensureDir(dir);
 
-    std::vector<std::string> files;
+    const std::string index_path = dir + "/index.csv";
+    std::vector<std::string> files = {index_path};
     std::string index = "# gest-waveform-index v2\n"
                         "rank,id,generation,fitness,csv,spectrum\n";
-    int rank = 1;
-    for (const Entry& e : _entries) {
+    for (std::size_t rank = 0; rank < _entries.size(); ++rank) {
+        const Entry& e = _entries[rank];
+        const signal::WaveformArtifacts& art = captures[rank];
         const std::string basename = std::to_string(e.id);
-        const signal::WaveformArtifacts art =
-            signal::writeWaveformArtifacts(dir, basename, e.probe);
         char fitness_text[40];
         std::snprintf(fitness_text, sizeof(fitness_text), "%.17g",
                       e.fitness);
-        index += std::to_string(rank) + "," + std::to_string(e.id) +
-                 "," + std::to_string(e.generation) + "," +
-                 fitness_text + "," + basename + ".csv," +
+        index += std::to_string(rank + 1) + "," + basename + "," +
+                 std::to_string(e.generation) + "," + fitness_text + "," +
+                 basename + ".csv," +
                  (art.spectrumPath.empty()
                       ? std::string()
                       : basename + "_spectrum.csv") +
@@ -103,11 +114,8 @@ FlightRecorder::seal()
         files.push_back(art.csvPath);
         if (!art.spectrumPath.empty())
             files.push_back(art.spectrumPath);
-        ++rank;
     }
-    const std::string index_path = dir + "/index.csv";
     writeFile(index_path, index);
-    files.insert(files.begin(), index_path);
     debug("flight recorder sealed ", _entries.size(),
           " captures into ", dir);
     return files;

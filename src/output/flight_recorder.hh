@@ -14,10 +14,10 @@
  * untouched — fixed-seed runs are bit-identical with the recorder on
  * or off.
  *
- * At the end of the run, seal() writes one waveform artifact set per
- * surviving champion into `<run_dir>/waveforms/` (CSV plus the PDN
- * current spectrum where applicable, see signal/waveform_io.hh)
- * plus an `index.csv` mapping ids to fitness and files.
+ * At the end of the run, writeCapture() writes one waveform artifact
+ * set per surviving champion into `<run_dir>/waveforms/` (CSV plus the
+ * PDN current spectrum where applicable, see signal/waveform_io.hh) and
+ * writeIndex() an `index.csv` mapping ids to fitness and files.
  */
 
 #ifndef GEST_OUTPUT_FLIGHT_RECORDER_HH
@@ -31,6 +31,7 @@
 #include "core/engine.hh"
 #include "measure/measurement.hh"
 #include "signal/signal_probe.hh"
+#include "signal/waveform_io.hh"
 
 namespace gest {
 namespace output {
@@ -51,7 +52,8 @@ class FlightRecorder
     };
 
     /**
-     * @param run_dir run directory seal() writes `waveforms/` into
+     * @param run_dir run directory whose `waveforms/` writeCapture()
+     *        and writeIndex() write into
      * @param top_k champions to retain (> 0)
      * @param measurement private clone used for instrumented re-runs
      */
@@ -73,10 +75,19 @@ class FlightRecorder
     std::uint64_t captures() const { return _captures; }
 
     /**
-     * Write the retained captures under `<run_dir>/waveforms/` and
-     * return the paths written (index.csv first).
+     * Write entry @p rank's capture (waveform CSV plus spectrum) under
+     * `<run_dir>/waveforms/`. Distinct ranks may be written
+     * concurrently: the run driver writes each on the evaluation pool.
      */
-    std::vector<std::string> seal();
+    signal::WaveformArtifacts writeCapture(std::size_t rank) const;
+
+    /**
+     * Write `waveforms/index.csv` for @p captures, writeCapture's
+     * result for every entry in rank order. @return every path
+     * written, index.csv first.
+     */
+    std::vector<std::string> writeIndex(
+        const std::vector<signal::WaveformArtifacts>& captures) const;
 
   private:
     bool qualifies(double fitness) const;

@@ -7,6 +7,7 @@
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
+#include "util/thread_pool.hh"
 
 namespace gest {
 namespace output {
@@ -193,6 +194,38 @@ TraceWriter::finish()
     }
     writeFile(_path, toJson());
     debug("trace written to ", _path, " (", eventCount(), " events)");
+}
+
+ScopedSpan::ScopedSpan(stats::Histogram& hist, TraceWriter* trace,
+                       std::string name, std::string cat,
+                       TraceWriter::Args args)
+    : _hist(&hist), _trace(trace), _name(std::move(name)),
+      _cat(std::move(cat)), _args(std::move(args))
+{
+    if (stats::enabled() || _trace)
+        _start = stats::nowUs();
+}
+
+ScopedSpan::ScopedSpan(TraceWriter* trace, std::string name,
+                       std::string cat, TraceWriter::Args args)
+    : _hist(nullptr), _trace(trace), _name(std::move(name)),
+      _cat(std::move(cat)), _args(std::move(args))
+{
+    if (_trace)
+        _start = stats::nowUs();
+}
+
+ScopedSpan::~ScopedSpan()
+{
+    if (_start < 0.0)
+        return;
+    const double elapsed = stats::nowUs() - _start;
+    if (_hist)
+        _hist->sample(elapsed);
+    if (_trace)
+        _trace->completeEvent(_name, _cat,
+                              util::ThreadPool::currentWorkerId() + 1,
+                              _start, elapsed, std::move(_args));
 }
 
 } // namespace output

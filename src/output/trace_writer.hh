@@ -29,6 +29,11 @@
 #include <vector>
 
 namespace gest {
+
+namespace stats {
+class Histogram;
+} // namespace stats
+
 namespace output {
 
 /** Collects trace events and writes one Chrome trace JSON file. */
@@ -99,6 +104,35 @@ class TraceWriter
     mutable std::mutex _mutex;
     std::vector<Event> _events;
     bool _finished = false;
+};
+
+/**
+ * Times one step of the run (a pipeline sink, a seal step) into a
+ * stats histogram and, with a trace writer attached, a complete event
+ * on the calling thread's trace tid: 0 on the coordinator, worker
+ * id + 1 on an evaluation-pool worker. Reads no clock when there is
+ * neither a histogram to feed (stats on) nor a trace.
+ */
+class ScopedSpan
+{
+  public:
+    ScopedSpan(stats::Histogram& hist, TraceWriter* trace,
+               std::string name, std::string cat, TraceWriter::Args args = {});
+    /** A trace span only, for steps no stats dump can include. */
+    ScopedSpan(TraceWriter* trace, std::string name, std::string cat,
+               TraceWriter::Args args = {});
+    ~ScopedSpan();
+
+    ScopedSpan(const ScopedSpan&) = delete;
+    ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  private:
+    stats::Histogram* _hist;  ///< null: trace only
+    TraceWriter* _trace;
+    std::string _name;
+    std::string _cat;
+    TraceWriter::Args _args;
+    double _start = -1.0; ///< < 0 when not timing
 };
 
 } // namespace output

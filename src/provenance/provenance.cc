@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "output/trace_writer.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/sha256.hh"
@@ -56,7 +57,8 @@ ProvenanceRecorder::ProvenanceRecorder(std::string run_dir,
 {}
 
 std::string
-ProvenanceRecorder::seal(const SealInfo& info)
+ProvenanceRecorder::seal(const SealInfo& info, const ForEach& for_each,
+                         output::TraceWriter* trace)
 {
     if (_sealed)
         panic("ProvenanceRecorder::seal called twice for ", _runDir);
@@ -90,33 +92,51 @@ ProvenanceRecorder::seal(const SealInfo& info)
     fillBuildInfo(m);
 
     // Walk the run directory; sorted relative paths make the artifact
-    // table deterministic across filesystems.
+    // table deterministic across filesystems. Every walked path starts
+    // with the root as given, so stripping it yields the relative path
+    // (fs::relative would canonicalise both paths per file).
     std::vector<std::string> rel_paths;
-    std::error_code ec;
-    for (fs::recursive_directory_iterator it(_runDir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec))
-            continue;
-        std::string rel =
-            fs::relative(it->path(), _runDir, ec).generic_string();
-        if (ec || rel.empty() || rel == "manifest.json")
-            continue;
-        rel_paths.push_back(std::move(rel));
+    {
+        output::ScopedSpan span(trace, "manifest walk", "seal");
+        std::string root = fs::path(_runDir).generic_string();
+        if (root.empty() || root.back() != '/')
+            root += '/';
+        std::error_code ec;
+        for (fs::recursive_directory_iterator it(_runDir, ec), end;
+             !ec && it != end; it.increment(ec)) {
+            if (!it->is_regular_file(ec))
+                continue;
+            std::string rel = it->path().generic_string();
+            if (!startsWith(rel, root))
+                continue;
+            rel.erase(0, root.size());
+            if (rel.empty() || rel == "manifest.json")
+                continue;
+            rel_paths.push_back(std::move(rel));
+        }
+        std::sort(rel_paths.begin(), rel_paths.end());
     }
-    std::sort(rel_paths.begin(), rel_paths.end());
 
-    for (const std::string& rel : rel_paths) {
-        ArtifactEntry entry;
-        entry.path = rel;
-        const std::string full = _runDir + "/" + rel;
-        if (!sha256File(full, entry.sha256)) {
-            warn("cannot checksum ", full, "; leaving it out of the "
-                 "manifest");
+    // An entry whose file cannot be read keeps an empty checksum.
+    std::vector<ArtifactEntry> entries(rel_paths.size());
+    {
+        output::ScopedSpan span(
+            trace, "manifest hash", "seal",
+            {{"files", static_cast<double>(rel_paths.size())}});
+        for_each(rel_paths.size(), [&](std::size_t i) {
+            sha256File(_runDir + "/" + rel_paths[i], entries[i].sha256,
+                       &entries[i].bytes);
+        });
+    }
+    for (std::size_t i = 0; i < rel_paths.size(); ++i) {
+        if (entries[i].sha256.empty()) {
+            warn("cannot checksum ", _runDir, "/", rel_paths[i],
+                 "; leaving it out of the manifest");
             continue;
         }
-        entry.bytes = static_cast<std::uint64_t>(
-            fs::file_size(full, ec));
-        entry.kind = inferArtifactKind(rel);
+        ArtifactEntry& entry = entries[i];
+        entry.path = rel_paths[i];
+        entry.kind = inferArtifactKind(entry.path);
         m.artifacts.push_back(std::move(entry));
     }
 

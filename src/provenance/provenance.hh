@@ -14,11 +14,17 @@
  * Recording is strictly observational: const views only, never the GA
  * RNG, so every pre-existing artifact is byte-identical with
  * provenance on or off.
+ *
+ * The seal walks the directory once on the caller's thread and hashes
+ * the sorted file list through a caller-supplied loop, which the run
+ * driver runs on the engine's evaluation pool. Each entry's byte count
+ * comes from the read that produced its checksum.
  */
 
 #ifndef GEST_PROVENANCE_PROVENANCE_HH
 #define GEST_PROVENANCE_PROVENANCE_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -28,7 +34,20 @@
 #include "provenance/manifest.hh"
 
 namespace gest {
+
+namespace output {
+class TraceWriter;
+} // namespace output
+
 namespace provenance {
+
+/**
+ * A loop the seal hashes through: run body(i) for every i in
+ * [0, count), in any order and possibly concurrently, and return when
+ * all are done.
+ */
+using ForEach = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& body)>;
 
 /** Everything seal() records that only the run driver knows. */
 struct SealInfo
@@ -72,10 +91,14 @@ class ProvenanceRecorder
     /**
      * Checksum every artifact under the run directory and write
      * manifest.json, each artifact's kind inferred from its name
-     * (inferArtifactKind). Call once, after all other artifacts are
-     * final. @return the manifest's path.
+     * (inferArtifactKind). The files are hashed through @p for_each;
+     * the table is sorted by path whatever the order. The walk and
+     * the hash are spans on @p trace (null: untraced). Call once,
+     * after all other artifacts are final.
+     * @return the manifest's path.
      */
-    std::string seal(const SealInfo& info);
+    std::string seal(const SealInfo& info, const ForEach& for_each,
+                     output::TraceWriter* trace);
 
   private:
     std::string _runDir;

@@ -6,6 +6,7 @@
 #include "net/telemetry.hh"
 #include "output/flight_recorder.hh"
 #include "output/run_writer.hh"
+#include "output/trace_writer.hh"
 #include "provenance/manifest.hh"
 #include "provenance/provenance.hh"
 #include "stats/stats.hh"
@@ -15,6 +16,40 @@
 
 namespace gest {
 namespace run {
+
+namespace {
+
+/** One histogram per sink of RunPipeline::step, in step order. */
+struct SinkStats
+{
+    stats::Histogram& analytics;
+    stats::Histogram& flight;
+    stats::Histogram& coverage;
+    stats::Histogram& watchdog;
+    stats::Histogram& provenance;
+    stats::Histogram& status;
+};
+
+SinkStats&
+sinkStats()
+{
+    auto sink = [](const char* name, const char* desc) -> stats::Histogram& {
+        return stats::StatsRegistry::instance().histogram(
+            std::string("pipeline.") + name + "_us",
+            std::string(desc) + " per generation (us)", 0.0, 50000.0, 40);
+    };
+    static SinkStats s{
+        sink("analytics", "analytics recorder"),
+        sink("flight", "flight-recorder captures"),
+        sink("coverage", "coverage ledger"),
+        sink("watchdog", "health watchdog"),
+        sink("provenance", "digest ledger append"),
+        sink("status", "status render"),
+    };
+    return s;
+}
+
+} // namespace
 
 std::string
 statusJson(const core::GenerationRecord& record,
@@ -108,6 +143,8 @@ RunPipeline::RunPipeline(std::string status_path, int total_generations)
       _totalGenerations(total_generations), _startUs(stats::nowUs())
 {
     _last.generation = -1;
+    // Register the sink histograms up front, in step order.
+    sinkStats();
 }
 
 RunPipeline::~RunPipeline()
@@ -145,17 +182,30 @@ RunPipeline::step(const core::Population& pop,
     facts.newAlerts.clear();
     _last = record;
 
+    SinkStats& timers = sinkStats();
+    const output::TraceWriter::Args gen = {
+        {"generation", static_cast<double>(record.generation)}};
     if (recorder) {
+        output::ScopedSpan span(timers.analytics, trace, "analytics",
+                                "pipeline", gen);
         recorder->onGenerationEvaluated(pop, record);
         facts.geneEntropyBits = recorder->rows().back().geneEntropyBits;
         facts.pairwiseDiversity =
             recorder->rows().back().pairwiseDiversity;
     }
-    if (flight)
+    if (flight) {
+        output::ScopedSpan span(timers.flight, trace, "flight recorder",
+                                "pipeline", gen);
         flight->onGenerationEvaluated(pop, record);
-    if (coverage)
+    }
+    if (coverage) {
+        output::ScopedSpan span(timers.coverage, trace, "coverage",
+                                "pipeline", gen);
         facts.coverage = coverage->onGenerationEvaluated(pop, record);
+    }
     if (watchdog) {
+        output::ScopedSpan span(timers.watchdog, trace, "watchdog",
+                                "pipeline", gen);
         if (facts.coverage)
             watchdog->noteCoverage(facts.coverage->generation,
                                    facts.coverage->newCells);
@@ -164,14 +214,19 @@ RunPipeline::step(const core::Population& pop,
         facts.health = watchdog->summary();
     }
     if (provenance) {
+        output::ScopedSpan span(timers.provenance, trace,
+                                "provenance append", "pipeline", gen);
         provenance->append(pop, record);
         facts.digestsSealed =
             static_cast<std::int64_t>(provenance->digestsSealed());
     }
 
     std::string status;
-    if (recorder || telemetry)
+    if (recorder || telemetry) {
+        output::ScopedSpan span(timers.status, trace, "status render",
+                                "pipeline", gen);
         status = statusFor(/*running=*/true);
+    }
     if (writer || recorder) {
         // Hand the run directory's share of this generation to the
         // write task. Waiting for the previous one first keeps at most

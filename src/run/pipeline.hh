@@ -14,6 +14,9 @@
  *  6. status — one snapshot rendered for status.json (analytics on)
  *     and the telemetry service (/status, /history, SSE...).
  *
+ * Each of the six is timed into a `pipeline.<sink>_us` histogram and,
+ * with a trace attached, a span on the coordinator's tid.
+ *
  * Then one write task (std::async) takes a copy of the population and
  * writes, off the coordinator:
  *
@@ -23,8 +26,10 @@
  * At most one write task is in flight: step() waits for generation g's
  * before handing over g+1, so whenever status.json names generation g,
  * every generation-g file is on disk. drain() waits for the task and
- * rethrows its error on the coordinator; the run driver drains after
- * Engine::run() and before any post-run seal.
+ * rethrows its error on the coordinator. After Engine::run() the run
+ * driver first runs its champion pass, which reads no run-directory
+ * file, beside the last write task, and drains before every later
+ * seal step.
  *
  * Producers fill the generation's GenerationFacts record; consumers
  * later in the step read it, so no sink holds a callback into another.
@@ -55,6 +60,7 @@ class Recorder;
 namespace output {
 class FlightRecorder;
 class RunWriter;
+class TraceWriter;
 } // namespace output
 
 namespace provenance {
@@ -132,6 +138,9 @@ class RunPipeline
     std::unique_ptr<analysis::HealthWatchdog> watchdog;
     std::unique_ptr<provenance::ProvenanceRecorder> provenance;
     std::unique_ptr<net::TelemetryServer> telemetry;
+
+    /** Trace for each sink's per-generation span (null: untraced). */
+    output::TraceWriter* trace = nullptr;
 
     /**
      * Hand @p engine the recorder's birth hooks and install step() as

@@ -6,6 +6,9 @@
  * artifacts in dependency order.
  */
 
+#include <algorithm>
+#include <filesystem>
+
 #include "analysis/recorder.hh"
 #include "attribution/attribution.hh"
 #include "attribution/attribution_io.hh"
@@ -27,56 +30,130 @@ namespace config {
 
 namespace {
 
+namespace fs = std::filesystem;
+
 /**
- * Ablate the flight recorder's retained champions (or the best-ever
- * individual without one) on a private measurement clone and seal
- * attribution/ artifacts.
+ * One histogram per post-run step that ends before the stats dump.
+ * The dump itself and the manifest come after it, so they are traced
+ * only: metrics.json could never hold their samples.
+ */
+struct SealStats
+{
+    stats::Histogram& champions;
+    stats::Histogram& champion;
+    stats::Histogram& drain;
+};
+
+SealStats&
+sealStats()
+{
+    auto step = [](const char* name, const char* desc) -> stats::Histogram& {
+        return stats::StatsRegistry::instance().histogram(
+            std::string("seal.") + name + "_us",
+            std::string(desc) + " (us)", 0.0, 1000000.0, 40);
+    };
+    static SealStats s{
+        step("champions", "champion pass: waveforms and attribution"),
+        step("champion", "one champion's waveforms and attribution"),
+        step("drain", "wait for the last generation's write task"),
+    };
+    return s;
+}
+
+/** @return true when @p file lies inside directory @p dir. */
+bool
+isInside(const std::string& file, const std::string& dir)
+{
+    bool failed = false;
+    auto normal = [&failed](const std::string& p) {
+        std::error_code ec;
+        fs::path out = fs::absolute(p, ec);
+        if (!ec)
+            out = fs::weakly_canonical(out, ec);
+        failed = failed || ec;
+        return out.has_filename() ? out : out.parent_path();
+    };
+    const fs::path f = normal(file), d = normal(dir);
+    // When in doubt, inside: the caller then finishes the trace early.
+    return failed || std::mismatch(d.begin(), d.end(), f.begin(), f.end())
+                             .first == d.end();
+}
+
+/**
+ * One pass over the flight recorder's retained champions (or the
+ * best-ever individual without one) on the engine's evaluation pool,
+ * one task per champion: write its waveform CSVs and compute and write
+ * its attribution on the worker's measurement. Neither step reads the
+ * run directory, so the pass may overlap the last write task.
  */
 void
-sealAttribution(const RunConfig& cfg, measure::Measurement& measurement,
-                fitness::Fitness& fit, const run::RunPipeline& pipeline,
-                RunResult& result)
+sealChampions(const RunConfig& cfg, core::Engine& engine,
+              const fitness::Fitness& fit, const run::RunPipeline& pipeline,
+              RunResult& result)
 {
-    std::unique_ptr<measure::Measurement> private_meas =
-        measurement.clone();
-    measure::Measurement& attr_meas =
-        private_meas ? *private_meas : measurement;
+    const bool attribute = cfg.recordAttribution &&
+                           !cfg.outputDirectory.empty();
+    if (cfg.recordAttribution && !attribute)
+        warn("attribution requested but no output directory is set; "
+             "skipping");
+    if (!pipeline.flight && !attribute)
+        return;
 
-    struct Target
+    struct Champion
     {
         core::Individual ind;  ///< id and code only
         int generation;        ///< capture generation; -1 for best-ever
     };
-    std::vector<Target> targets;
+    std::vector<Champion> champions;
     if (pipeline.flight) {
         for (const output::FlightRecorder::Entry& entry :
              pipeline.flight->entries()) {
             core::Individual ind;
             ind.id = entry.id;
             ind.code = entry.code;
-            targets.push_back({std::move(ind), entry.generation});
+            champions.push_back({std::move(ind), entry.generation});
         }
     } else if (!result.best.code.empty()) {
         core::Individual ind;
         ind.id = result.best.id;
         ind.code = result.best.code;
-        targets.push_back({std::move(ind), -1});
+        champions.push_back({std::move(ind), -1});
     }
-    for (const Target& target : targets) {
-        attribution::AttributionResult attributed =
-            attribution::computeAttribution(cfg.library, attr_meas, fit,
-                                            target.ind);
-        attributed.generation = target.generation;
-        const std::string basename =
-            "individual_" + std::to_string(target.ind.id);
-        result.attributionFiles.push_back(
-            attribution::writeAttributionArtifacts(
-                cfg.outputDirectory + "/attribution", basename,
-                attributed));
+
+    output::ScopedSpan pass(
+        sealStats().champions, pipeline.trace, "seal champions", "seal",
+        {{"champions", static_cast<double>(champions.size())}});
+    std::vector<signal::WaveformArtifacts> captures(champions.size());
+    std::vector<std::string> attributions(champions.size());
+    engine.forEachOnWorkers(
+        champions.size(),
+        [&](std::size_t i, int, measure::Measurement& measurement) {
+            const Champion& champion = champions[i];
+            output::ScopedSpan span(
+                sealStats().champion, pipeline.trace, "champion", "seal",
+                {{"individual", static_cast<double>(champion.ind.id)}});
+            if (pipeline.flight)
+                captures[i] = pipeline.flight->writeCapture(i);
+            if (!attribute)
+                return;
+            attribution::AttributionResult attributed =
+                attribution::computeAttribution(cfg.library, measurement,
+                                                fit, champion.ind);
+            attributed.generation = champion.generation;
+            attributions[i] = attribution::writeAttributionArtifacts(
+                cfg.outputDirectory + "/attribution",
+                "individual_" + std::to_string(champion.ind.id),
+                attributed);
+        });
+    if (pipeline.flight)
+        result.waveformFiles = pipeline.flight->writeIndex(captures);
+    if (attribute) {
+        result.attributionFiles = std::move(attributions);
+        if (!champions.empty())
+            debug("attribution sealed for ", champions.size(),
+                  " individual(s) in ", cfg.outputDirectory,
+                  "/attribution");
     }
-    if (!targets.empty())
-        debug("attribution sealed for ", targets.size(),
-              " individual(s) in ", cfg.outputDirectory, "/attribution");
 }
 
 } // namespace
@@ -120,7 +197,12 @@ runFromConfig(const RunConfig& cfg)
     // Observability: stats on by default (the per-sample cost is atomic
     // bumps and clock reads, invisible next to simulation); each run
     // starts from zeroed values so artifacts describe this run only.
-    const bool stats_were_enabled = stats::enabled();
+    // A failed run restores the setting too.
+    struct StatsRestore
+    {
+        bool enabled = stats::enabled();
+        ~StatsRestore() { stats::setEnabled(enabled); }
+    } stats_restore;
     if (cfg.recordStats) {
         stats::StatsRegistry::instance().resetValues();
         stats::setEnabled(true);
@@ -188,12 +270,10 @@ runFromConfig(const RunConfig& cfg)
         inform("telemetry listening on http://",
                pipeline.telemetry->address());
     }
+    pipeline.trace = trace.get();
     pipeline.attach(engine);
 
     engine.run();
-    // Every post-run step below reads the run directory: wait for the
-    // last write task first.
-    pipeline.drain();
 
     RunResult result;
     result.finalPopulation = engine.population();
@@ -203,17 +283,18 @@ runFromConfig(const RunConfig& cfg)
     result.cacheHits = engine.cacheHits();
     result.cacheMisses = engine.cacheMisses();
 
-    if (pipeline.flight)
-        result.waveformFiles = pipeline.flight->seal();
-
-    // Attribution before the stats dump, so the attribution.* counters
-    // land in metrics.json, and before the provenance seal, so the
-    // manifest covers its artifacts.
-    if (cfg.recordAttribution && !dir.empty())
-        sealAttribution(cfg, *measurement, *fit, pipeline, result);
-    else if (cfg.recordAttribution)
-        warn("attribution requested but no output directory is set; "
-             "skipping");
+    // The last generation's write task may still be running: the
+    // champion pass reads no run-directory file, so it runs beside it
+    // on the evaluation pool. Attribution goes before the stats dump,
+    // so the attribution.* counters land in metrics.json, and before
+    // the provenance seal, so the manifest covers its artifacts.
+    sealChampions(cfg, engine, *fit, pipeline, result);
+    {
+        // Every step below reads the run directory.
+        output::ScopedSpan span(sealStats().drain, trace.get(),
+                                "drain last write", "seal");
+        pipeline.drain();
+    }
 
     if (pipeline.coverage && fileExists(pipeline.coverage->csvPath()))
         result.coverageFile = pipeline.coverage->csvPath();
@@ -225,11 +306,8 @@ runFromConfig(const RunConfig& cfg)
                  " alert(s); see ", pipeline.watchdog->csvPath());
     }
 
-    if (trace) {
-        trace->finish();
-        result.traceFile = cfg.traceFile;
-    }
     if (cfg.recordStats && !dir.empty()) {
+        output::ScopedSpan span(trace.get(), "stats dump", "seal");
         // Freshen the process self-observation gauges so the sealed
         // dump agrees with what a final /metrics scrape would have
         // shown.
@@ -241,8 +319,14 @@ runFromConfig(const RunConfig& cfg)
     // After the stats dump: the last scrape a client can make agrees
     // with the sealed artifacts.
     pipeline.finish();
-    if (cfg.recordStats)
-        stats::setEnabled(stats_were_enabled);
+    if (trace) {
+        // The manifest checksums a trace inside the run directory, so
+        // that one is final before the seal; a trace kept elsewhere
+        // also records the manifest's walk and hash.
+        if (pipeline.provenance && isInside(cfg.traceFile, dir))
+            trace->finish();
+        result.traceFile = cfg.traceFile;
+    }
     if (pipeline.provenance) {
         // Seal last: every other artifact is final, so the manifest's
         // checksums describe exactly what a verifier will find.
@@ -263,8 +347,18 @@ runFromConfig(const RunConfig& cfg)
         info.evaluations = result.evaluations;
         info.bestFitness = result.best.fitness;
         info.bestId = result.best.id;
-        result.manifestFile = pipeline.provenance->seal(info);
+        result.manifestFile = pipeline.provenance->seal(
+            info,
+            [&engine](std::size_t count,
+                      const std::function<void(std::size_t)>& body) {
+                engine.forEachOnWorkers(
+                    count, [&body](std::size_t i, int,
+                                   measure::Measurement&) { body(i); });
+            },
+            trace.get());
     }
+    if (trace)
+        trace->finish();
     // Serve the completed status until the run is over, manifest
     // included, so a client never loses the server to a live run.
     if (pipeline.telemetry) {

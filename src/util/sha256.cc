@@ -153,7 +153,8 @@ sha256Hex(std::string_view s)
 }
 
 bool
-sha256File(const std::string& path, std::string& out)
+sha256File(const std::string& path, std::string& out,
+           std::uint64_t* bytes)
 {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (!file)
@@ -161,13 +162,18 @@ sha256File(const std::string& path, std::string& out)
     Sha256 hasher;
     char buffer[1 << 16];
     std::size_t got;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0)
+    std::uint64_t total = 0;
+    while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
         hasher.update(buffer, got);
+        total += got;
+    }
     const bool ok = !std::ferror(file);
     std::fclose(file);
     if (!ok)
         return false;
     out = hasher.finishHex();
+    if (bytes)
+        *bytes = total;
     return true;
 }
 

@@ -53,10 +53,12 @@ class Sha256
 std::string sha256Hex(std::string_view s);
 
 /**
- * SHA-256 of the file at @p path as 64 lowercase hex digits.
- * @return false when the file cannot be read (out untouched).
+ * SHA-256 of the file at @p path as 64 lowercase hex digits; @p bytes,
+ * when given, receives the length of the same read.
+ * @return false when the file cannot be read (outputs untouched).
  */
-bool sha256File(const std::string& path, std::string& out);
+bool sha256File(const std::string& path, std::string& out,
+                std::uint64_t* bytes = nullptr);
 
 } // namespace gest
 

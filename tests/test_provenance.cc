@@ -117,8 +117,13 @@ TEST(Sha256, FileHashingMatchesInMemory)
     std::string hex;
     ASSERT_TRUE(sha256File(dir + "/payload.bin", hex));
     EXPECT_EQ(hex, sha256Hex(payload));
+    // The byte count comes from the same read as the checksum.
+    std::uint64_t bytes = 0;
+    ASSERT_TRUE(sha256File(dir + "/payload.bin", hex, &bytes));
+    EXPECT_EQ(bytes, payload.size());
 
-    EXPECT_FALSE(sha256File(dir + "/absent.bin", hex));
+    EXPECT_FALSE(sha256File(dir + "/absent.bin", hex, &bytes));
+    EXPECT_EQ(bytes, payload.size());
     removeAll(dir);
 }
 

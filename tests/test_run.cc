@@ -6,15 +6,21 @@
  * final snapshot is the same bytes on disk and over HTTP. The write
  * task never lets status.json run ahead of its generation's files,
  * rethrows a failed write on the caller, and traces on its own thread.
+ * The post-run seal writes the same artifacts and manifest table at
+ * any thread count and however the run directory is spelled.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/recorder.hh"
@@ -24,6 +30,7 @@
 #include "net/http_client.hh"
 #include "net/telemetry.hh"
 #include "platform/platform.hh"
+#include "provenance/manifest.hh"
 #include "provenance/provenance.hh"
 #include "run/pipeline.hh"
 #include "util/fileutil.hh"
@@ -235,6 +242,28 @@ TEST(RunPipeline, AFailedWriteSurfacesAsFatalErrorOnTheCaller)
     }
     EXPECT_NE(message.find(blocker), std::string::npos) << message;
     removeAll(dir);
+
+    // The last generation's write fails while the champion pass runs
+    // beside it: the error still reaches the caller, after the pass,
+    // and nothing is sealed.
+    const std::string last_dir = makeTempDir("gest-run");
+    cfg.outputDirectory = last_dir;
+    cfg.waveformTopK = 3;
+    cfg.recordAttribution = true;
+    const std::string last_blocker = last_dir + "/population_" +
+                                     std::to_string(cfg.ga.generations - 1) +
+                                     ".pop";
+    ensureDir(last_blocker);
+    message.clear();
+    try {
+        config::runFromConfig(cfg);
+    } catch (const FatalError& err) {
+        message = err.what();
+    }
+    EXPECT_NE(message.find(last_blocker), std::string::npos) << message;
+    EXPECT_TRUE(fileExists(last_dir + "/waveforms/index.csv"));
+    EXPECT_FALSE(fileExists(last_dir + "/manifest.json"));
+    removeAll(last_dir);
 }
 
 TEST(RunPipeline, RunDirWritesHaveTheirOwnTraceThread)
@@ -268,6 +297,153 @@ TEST(RunPipeline, RunDirWritesHaveTheirOwnTraceThread)
     EXPECT_EQ(writes, 5);
     EXPECT_TRUE(named);
     removeAll(dir);
+}
+
+const char kSealConfig[] = R"(
+<gest_configuration>
+  <ga population_size="12" individual_size="12" generations="4" seed="9"
+      tournament_size="2" threads="1"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a7"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="replaced" stats="false" analytics="false"
+          provenance="true" waveforms="3" attribution="true"/>
+</gest_configuration>
+)";
+
+/** Every file under @p dir, keyed by its path relative to @p dir. */
+std::map<std::string, std::string>
+filesUnder(const std::string& dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            files[std::filesystem::relative(entry.path(), dir)
+                      .generic_string()] = readFile(entry.path().string());
+    }
+    return files;
+}
+
+/** The manifest's artifact table as comparable tuples. */
+std::vector<std::tuple<std::string, std::string, std::uint64_t,
+                       std::string>>
+artifactTable(const std::string& dir)
+{
+    provenance::Manifest manifest;
+    std::string error;
+    EXPECT_TRUE(provenance::loadManifest(dir, manifest, &error)) << error;
+    std::vector<std::tuple<std::string, std::string, std::uint64_t,
+                           std::string>>
+        table;
+    for (const provenance::ArtifactEntry& a : manifest.artifacts)
+        table.emplace_back(a.path, a.sha256, a.bytes, a.kind);
+    return table;
+}
+
+TEST(RunPipeline, SealedArtifactsDoNotDependOnThreadsOrDirectorySpelling)
+{
+    config::RunConfig cfg = config::parseConfig(kSealConfig);
+    const std::string serial = makeTempDir("gest-seal");
+    cfg.outputDirectory = serial;
+    cfg.ga.threads = 1;
+    config::runFromConfig(cfg);
+
+    const auto table = artifactTable(serial);
+    ASSERT_FALSE(table.empty());
+    const auto waveforms = filesUnder(serial + "/waveforms");
+    const auto attributions = filesUnder(serial + "/attribution");
+    EXPECT_EQ(waveforms.size(), 4u);  // index + 3 captures
+    EXPECT_EQ(attributions.size(), 3u);
+
+    // The pool writes champions and hashes the manifest in any order;
+    // the directory may be named with a trailing slash or relatively.
+    const std::string pooled = makeTempDir("gest-seal");
+    const std::string slashed = makeTempDir("gest-seal");
+    const std::string relative = makeTempDir("gest-seal");
+    const std::vector<std::pair<std::string, std::string>> runs = {
+        {pooled, pooled},
+        {slashed, slashed + "/"},
+        {relative, std::filesystem::relative(relative).generic_string()},
+    };
+    for (const auto& [dir, spelled] : runs) {
+        SCOPED_TRACE(spelled);
+        cfg.outputDirectory = spelled;
+        cfg.ga.threads = 4;
+        config::runFromConfig(cfg);
+        EXPECT_EQ(filesUnder(dir + "/waveforms"), waveforms);
+        EXPECT_EQ(filesUnder(dir + "/attribution"), attributions);
+        const auto sealed = artifactTable(dir);
+        ASSERT_EQ(sealed.size(), table.size());
+        for (std::size_t i = 0; i < table.size(); ++i)
+            EXPECT_EQ(sealed[i], table[i]);
+        removeAll(dir);
+    }
+    removeAll(serial);
+}
+
+TEST(RunPipeline, EverySinkAndSealStepIsTraced)
+{
+    config::RunConfig cfg = config::parseConfig(kSealConfig);
+    const std::string dir = makeTempDir("gest-seal");
+    // Outside the run directory, so the manifest's spans land too.
+    const std::string trace_dir = makeTempDir("gest-trace");
+    cfg.outputDirectory = dir;
+    cfg.ga.threads = 4;
+    cfg.recordStats = true;
+    cfg.traceFile = trace_dir + "/trace.json";
+    config::runFromConfig(cfg);
+
+    json::Value trace;
+    ASSERT_TRUE(json::parse(readFile(cfg.traceFile), trace, nullptr));
+    const json::Value* events = trace.find("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    std::map<std::string, int> coordinator, workers;
+    for (const json::Value& event : events->array) {
+        if (event.stringOr("ph", "") != "X")
+            continue;
+        const double tid = event.numberOr("tid", -1.0);
+        const std::string name = event.stringOr("name", "");
+        if (tid == 0)
+            ++coordinator[name];
+        else if (tid >= 1 && tid <= cfg.ga.threads)
+            ++workers[name];
+    }
+    // One span per generation for each sink this run has...
+    EXPECT_EQ(coordinator["flight recorder"], cfg.ga.generations);
+    EXPECT_EQ(coordinator["provenance append"], cfg.ga.generations);
+    EXPECT_EQ(coordinator["analytics"], 0);
+    // ...one per seal step on the coordinator, and one per champion on
+    // the worker that wrote it.
+    for (const char* step : {"seal champions", "drain last write",
+                             "stats dump", "manifest walk",
+                             "manifest hash"})
+        EXPECT_EQ(coordinator[step], 1) << step;
+    EXPECT_EQ(workers["champion"], cfg.waveformTopK);
+
+    // metrics.json holds a histogram only for the seal steps that end
+    // before it is written, and each of those has its sample.
+    json::Value metrics;
+    ASSERT_TRUE(json::parse(readFile(dir + "/metrics.json"), metrics,
+                            nullptr));
+    const json::Value* histograms = metrics.find("histograms");
+    ASSERT_TRUE(histograms && histograms->isObject());
+    std::vector<std::string> seal_histograms;
+    for (const auto& [name, histogram] : histograms->members) {
+        if (name.rfind("seal.", 0) != 0)
+            continue;
+        seal_histograms.push_back(name);
+        EXPECT_GT(histogram.numberOr("count", 0.0), 0.0) << name;
+    }
+    std::sort(seal_histograms.begin(), seal_histograms.end());
+    EXPECT_EQ(seal_histograms,
+              (std::vector<std::string>{"seal.champion_us",
+                                        "seal.champions_us",
+                                        "seal.drain_us"}));
+    removeAll(dir);
+    removeAll(trace_dir);
 }
 
 } // namespace

@@ -380,7 +380,10 @@ TEST_F(FlightRecorderTest, SealWritesIndexAndArtifacts)
         makeGeneration(0, {1.0, 4.0, 2.0}, 21);
     fr.onGenerationEvaluated(pop, recordFor(pop));
 
-    const std::vector<std::string> files = fr.seal();
+    std::vector<signal::WaveformArtifacts> captures;
+    for (std::size_t rank = 0; rank < fr.entries().size(); ++rank)
+        captures.push_back(fr.writeCapture(rank));
+    const std::vector<std::string> files = fr.writeIndex(captures);
     ASSERT_GE(files.size(), 3u); // index + 2x csv
     EXPECT_EQ(files[0], dir + "/waveforms/index.csv");
     for (const std::string& f : files)
