@@ -96,9 +96,9 @@ struct RunConfig
     /**
      * Keep signal captures of the run's top-K individuals
      * (<output waveforms="K">, default 0 = off): a FlightRecorder
-     * re-measures each champion once with a SignalProbe and seals
-     * waveforms/<id>.csv artifacts in the output directory. Requires
-     * an output directory and a cloneable measurement. Capture never
+     * keeps the top-K champions and the seal re-measures each once
+     * with a SignalProbe, sealing waveforms/<id>.csv artifacts in the
+     * output directory. Requires an output directory. Capture never
      * perturbs the GA RNG, so results are bit-identical with
      * waveforms on or off.
      */
@@ -266,6 +266,21 @@ struct RunResult
      */
     std::vector<std::string> attributionFiles;
 };
+
+/** A configuration's measurement and fitness, ready to evaluate. */
+struct Evaluator
+{
+    std::unique_ptr<measure::Measurement> measurement;
+    std::unique_ptr<fitness::Fitness> fitness;
+};
+
+/**
+ * Instantiate @p cfg's measurement and fitness by name (registering
+ * the bundled classes first), apply their configurations and the
+ * steady-state override. Throws FatalError for an unknown class or a
+ * bad configuration. Defined in run/run.cc.
+ */
+Evaluator buildEvaluator(const RunConfig& cfg);
 
 /**
  * Execute one GA run described by a configuration: instantiate the

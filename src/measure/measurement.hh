@@ -70,8 +70,8 @@ class Measurement
 
     /**
      * Measure one individual while recording the signals behind the
-     * scalar metrics into @p probe — the instrumented re-run a flight
-     * recorder or `gest probe` performs. Must return exactly what
+     * scalar metrics into @p probe — the instrumented re-run of the
+     * seal's champion capture or `gest probe`. Must return exactly what
      * measure() returns for the same code (capture only observes).
      * The default ignores the probe and calls measure(): measurements
      * without an underlying waveform (e.g. native perf runs) still

@@ -9,17 +9,11 @@
 namespace gest {
 namespace output {
 
-FlightRecorder::FlightRecorder(
-    std::string run_dir, int top_k,
-    std::unique_ptr<measure::Measurement> measurement)
-    : _runDir(std::move(run_dir)),
-      _topK(static_cast<std::size_t>(top_k)),
-      _measurement(std::move(measurement))
+FlightRecorder::FlightRecorder(std::string run_dir, int top_k)
+    : _runDir(std::move(run_dir)), _topK(static_cast<std::size_t>(top_k))
 {
     if (top_k < 1)
         fatal("flight recorder needs top_k >= 1, got ", top_k);
-    if (!_measurement)
-        fatal("flight recorder needs a measurement instance");
 }
 
 bool
@@ -49,21 +43,10 @@ FlightRecorder::onGenerationEvaluated(const core::Population& pop,
             contains(ind.id))
             continue;
 
-        // One instrumented re-run on the private clone. The simulated
-        // targets are deterministic, so this reproduces exactly the
-        // measurement the GA already scored — now with signals.
-        Entry entry;
-        entry.id = ind.id;
-        entry.generation = record.generation;
-        entry.fitness = ind.fitness;
-        // Retained for seal-time attribution (<output
-        // attribution="true"/>): champions may no longer be in the
-        // final population when the run ends.
-        entry.code = ind.code;
-        entry.measurements =
-            _measurement->measureWithProbe(ind.code, &entry.probe)
-                .values;
-        ++_captures;
+        // The code is kept for the seal-time capture and attribution:
+        // champions may no longer be in the final population when the
+        // run ends.
+        Entry entry{ind.id, record.generation, ind.fitness, ind.code};
 
         // Insert keeping strongest-first order, then trim to the bound.
         const auto pos = std::upper_bound(
@@ -76,11 +59,12 @@ FlightRecorder::onGenerationEvaluated(const core::Population& pop,
 }
 
 signal::WaveformArtifacts
-FlightRecorder::writeCapture(std::size_t rank) const
+FlightRecorder::writeCapture(std::size_t rank,
+                             const signal::SignalProbe& probe) const
 {
-    const Entry& e = _entries.at(rank);
-    return signal::writeWaveformArtifacts(_runDir + "/waveforms",
-                                          std::to_string(e.id), e.probe);
+    return signal::writeWaveformArtifacts(
+        _runDir + "/waveforms", std::to_string(_entries.at(rank).id),
+        probe);
 }
 
 std::vector<std::string>

@@ -1,42 +1,40 @@
 /**
  * @file
- * The champion flight recorder: waveform capture for a run's best
- * individuals.
+ * The champion flight recorder: which individuals get waveform
+ * captures.
  *
  * The paper's artifacts of record are signal plots of the winning
  * viruses — the oscilloscope shot of the dI/dt virus (§VI), the
- * heat-up curve of the thermal virus (§V). The flight recorder
- * produces the simulated equivalent without instrumenting the GA hot
- * path: it watches each evaluated generation, and whenever an
- * individual enters the current top-K by fitness it re-measures that
- * individual once on a private measurement clone with a SignalProbe
- * attached. The GA's own measurements, RNG stream and artifacts are
- * untouched — fixed-seed runs are bit-identical with the recorder on
- * or off.
+ * heat-up curve of the thermal virus (§V). The flight recorder keeps
+ * the books for the simulated equivalent: it watches each evaluated
+ * generation and retains the top-K individuals by fitness (each id at
+ * most once, with the generation it entered in). It measures nothing
+ * and never touches the GA, so fixed-seed runs are bit-identical with
+ * the recorder on or off.
  *
- * At the end of the run, writeCapture() writes one waveform artifact
- * set per surviving champion into `<run_dir>/waveforms/` (CSV plus the
- * PDN current spectrum where applicable, see signal/waveform_io.hh) and
- * writeIndex() an `index.csv` mapping ids to fitness and files.
+ * At the end of the run the run driver re-measures each retained
+ * champion once with a SignalProbe on an evaluation-pool worker;
+ * writeCapture() writes that capture into `<run_dir>/waveforms/` (CSV
+ * plus the PDN current spectrum where applicable, see
+ * signal/waveform_io.hh) and writeIndex() an `index.csv` mapping ids
+ * to fitness and files.
  */
 
 #ifndef GEST_OUTPUT_FLIGHT_RECORDER_HH
 #define GEST_OUTPUT_FLIGHT_RECORDER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.hh"
-#include "measure/measurement.hh"
 #include "signal/signal_probe.hh"
 #include "signal/waveform_io.hh"
 
 namespace gest {
 namespace output {
 
-/** Ring of the top-K individuals' signal captures for one run. */
+/** The top-K individuals of one run, kept for seal-time capture. */
 class FlightRecorder
 {
   public:
@@ -44,24 +42,20 @@ class FlightRecorder
     struct Entry
     {
         std::uint64_t id = 0;
-        int generation = 0; ///< generation the capture was taken in
+        int generation = 0; ///< generation the entry was retained in
         double fitness = 0.0;
         std::vector<isa::InstructionInstance> code;
-        std::vector<double> measurements;
-        signal::SignalProbe probe;
     };
 
     /**
      * @param run_dir run directory whose `waveforms/` writeCapture()
      *        and writeIndex() write into
      * @param top_k champions to retain (> 0)
-     * @param measurement private clone used for instrumented re-runs
      */
-    FlightRecorder(std::string run_dir, int top_k,
-                   std::unique_ptr<measure::Measurement> measurement);
+    FlightRecorder(std::string run_dir, int top_k);
 
     /**
-     * Inspect an evaluated generation; capture any individual that
+     * Inspect an evaluated generation; retain any individual that
      * enters the current top-K (each id at most once) and evict the
      * weakest entry past the bound.
      */
@@ -71,15 +65,14 @@ class FlightRecorder
     /** Entries currently retained, strongest first. */
     const std::vector<Entry>& entries() const { return _entries; }
 
-    /** Instrumented re-measurements performed so far. */
-    std::uint64_t captures() const { return _captures; }
-
     /**
-     * Write entry @p rank's capture (waveform CSV plus spectrum) under
-     * `<run_dir>/waveforms/`. Distinct ranks may be written
-     * concurrently: the run driver writes each on the evaluation pool.
+     * Write @p probe, entry @p rank's capture, as its waveform CSV plus
+     * spectrum under `<run_dir>/waveforms/`. Distinct ranks may be
+     * written concurrently: the run driver writes each on the
+     * evaluation pool.
      */
-    signal::WaveformArtifacts writeCapture(std::size_t rank) const;
+    signal::WaveformArtifacts writeCapture(
+        std::size_t rank, const signal::SignalProbe& probe) const;
 
     /**
      * Write `waveforms/index.csv` for @p captures, writeCapture's
@@ -95,9 +88,7 @@ class FlightRecorder
 
     std::string _runDir;
     std::size_t _topK;
-    std::unique_ptr<measure::Measurement> _measurement;
     std::vector<Entry> _entries; ///< sorted by fitness, strongest first
-    std::uint64_t _captures = 0;
 };
 
 } // namespace output

@@ -1,12 +1,9 @@
 #include "provenance/verify.hh"
 
-#include <memory>
 #include <sstream>
 
 #include "config/config.hh"
 #include "core/population.hh"
-#include "fitness/fitness.hh"
-#include "measure/measurement.hh"
 #include "native/native_measurement.hh"
 #include "provenance/digest.hh"
 #include "provenance/manifest.hh"
@@ -269,20 +266,11 @@ verifyRun(const std::string& run_dir, const VerifyOptions& options)
     if (manifest.steadyStateOverride)
         cfg.steadyStateOverride = manifest.steadyStateOverride;
 
-    config::registerBuiltins();
     native::registerNativeMeasurements();
 
-    std::unique_ptr<measure::Measurement> measurement;
-    std::unique_ptr<fitness::Fitness> fit;
+    config::Evaluator built;
     try {
-        measurement = measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-        measurement->init(cfg.measurementConfig);
-        if (cfg.steadyStateOverride)
-            measurement->setSteadyState(*cfg.steadyStateOverride);
-        fit = fitness::FitnessRegistry::instance().create(
-            cfg.fitnessClass);
-        fit->init(cfg.fitnessConfig);
+        built = config::buildEvaluator(cfg);
     } catch (const FatalError& err) {
         problem(std::string("cannot rebuild the run's measurement/"
                             "fitness: ") +
@@ -290,7 +278,8 @@ verifyRun(const std::string& run_dir, const VerifyOptions& options)
         return result;
     }
 
-    core::Engine engine(cfg.ga, cfg.library, *measurement, *fit);
+    core::Engine engine(cfg.ga, cfg.library, *built.measurement,
+                        *built.fitness);
     if (!cfg.seedPopulationPath.empty()) {
         try {
             engine.setSeedPopulation(core::loadPopulation(

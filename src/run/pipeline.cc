@@ -40,7 +40,7 @@ sinkStats()
     };
     static SinkStats s{
         sink("analytics", "analytics recorder"),
-        sink("flight", "flight-recorder captures"),
+        sink("flight", "flight-recorder top-K bookkeeping"),
         sink("coverage", "coverage ledger"),
         sink("watchdog", "health watchdog"),
         sink("provenance", "digest ledger append"),

@@ -7,7 +7,7 @@
  * order lives in step() alone. On the coordinator thread:
  *
  *  1. analytics recorder — lineage.csv and analytics.csv;
- *  2. flight recorder — champion waveform captures;
+ *  2. flight recorder — the top-K champions the seal captures;
  *  3. coverage ledger — coverage.csv;
  *  4. health watchdog — alerts.csv;
  *  5. provenance — the digests.csv row;

@@ -82,9 +82,10 @@ isInside(const std::string& file, const std::string& dir)
 /**
  * One pass over the flight recorder's retained champions (or the
  * best-ever individual without one) on the engine's evaluation pool,
- * one task per champion: write its waveform CSVs and compute and write
- * its attribution on the worker's measurement. Neither step reads the
- * run directory, so the pass may overlap the last write task.
+ * one task per champion, on the worker's measurement: capture and
+ * write its waveforms, and compute and write its attribution. Neither
+ * step reads the run directory, so the pass may overlap the last
+ * write task.
  */
 void
 sealChampions(const RunConfig& cfg, core::Engine& engine,
@@ -132,8 +133,13 @@ sealChampions(const RunConfig& cfg, core::Engine& engine,
             output::ScopedSpan span(
                 sealStats().champion, pipeline.trace, "champion", "seal",
                 {{"individual", static_cast<double>(champion.ind.id)}});
-            if (pipeline.flight)
-                captures[i] = pipeline.flight->writeCapture(i);
+            if (pipeline.flight) {
+                // Simulated targets are deterministic: this capture is
+                // the measurement the GA scored, now with signals.
+                signal::SignalProbe probe;
+                measurement.measureWithProbe(champion.ind.code, &probe);
+                captures[i] = pipeline.flight->writeCapture(i, probe);
+            }
             if (!attribute)
                 return;
             attribution::AttributionResult attributed =
@@ -165,21 +171,26 @@ registerBuiltins()
     fitness::registerBuiltinFitness();
 }
 
+Evaluator
+buildEvaluator(const RunConfig& cfg)
+{
+    registerBuiltins();
+    Evaluator built;
+    built.measurement = measure::MeasurementRegistry::instance().create(
+        cfg.measurementClass, cfg.library);
+    built.measurement->init(cfg.measurementConfig);
+    if (cfg.steadyStateOverride)
+        built.measurement->setSteadyState(*cfg.steadyStateOverride);
+    built.fitness =
+        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
+    built.fitness->init(cfg.fitnessConfig);
+    return built;
+}
+
 RunResult
 runFromConfig(const RunConfig& cfg)
 {
-    registerBuiltins();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    if (cfg.steadyStateOverride)
-        measurement->setSteadyState(*cfg.steadyStateOverride);
-
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
+    const Evaluator built = buildEvaluator(cfg);
 
     // The trace outlives the pipeline, whose write task may still be
     // emitting spans when a failed run unwinds. The pipeline is
@@ -189,7 +200,8 @@ runFromConfig(const RunConfig& cfg)
     const std::string& dir = cfg.outputDirectory;
     run::RunPipeline pipeline(dir + "/status.json", cfg.ga.generations);
 
-    core::Engine engine(cfg.ga, cfg.library, *measurement, *fit);
+    core::Engine engine(cfg.ga, cfg.library, *built.measurement,
+                        *built.fitness);
     if (!cfg.seedPopulationPath.empty())
         engine.setSeedPopulation(
             core::loadPopulation(cfg.library, cfg.seedPopulationPath));
@@ -217,17 +229,12 @@ runFromConfig(const RunConfig& cfg)
         pipeline.recorder =
             std::make_unique<analysis::Recorder>(dir, cfg.library);
     if (cfg.waveformTopK > 0) {
-        if (dir.empty()) {
+        if (dir.empty())
             warn("waveform capture requested but no output directory "
                  "is set; skipping");
-        } else if (std::unique_ptr<measure::Measurement> probe_meas =
-                       measurement->clone()) {
+        else
             pipeline.flight = std::make_unique<output::FlightRecorder>(
-                dir, cfg.waveformTopK, std::move(probe_meas));
-        } else {
-            warn("measurement '", cfg.measurementClass,
-                 "' is not cloneable; waveform capture disabled");
-        }
+                dir, cfg.waveformTopK);
     }
     if (!dir.empty()) {
         pipeline.writer = std::make_unique<output::RunWriter>(
@@ -288,7 +295,7 @@ runFromConfig(const RunConfig& cfg)
     // on the evaluation pool. Attribution goes before the stats dump,
     // so the attribution.* counters land in metrics.json, and before
     // the provenance seal, so the manifest covers its artifacts.
-    sealChampions(cfg, engine, *fit, pipeline, result);
+    sealChampions(cfg, engine, *built.fitness, pipeline, result);
     {
         // Every step below reads the run directory.
         output::ScopedSpan span(sealStats().drain, trace.get(),

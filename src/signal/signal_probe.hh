@@ -21,8 +21,8 @@
  *     on or off because the probe only observes.
  *  2. **Bounded.** A probe stores at most `maxSamplesPerSignal` samples
  *     per waveform and `maxMarks` marks; overflow is counted, never
- *     reallocated past the bound, so a flight recorder can keep several
- *     probes in memory for the length of a run.
+ *     reallocated past the bound, so every evaluation worker can hold
+ *     one while it captures a champion at the end of a run.
  *  3. **Self-describing.** Each waveform carries its unit, sample rate
  *     and warmup-sample count, so the sealed artifact can be validated
  *     against the scalar Evaluation without re-running the simulator

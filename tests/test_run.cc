@@ -60,7 +60,8 @@ const char kAllSinksConfig[] = R"(
   </measurement>
   <fitness class="DefaultFitness"/>
   <output directory="replaced" analytics="true" coverage="true"
-          health="true" provenance="true" listen="127.0.0.1:0"/>
+          health="true" provenance="true" waveforms="2"
+          listen="127.0.0.1:0"/>
 </gest_configuration>
 )";
 
@@ -99,6 +100,20 @@ TEST(RunPipeline, LiveStatusCountsTheDigestOfItsGeneration)
     EXPECT_NE(final_status.find("\"state\": \"completed\""),
               std::string::npos);
     expectExactDigests(final_status);
+
+    // The completed status counts every evaluation the stats dump does,
+    // the seal's waveform captures included.
+    json::Value status, metrics;
+    ASSERT_TRUE(json::parse(final_status, status, nullptr));
+    ASSERT_TRUE(json::parse(readFile(dir + "/metrics.json"), metrics,
+                            nullptr));
+    const json::Value* counters = metrics.find("counters");
+    ASSERT_TRUE(counters && counters->isObject());
+    for (const char* key :
+         {"steady_hits", "cycles_simulated", "cycles_tiled"})
+        EXPECT_EQ(status.numberOr(key, -1.0),
+                  counters->numberOr(std::string("eval.") + key, -2.0))
+            << key;
     ASSERT_FALSE(bodies.empty());
     for (const std::string& body : bodies) {
         expectExactDigests(body);

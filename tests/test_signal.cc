@@ -7,9 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "config/config.hh"
 #include "core/engine.hh"
-#include "fitness/fitness.hh"
 #include "measure/sim_measurements.hh"
 #include "output/flight_recorder.hh"
 #include "signal/analysis.hh"
@@ -17,6 +18,7 @@
 #include "signal/waveform_io.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace signal {
@@ -289,12 +291,6 @@ class FlightRecorderTest : public ::testing::Test
     {
     }
 
-    std::unique_ptr<measure::Measurement> makeMeasurement() const
-    {
-        return std::make_unique<measure::SimPowerMeasurement>(_lib,
-                                                              _plat);
-    }
-
     core::Population makeGeneration(int generation,
                                     std::vector<double> fitnesses,
                                     std::uint64_t first_id) const
@@ -325,19 +321,17 @@ class FlightRecorderTest : public ::testing::Test
 
 TEST_F(FlightRecorderTest, KeepsTopKStrongestFirst)
 {
-    output::FlightRecorder fr("unused", 2, makeMeasurement());
+    output::FlightRecorder fr("unused", 2);
     const core::Population gen0 =
         makeGeneration(0, {0.5, 2.0, 1.0}, 1);
     fr.onGenerationEvaluated(gen0, recordFor(gen0));
+    // 0.5 was retained while the ring was filling; 1.0 displaced it.
     ASSERT_EQ(fr.entries().size(), 2u);
     EXPECT_DOUBLE_EQ(fr.entries()[0].fitness, 2.0);
     EXPECT_DOUBLE_EQ(fr.entries()[1].fitness, 1.0);
-    // 0.5 was captured while the ring was filling, then evicted; 1.0
-    // displaced it.
-    EXPECT_EQ(fr.captures(), 3u);
+    EXPECT_EQ(fr.entries()[1].code, armLoop(_lib));
 
-    // A stronger champion evicts the weakest; a weaker one is ignored
-    // without a capture.
+    // A stronger champion evicts the weakest; a weaker one is ignored.
     const core::Population gen1 =
         makeGeneration(1, {3.0, 0.25}, 10);
     fr.onGenerationEvaluated(gen1, recordFor(gen1));
@@ -346,43 +340,44 @@ TEST_F(FlightRecorderTest, KeepsTopKStrongestFirst)
     EXPECT_EQ(fr.entries()[0].id, 10u);
     EXPECT_EQ(fr.entries()[0].generation, 1);
     EXPECT_DOUBLE_EQ(fr.entries()[1].fitness, 2.0);
-    EXPECT_EQ(fr.captures(), 4u);
 }
 
-TEST_F(FlightRecorderTest, CapturesEachIdOnceAndSkipsUnevaluated)
+TEST_F(FlightRecorderTest, RetainsEachIdOnceAndSkipsUnevaluated)
 {
-    output::FlightRecorder fr("unused", 4, makeMeasurement());
+    output::FlightRecorder fr("unused", 4);
     core::Population pop = makeGeneration(0, {1.0, 2.0}, 1);
     pop.individuals[1].evaluated = false;
     fr.onGenerationEvaluated(pop, recordFor(pop));
     EXPECT_EQ(fr.entries().size(), 1u);
 
-    // Elitism carries id 1 into the next generation: no second capture.
+    // Elitism carries id 1 into the next generation: it keeps the
+    // generation it entered in.
     const core::Population again = makeGeneration(1, {1.0}, 1);
     fr.onGenerationEvaluated(again, recordFor(again));
-    EXPECT_EQ(fr.entries().size(), 1u);
-    EXPECT_EQ(fr.captures(), 1u);
+    ASSERT_EQ(fr.entries().size(), 1u);
+    EXPECT_EQ(fr.entries()[0].generation, 0);
 }
 
 TEST_F(FlightRecorderTest, RejectsBadConstruction)
 {
-    EXPECT_THROW(
-        output::FlightRecorder("d", 0, makeMeasurement()),
-        FatalError);
-    EXPECT_THROW(output::FlightRecorder("d", 1, nullptr), FatalError);
+    EXPECT_THROW(output::FlightRecorder("d", 0), FatalError);
 }
 
 TEST_F(FlightRecorderTest, SealWritesIndexAndArtifacts)
 {
     const std::string dir = makeTempDir("gest-fr");
-    output::FlightRecorder fr(dir, 2, makeMeasurement());
+    output::FlightRecorder fr(dir, 2);
     const core::Population pop =
         makeGeneration(0, {1.0, 4.0, 2.0}, 21);
     fr.onGenerationEvaluated(pop, recordFor(pop));
 
+    measure::SimPowerMeasurement meas(_lib, _plat);
     std::vector<signal::WaveformArtifacts> captures;
-    for (std::size_t rank = 0; rank < fr.entries().size(); ++rank)
-        captures.push_back(fr.writeCapture(rank));
+    for (std::size_t rank = 0; rank < fr.entries().size(); ++rank) {
+        SignalProbe probe;
+        meas.measureWithProbe(fr.entries()[rank].code, &probe);
+        captures.push_back(fr.writeCapture(rank, probe));
+    }
     const std::vector<std::string> files = fr.writeIndex(captures);
     ASSERT_GE(files.size(), 3u); // index + 2x csv
     EXPECT_EQ(files[0], dir + "/waveforms/index.csv");
@@ -397,55 +392,6 @@ TEST_F(FlightRecorderTest, SealWritesIndexAndArtifacts)
     EXPECT_NE(index.find("1,22,0,4,22.csv,"), std::string::npos);
     EXPECT_NE(index.find("2,23,0,2,23.csv,"), std::string::npos);
     removeAll(dir);
-}
-
-TEST(Determinism, EngineHistoryIdenticalWithRecorderAttached)
-{
-    const auto plat = platform::cortexA7Platform();
-    const isa::InstructionLibrary& lib = plat->library();
-    core::GaParams params;
-    params.populationSize = 8;
-    params.individualSize = 6;
-    params.generations = 3;
-    params.seed = 17;
-    params.tournamentSize = 3;
-
-    struct Outcome
-    {
-        std::vector<core::GenerationRecord> history;
-        std::vector<isa::InstructionInstance> bestCode;
-    };
-    auto run = [&](output::FlightRecorder* fr) {
-        measure::SimPowerMeasurement meas(lib, plat);
-        fitness::DefaultFitness fit;
-        core::Engine engine(params, lib, meas, fit);
-        if (fr) {
-            engine.addGenerationObserver(
-                [fr](const core::Population& pop,
-                     const core::GenerationRecord& record) {
-                    fr->onGenerationEvaluated(pop, record);
-                });
-        }
-        engine.run();
-        return Outcome{engine.history(), engine.bestEver().code};
-    };
-
-    const Outcome plain = run(nullptr);
-    output::FlightRecorder fr(
-        "unused", 2,
-        std::make_unique<measure::SimPowerMeasurement>(lib, plat));
-    const Outcome recorded = run(&fr);
-
-    EXPECT_GT(fr.captures(), 0u);
-    ASSERT_EQ(plain.history.size(), recorded.history.size());
-    for (std::size_t i = 0; i < plain.history.size(); ++i) {
-        EXPECT_EQ(plain.history[i].bestFitness,
-                  recorded.history[i].bestFitness);
-        EXPECT_EQ(plain.history[i].bestId, recorded.history[i].bestId);
-        EXPECT_EQ(plain.history[i].averageFitness,
-                  recorded.history[i].averageFitness);
-    }
-    EXPECT_EQ(plain.bestCode, recorded.bestCode);
 }
 
 const char* kWaveformRunConfig = R"(
@@ -500,6 +446,124 @@ TEST(Determinism, WaveformsWithoutOutputDirIsSkippedNotFatal)
     const config::RunResult result = config::runFromConfig(cfg);
     EXPECT_TRUE(result.waveformFiles.empty());
     EXPECT_GT(result.best.fitness, 0.0);
+}
+
+TEST(Determinism, SealedCapturesMatchAFreshMeasurement)
+{
+    // The seal captures each champion on a pool worker's clone, which
+    // has already measured the whole search; a fresh measurement must
+    // capture the same bytes.
+    config::RunConfig cfg = config::parseConfig(R"(
+<gest_configuration>
+  <ga population_size="8" individual_size="8" generations="3"
+      seed="11" tournament_size="3" threads="4"/>
+  <library name="x86"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="athlon-x4" min_cycles="1024"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+</gest_configuration>
+)");
+    const std::string dir = makeTempDir("gest-wfpool");
+    cfg.outputDirectory = dir + "/run";
+    cfg.recordStats = false;
+    cfg.waveformTopK = 3;
+    config::runFromConfig(cfg);
+
+    // Each index row names a champion and the generation whose
+    // population checkpoint holds its code.
+    const std::string waveforms = cfg.outputDirectory + "/waveforms/";
+    const std::vector<std::string> lines =
+        split(readFile(waveforms + "index.csv"), '\n');
+    int champions = 0;
+    for (std::size_t i = 2; i < lines.size(); ++i) {
+        if (lines[i].empty())
+            continue;
+        const std::vector<std::string> row = split(lines[i], ',');
+        ASSERT_EQ(row.size(), 6u) << lines[i];
+        const std::string& id = row[1];
+        SCOPED_TRACE(id);
+        const core::Population pop = core::loadPopulation(
+            cfg.library,
+            cfg.outputDirectory + "/population_" + row[2] + ".pop");
+        const auto champion = std::find_if(
+            pop.individuals.begin(), pop.individuals.end(),
+            [&](const core::Individual& ind) {
+                return std::to_string(ind.id) == id;
+            });
+        ASSERT_NE(champion, pop.individuals.end());
+
+        measure::SimPowerMeasurement fresh(cfg.library,
+                                           platform::athlonX4Platform());
+        fresh.init(cfg.measurementConfig);
+        SignalProbe probe;
+        fresh.measureWithProbe(champion->code, &probe);
+        const WaveformArtifacts art =
+            writeWaveformArtifacts(dir + "/fresh", id, probe);
+        EXPECT_EQ(readFile(art.csvPath), readFile(waveforms + id + ".csv"));
+        ASSERT_FALSE(art.spectrumPath.empty());
+        EXPECT_EQ(readFile(art.spectrumPath),
+                  readFile(waveforms + id + "_spectrum.csv"));
+        ++champions;
+    }
+    EXPECT_EQ(champions, cfg.waveformTopK);
+    removeAll(dir);
+}
+
+/** Forwards to a SimPowerMeasurement but keeps the default null clone(). */
+class UncloneableSimPower : public measure::Measurement
+{
+  public:
+    explicit UncloneableSimPower(const isa::InstructionLibrary& lib)
+        : _inner(lib, nullptr)
+    {
+    }
+    void init(const xml::Element* config) override { _inner.init(config); }
+    measure::MeasurementResult
+    measure(const std::vector<isa::InstructionInstance>& code) override
+    {
+        return _inner.measure(code);
+    }
+    measure::MeasurementResult
+    measureWithProbe(const std::vector<isa::InstructionInstance>& code,
+                     SignalProbe* probe) override
+    {
+        return _inner.measureWithProbe(code, probe);
+    }
+    std::vector<std::string> valueNames() const override
+    {
+        return _inner.valueNames();
+    }
+    std::string name() const override { return "UncloneableSimPower"; }
+
+  private:
+    measure::SimPowerMeasurement _inner;
+};
+
+TEST(Determinism, UncloneableMeasurementStillSealsWaveforms)
+{
+    // threads=1 needs no clone: the seal captures on the main
+    // measurement.
+    measure::MeasurementRegistry& registry =
+        measure::MeasurementRegistry::instance();
+    if (!registry.contains("UncloneableSimPower"))
+        registry.registerFactory(
+            "UncloneableSimPower", [](const isa::InstructionLibrary& lib) {
+                return std::make_unique<UncloneableSimPower>(lib);
+            });
+    config::RunConfig cfg = config::parseConfig(kWaveformRunConfig);
+    cfg.measurementClass = "UncloneableSimPower";
+    const std::string dir = makeTempDir("gest-wfsolo");
+    cfg.outputDirectory = dir;
+    cfg.waveformTopK = 2;
+    const config::RunResult result = config::runFromConfig(cfg);
+
+    ASSERT_EQ(result.waveformFiles.size(), 3u); // index + 2 captures
+    EXPECT_EQ(result.waveformFiles[0], dir + "/waveforms/index.csv");
+    EXPECT_EQ(listFiles(dir + "/waveforms").size(), 3u);
+    for (const std::string& f : result.waveformFiles)
+        EXPECT_TRUE(fileExists(f)) << f;
+    removeAll(dir);
 }
 
 TEST(Config, NegativeWaveformCountIsFatal)

@@ -287,16 +287,10 @@ cmdProbe(const std::string& config_path, const std::string& target,
          const char* out_override)
 {
     config::RunConfig cfg = config::loadConfig(config_path);
-    config::registerBuiltins();
     native::registerNativeMeasurements();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
+    const config::Evaluator built = config::buildEvaluator(cfg);
+    measure::Measurement& measurement = *built.measurement;
+    const fitness::Fitness& fit = *built.fitness;
 
     int generation = -1;
     core::Individual ind =
@@ -307,9 +301,9 @@ cmdProbe(const std::string& config_path, const std::string& target,
 
     signal::SignalProbe probe;
     ind.measurements =
-        measurement->measureWithProbe(ind.code, &probe).values;
+        measurement.measureWithProbe(ind.code, &probe).values;
     ind.evaluated = true;
-    ind.fitness = fit->getFitness(ind, cfg.library);
+    ind.fitness = fit.getFitness(ind, cfg.library);
 
     const std::string out_dir =
         out_override ? std::string(out_override) : target + "/probe";
@@ -323,8 +317,8 @@ cmdProbe(const std::string& config_path, const std::string& target,
                     ? (", generation " + std::to_string(generation))
                           .c_str()
                     : "",
-                ind.fitness, fit->name().c_str());
-    const std::vector<std::string> names = measurement->valueNames();
+                ind.fitness, fit.name().c_str());
+    const std::vector<std::string> names = measurement.valueNames();
     for (std::size_t i = 0; i < ind.measurements.size(); ++i)
         std::printf("%-24s %.9g\n",
                     i < names.size() ? names[i].c_str() : "value",
@@ -343,16 +337,10 @@ cmdAttribute(const std::string& config_path, const std::string& target,
              const char* out_override, const char* top_arg)
 {
     config::RunConfig cfg = config::loadConfig(config_path);
-    config::registerBuiltins();
     native::registerNativeMeasurements();
-
-    std::unique_ptr<measure::Measurement> measurement =
-        measure::MeasurementRegistry::instance().create(
-            cfg.measurementClass, cfg.library);
-    measurement->init(cfg.measurementConfig);
-    std::unique_ptr<fitness::Fitness> fit =
-        fitness::FitnessRegistry::instance().create(cfg.fitnessClass);
-    fit->init(cfg.fitnessConfig);
+    const config::Evaluator built = config::buildEvaluator(cfg);
+    measure::Measurement& measurement = *built.measurement;
+    const fitness::Fitness& fit = *built.fitness;
 
     int generation = -1;
     core::Individual ind =
@@ -366,8 +354,8 @@ cmdAttribute(const std::string& config_path, const std::string& target,
            " genes) with measurement ", cfg.measurementClass);
 
     attribution::AttributionResult result =
-        attribution::computeAttribution(cfg.library, *measurement,
-                                        *fit, ind, options);
+        attribution::computeAttribution(cfg.library, measurement,
+                                        fit, ind, options);
     result.generation = generation;
 
     // Default beside, never inside, the sealed attribution/ directory:
@@ -386,7 +374,7 @@ cmdAttribute(const std::string& config_path, const std::string& target,
                           .c_str()
                     : "",
                 result.baselineFitness, cfg.measurementClass.c_str(),
-                fit->name().c_str());
+                fit.name().c_str());
     std::printf("filler: %s (%s); %llu evaluations for %zu genes\n",
                 result.fillerInstruction.c_str(),
                 result.fillerIsNop ? "nop" : "same-class",
