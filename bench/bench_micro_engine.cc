@@ -20,6 +20,7 @@
 #include "core/operators.hh"
 #include "isa/standard_libs.hh"
 #include "measure/sim_measurements.hh"
+#include "output/trace_writer.hh"
 #include "pdn/pdn_model.hh"
 #include "platform/platform.hh"
 #include "power/power_model.hh"
@@ -228,31 +229,31 @@ BM_StatsHistogramEnabled(benchmark::State& state)
 BENCHMARK(BM_StatsHistogramEnabled);
 
 void
-BM_ScopedTimerDisabled(benchmark::State& state)
+BM_ScopedSpanDisabled(benchmark::State& state)
 {
     stats::setEnabled(false);
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "bench.timer", "benchmark timer", 0.0, 1000.0, 40);
+        "bench.span", "benchmark span", 0.0, 1000.0, 40);
     for (auto _ : state) {
-        stats::ScopedTimer timer(&hist);
-        benchmark::DoNotOptimize(&timer);
+        output::ScopedSpan span(hist, nullptr, "bench.span", "bench");
+        benchmark::DoNotOptimize(&span);
     }
 }
-BENCHMARK(BM_ScopedTimerDisabled);
+BENCHMARK(BM_ScopedSpanDisabled);
 
 void
-BM_ScopedTimerEnabled(benchmark::State& state)
+BM_ScopedSpanEnabled(benchmark::State& state)
 {
     stats::setEnabled(true);
     stats::Histogram& hist = stats::StatsRegistry::instance().histogram(
-        "bench.timer", "benchmark timer", 0.0, 1000.0, 40);
+        "bench.span", "benchmark span", 0.0, 1000.0, 40);
     for (auto _ : state) {
-        stats::ScopedTimer timer(&hist);
-        benchmark::DoNotOptimize(&timer);
+        output::ScopedSpan span(hist, nullptr, "bench.span", "bench");
+        benchmark::DoNotOptimize(&span);
     }
     stats::setEnabled(false);
 }
-BENCHMARK(BM_ScopedTimerEnabled);
+BENCHMARK(BM_ScopedSpanEnabled);
 
 /**
  * CI perf smoke (`--smoke_json=<path>`): time full evaluations with

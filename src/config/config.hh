@@ -126,10 +126,10 @@ struct RunConfig
      * Attribute champion fitness at seal time (<output
      * attribution="true"/>, default false): after the run, the flight
      * recorder's retained champions (or the best-ever individual when
-     * no flight recorder ran) are ablated gene by gene on a private
-     * measurement clone and `attribution/individual_<id>.{csv,json}`
-     * artifacts are sealed into the output directory. Post-run only:
-     * the GA itself is untouched.
+     * no flight recorder ran) are ablated gene by gene on the pool
+     * worker's measurement that the champion pass runs on, and one
+     * `attribution/individual_<id>.csv` per champion is sealed into
+     * the output directory. Post-run only: the GA itself is untouched.
      */
     bool recordAttribution = false;
 
@@ -224,7 +224,6 @@ RunConfig loadConfig(const std::string& path);
 /** Outcome of a full configured run. */
 struct RunResult
 {
-    core::Population finalPopulation;
     core::Individual best;
     std::vector<core::GenerationRecord> history;
     std::uint64_t evaluations = 0;

@@ -268,9 +268,8 @@ class Engine
     std::vector<double> _workerBusyUs;
 
     /**
-     * engine.worker.N.busy_us, one per slot of _workerBusyUs, registered
-     * in index order on the first timed batch so metrics.json lists them
-     * in the same order whatever the scheduling.
+     * engine.worker.N.busy_us, one per slot of _workerBusyUs, looked up
+     * once on the first timed batch.
      */
     std::vector<stats::Counter*> _workerBusyCounters;
 };

@@ -1,6 +1,7 @@
 #include "output/ledger.hh"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "isa/instr_class.hh"
 #include "util/fileutil.hh"
@@ -160,22 +161,38 @@ Decoder::position(const std::string& column) const
                                                      columns.begin())];
 }
 
+// number() and integer() parse a well-formed cell directly. Only a cell
+// they cannot read whole goes through parseDouble()/parseInt(), which
+// trim it or fatal() with the error context built here. Building that
+// context for every cell cost a third of a `gest top` frame on a
+// 10,000-generation history.csv.
+
 double
 Decoder::number(const std::string& column) const
 {
     const int at = position(column);
-    return at < 0 ? 0.0
-                  : parseDouble(_cells[static_cast<std::size_t>(at)],
-                                column + " (" + where() + ")");
+    if (at < 0)
+        return 0.0;
+    const std::string& cell = _cells[static_cast<std::size_t>(at)];
+    char* end = nullptr;
+    const double v = std::strtod(cell.c_str(), &end);
+    if (end != cell.c_str() && *end == '\0')
+        return v;
+    return parseDouble(cell, column + " (" + where() + ")");
 }
 
 std::int64_t
 Decoder::integer(const std::string& column) const
 {
     const int at = position(column);
-    return at < 0 ? 0
-                  : parseInt(_cells[static_cast<std::size_t>(at)],
-                             column + " (" + where() + ")");
+    if (at < 0)
+        return 0;
+    const std::string& cell = _cells[static_cast<std::size_t>(at)];
+    char* end = nullptr;
+    const std::int64_t v = std::strtoll(cell.c_str(), &end, 0);
+    if (end != cell.c_str() && *end == '\0')
+        return v;
+    return parseInt(cell, column + " (" + where() + ")");
 }
 
 const std::string&

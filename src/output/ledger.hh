@@ -98,8 +98,7 @@ class Writer
 
 /**
  * Decodes a ledger line by line. Fed complete lines (newline
- * stripped); decode() and the incremental `gest top` poller both feed
- * it.
+ * stripped), by decode().
  */
 class Decoder
 {

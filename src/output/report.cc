@@ -16,7 +16,7 @@ namespace gest {
 namespace output {
 
 double
-RunReport::cacheHitRate() const
+RunHistory::cacheHitRate() const
 {
     const double total =
         static_cast<double>(totalMeasured + totalCacheHits);
@@ -25,7 +25,7 @@ RunReport::cacheHitRate() const
 }
 
 double
-RunReport::evaluationsPerSecond() const
+RunHistory::evaluationsPerSecond() const
 {
     if (!hasTimings || evaluationMs <= 0.0)
         return 0.0;
@@ -50,21 +50,14 @@ RunReport::tiledCycleFraction() const
                         : static_cast<double>(cyclesTiled) / total;
 }
 
-RunReport
-analyzeRun(const std::string& run_dir)
+HistoryFound
+loadHistory(const std::string& run_dir, RunHistory& out)
 {
-    if (!dirExists(run_dir))
-        fatal("run directory '", run_dir, "' does not exist");
+    out = RunHistory();
     const std::string path = run_dir + "/" + ledger::history.file;
     std::string text;
     if (!tryReadFile(path, text))
-        fatal("no history.csv in '", run_dir,
-              "' — is this a gest run directory? Pass the directory "
-              "named by <output directory=\"...\"> (runs without an "
-              "<output> element record no history)");
-
-    RunReport report;
-    report.runDir = run_dir;
+        return HistoryFound::NoFile;
 
     const ledger::Decoder decoder = ledger::decode(
         ledger::history, path, text, [&](const ledger::Decoder& in) {
@@ -82,35 +75,67 @@ analyzeRun(const std::string& run_dir)
             row.mutationMs = in.number("mutation_ms");
             row.evaluationMs = in.number("evaluation_ms");
             row.ioMs = in.number("io_ms");
-            report.rows.push_back(row);
+            out.rows.push_back(row);
         });
     if (!decoder.hasHeader())
+        return HistoryFound::NoHeader;
+    out.historyVersion = decoder.version();
+    out.hasTimings = decoder.has("evaluation_ms");
+    if (out.rows.empty())
+        return HistoryFound::NoRows;
+
+    out.firstBest = out.rows.front().bestFitness;
+    out.finalAverage = out.rows.back().averageFitness;
+    out.finalDiversity = out.rows.back().diversity;
+    for (const HistoryRow& row : out.rows) {
+        if (row.bestFitness > out.bestFitness ||
+            &row == &out.rows.front()) {
+            out.bestFitness = row.bestFitness;
+            out.bestGeneration = row.generation;
+        }
+        out.totalMeasured += row.cacheMisses;
+        out.totalCacheHits += row.cacheHits;
+        out.selectionMs += row.selectionMs;
+        out.crossoverMs += row.crossoverMs;
+        out.mutationMs += row.mutationMs;
+        out.evaluationMs += row.evaluationMs;
+        out.ioMs += row.ioMs;
+    }
+    return HistoryFound::Rows;
+}
+
+RunHistory
+analyzeHistory(const std::string& run_dir)
+{
+    if (!dirExists(run_dir))
+        fatal("run directory '", run_dir, "' does not exist");
+    const std::string path = run_dir + "/" + ledger::history.file;
+    RunHistory history;
+    switch (loadHistory(run_dir, history)) {
+      case HistoryFound::NoFile:
+        fatal("no history.csv in '", run_dir,
+              "' — is this a gest run directory? Pass the directory "
+              "named by <output directory=\"...\"> (runs without an "
+              "<output> element record no history)");
+      case HistoryFound::NoHeader:
         fatal("'", path, "' is empty — the run has not written its "
               "header yet (or the file was clobbered); rerun or wait "
               "for the first generation to complete");
-    report.historyVersion = decoder.version();
-    report.hasTimings = decoder.has("evaluation_ms");
-    if (report.rows.empty())
+      case HistoryFound::NoRows:
         fatal("'", path, "' contains no generation rows yet — the run "
               "has not completed generation 0; retry once it has");
-
-    report.firstBest = report.rows.front().bestFitness;
-    report.finalAverage = report.rows.back().averageFitness;
-    report.finalDiversity = report.rows.back().diversity;
-    for (const HistoryRow& row : report.rows) {
-        if (row.bestFitness > report.bestFitness ||
-            &row == &report.rows.front()) {
-            report.bestFitness = row.bestFitness;
-            report.bestGeneration = row.generation;
-        }
-        report.totalMeasured += row.cacheMisses;
-        report.totalCacheHits += row.cacheHits;
-        report.selectionMs += row.selectionMs;
-        report.crossoverMs += row.crossoverMs;
-        report.mutationMs += row.mutationMs;
-        report.evaluationMs += row.evaluationMs;
-        report.ioMs += row.ioMs;
+      case HistoryFound::Rows:
+        break;
     }
+    return history;
+}
+
+RunReport
+analyzeRun(const std::string& run_dir)
+{
+    RunReport report;
+    static_cast<RunHistory&>(report) = analyzeHistory(run_dir);
+    report.runDir = run_dir;
 
     std::vector<analysis::AnalyticsRow> analytics;
     if (analysis::tryLoadAnalytics(run_dir, analytics) &&

@@ -6,12 +6,13 @@
  * `report` works from `history.csv` alone, so it summarizes both
  * finished and in-flight runs (the RunWriter appends one complete row
  * per generation); when the run also recorded `analytics.csv` the
- * summary gains an evolution-analytics section. Both files are read
- * through the ledger reader (output/ledger.hh): v1 history files
- * (pre-timing columns) report everything except the phase breakdown,
- * a torn last row is dropped, and malformed files fatal() with an
- * actionable message instead of crashing or mis-summarizing. `--json`
- * renders the same summary machine-readable.
+ * summary gains an evolution-analytics section. loadHistory() is the
+ * one history.csv reader; `gest runs` and `gest top` use it too. Both
+ * files are read through the ledger reader (output/ledger.hh): v1
+ * history files (pre-timing columns) report everything except the
+ * phase breakdown, a torn last row is dropped, and malformed files
+ * fatal() with an actionable message instead of crashing or
+ * mis-summarizing. `--json` renders the same summary machine-readable.
  *
  * `explain` reads `lineage.csv` + `analytics.csv` and answers *why*
  * the GA got where it did: the champion's ancestry chain back to
@@ -50,11 +51,12 @@ struct HistoryRow
     double ioMs = 0.0;
 };
 
-/** Everything `gest report` prints, in analyzable form. */
-struct RunReport
+/**
+ * history.csv's rows and their run totals: what `gest report`,
+ * `gest runs`, `gest compare` and `gest top` read of a run's history.
+ */
+struct RunHistory
 {
-    std::string runDir;
-
     /** Version from the `# gest-history v<N>` comment (1 if absent). */
     int historyVersion = 1;
 
@@ -80,6 +82,43 @@ struct RunReport
     double mutationMs = 0.0;
     double evaluationMs = 0.0;
     double ioMs = 0.0;
+
+    /** Cache hit rate in [0, 1]. */
+    double cacheHitRate() const;
+
+    /** Measurements per second of evaluation time; 0 if unknown. */
+    double evaluationsPerSecond() const;
+};
+
+/** How far a run's history.csv has got. */
+enum class HistoryFound
+{
+    NoFile,    ///< no readable history.csv
+    NoHeader,  ///< empty, or a version line only
+    NoRows,    ///< a header but no complete generation row
+    Rows,      ///< at least one complete row
+};
+
+/**
+ * Read @p run_dir/history.csv into @p out and total its rows: the one
+ * history.csv reader. A torn last row is dropped; a complete row that
+ * is short or malformed fatal()s with the ledger's `file:line`. The
+ * "nothing yet" cases are returned, not fatal, so `gest top` can wait
+ * on them.
+ */
+HistoryFound loadHistory(const std::string& run_dir, RunHistory& out);
+
+/**
+ * loadHistory() for callers that need at least one row. fatal() with
+ * an actionable message when the directory or file is missing or
+ * holds no complete generation row.
+ */
+RunHistory analyzeHistory(const std::string& run_dir);
+
+/** Everything `gest report` prints, in analyzable form. */
+struct RunReport : RunHistory
+{
+    std::string runDir;
 
     /**
      * Evolution analytics, present when the run recorded
@@ -108,23 +147,16 @@ struct RunReport
     std::uint64_t cyclesSkipped = 0;    ///< eval.cycles_skipped (0 if absent)
     std::uint64_t cyclesTiled = 0;      ///< eval.cycles_tiled
 
-    /** Cache hit rate in [0, 1]. */
-    double cacheHitRate() const;
-
     /** Fraction of measurements cut short by the detector, [0, 1]. */
     double steadyHitRate() const;
 
     /** Fraction of measured cycles covered by tiling, [0, 1]. */
     double tiledCycleFraction() const;
-
-    /** Measurements per second of evaluation time; 0 if unknown. */
-    double evaluationsPerSecond() const;
 };
 
 /**
- * Parse @p run_dir/history.csv into a report. fatal() when the
- * directory or file is missing, holds no complete generation rows, or
- * a complete row is short or malformed (a torn last row is dropped).
+ * analyzeHistory() plus the run's analytics.csv and metrics.json
+ * counters, for `gest report` and `gest compare`.
  */
 RunReport analyzeRun(const std::string& run_dir);
 

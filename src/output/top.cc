@@ -4,10 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "analysis/health.hh"
 #include "net/http_client.hh"
+#include "output/ledger.hh"
+#include "output/report.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
 #include "util/logging.hh"
@@ -18,7 +19,10 @@ namespace output {
 
 namespace {
 
-/** Fill the /status-shaped fields of @p out from parsed JSON. */
+/**
+ * Fill the /status-shaped fields of @p out from parsed JSON: the one
+ * status.json parser. An absent `state` keeps @p out's.
+ */
 void
 applyStatus(const json::Value& status, TopSnapshot& out)
 {
@@ -31,7 +35,8 @@ applyStatus(const json::Value& status, TopSnapshot& out)
             alerts->numberOr("last_generation", -1.0));
         out.lastAlertRule = alerts->stringOr("last_rule", "");
     }
-    out.state = status.stringOr("state", "unknown");
+    out.state = status.stringOr("state", out.state);
+    out.listen = status.stringOr("listen", "");
     out.generation =
         static_cast<int>(status.numberOr("generation", -1));
     out.totalGenerations =
@@ -262,136 +267,57 @@ fetchTopSnapshot(const std::string& url, TopSnapshot& out)
     return true;
 }
 
-TopFilePoller::TopFilePoller(std::string run_dir)
-    : _runDir(std::move(run_dir)),
-      _history(ledger::history, _runDir + "/" + ledger::history.file)
-{}
-
-void
-TopFilePoller::reset()
+bool
+readStatusFile(const std::string& run_dir, TopSnapshot& out)
 {
-    _offset = 0;
-    _carry.clear();
-    _history = ledger::Decoder(ledger::history,
-                               _runDir + "/" + ledger::history.file);
-    _totals = Totals();
-}
-
-void
-TopFilePoller::addRow()
-{
-    Totals& t = _totals;
-    const double best_fitness = _history.number("best_fitness");
-    t.lastGeneration = static_cast<int>(_history.number("generation"));
-    t.trajectory.push_back(best_fitness);
-    t.best = t.sawRow ? std::max(t.best, best_fitness) : best_fitness;
-    t.sawRow = true;
-    t.lastAverage = _history.number("average_fitness");
-    t.lastDiversity = _history.number("diversity");
-    t.hits += static_cast<std::uint64_t>(_history.number("cache_hits"));
-    t.misses +=
-        static_cast<std::uint64_t>(_history.number("cache_misses"));
-    t.selectionMs += _history.number("selection_ms");
-    t.crossoverMs += _history.number("crossover_ms");
-    t.mutationMs += _history.number("mutation_ms");
-    t.evaluationMs += _history.number("evaluation_ms");
-}
-
-void
-TopFilePoller::readHistory()
-{
-    std::ifstream in(_runDir + "/" + ledger::history.file,
-                     std::ios::binary | std::ios::ate);
-    if (!in)
-        return;
-    const std::uint64_t size =
-        static_cast<std::uint64_t>(in.tellg());
-    if (size < _offset)
-        reset();  // truncated or replaced: re-parse from the top
-    if (size == _offset)
-        return;
-    in.seekg(static_cast<std::streamoff>(_offset));
-    std::string chunk(static_cast<std::size_t>(size - _offset), '\0');
-    in.read(&chunk[0], static_cast<std::streamsize>(chunk.size()));
-    chunk.resize(static_cast<std::size_t>(in.gcount()));
-    _offset += chunk.size();
-    _carry += chunk;
-    std::size_t start = 0;
-    for (std::size_t nl = _carry.find('\n'); nl != std::string::npos;
-         nl = _carry.find('\n', start)) {
-        if (_history.feed(_carry.substr(start, nl - start)))
-            addRow();
-        start = nl + 1;
-    }
-    _carry.erase(0, start);
+    std::string text;
+    if (!tryReadFile(run_dir + "/status.json", text))
+        return false;
+    json::Value status;
+    if (json::parse(text, status, nullptr))
+        applyStatus(status, out);
+    return true;
 }
 
 bool
-TopFilePoller::poll(TopSnapshot& out)
+loadTopSnapshot(const std::string& run_dir, TopSnapshot& out)
 {
+    out = TopSnapshot();
+    out.source = run_dir;
     try {
-        return refresh(out);
+        RunHistory history;
+        const HistoryFound found = loadHistory(run_dir, history);
+        if (found == HistoryFound::NoFile && !dirExists(run_dir)) {
+            out.error = "run directory '" + run_dir + "' does not exist";
+            return false;
+        }
+        if (found != HistoryFound::Rows) {
+            out.state = "waiting for first generation";
+            return true;
+        }
+
+        out.generation = history.rows.back().generation;
+        out.bestFitness = history.bestFitness;
+        out.averageFitness = history.finalAverage;
+        out.diversity = history.finalDiversity;
+        for (const HistoryRow& row : history.rows)
+            out.bestTrajectory.push_back(row.bestFitness);
+        out.evaluations = history.totalMeasured;
+        out.cacheHitRate = history.cacheHitRate();
+        out.evalsPerSec = history.evaluationsPerSecond();
+        out.selectionMs = history.selectionMs;
+        out.crossoverMs = history.crossoverMs;
+        out.mutationMs = history.mutationMs;
+        out.evaluationMs = history.evaluationMs;
+
+        if (!readStatusFile(run_dir, out))
+            out.state = "unknown (no status.json; analytics off?)";
+        loadCoverageCsv(run_dir, out);
+        loadAlertsCsv(run_dir, out);
     } catch (const FatalError& err) {
-        reset();  // a retry re-reads the damaged ledger from the top
         out.error = err.what();
         return false;
     }
-}
-
-bool
-TopFilePoller::refresh(TopSnapshot& out)
-{
-    out = TopSnapshot();
-    out.live = false;
-    out.source = _runDir;
-
-    if (!fileExists(_runDir + "/" + ledger::history.file)) {
-        if (!dirExists(_runDir)) {
-            out.error =
-                "run directory '" + _runDir + "' does not exist";
-            return false;
-        }
-        reset();
-        out.state = "waiting for first generation";
-        return true;
-    }
-    readHistory();
-    if (!_totals.sawRow) {
-        out.state = "waiting for first generation";
-        return true;
-    }
-
-    const Totals& t = _totals;
-    out.generation = t.lastGeneration;
-    out.bestFitness = t.best;
-    out.averageFitness = t.lastAverage;
-    out.diversity = t.lastDiversity;
-    out.bestTrajectory = t.trajectory;
-    out.evaluations = t.misses;
-    const std::uint64_t resolved = t.hits + t.misses;
-    out.cacheHitRate =
-        resolved > 0 ? static_cast<double>(t.hits) /
-                           static_cast<double>(resolved)
-                     : 0.0;
-    out.evalsPerSec = t.evaluationMs > 0.0
-                          ? static_cast<double>(t.misses) /
-                                (t.evaluationMs / 1e3)
-                          : 0.0;
-    out.selectionMs = t.selectionMs;
-    out.crossoverMs = t.crossoverMs;
-    out.mutationMs = t.mutationMs;
-    out.evaluationMs = t.evaluationMs;
-
-    std::string status_text;
-    if (tryReadFile(_runDir + "/status.json", status_text)) {
-        json::Value status;
-        if (json::parse(status_text, status, nullptr))
-            applyStatus(status, out);
-    } else {
-        out.state = "unknown (no status.json; analytics off?)";
-    }
-    loadCoverageCsv(_runDir, out);
-    loadAlertsCsv(_runDir, out);
     return true;
 }
 

@@ -3,7 +3,8 @@
  * The live terminal dashboard behind `gest top <url|run_dir>`: one
  * snapshot of an in-flight (or finished) run, collected either by
  * scraping the embedded telemetry server (/status, /history, /metrics)
- * or by polling the run directory's files when no server is listening.
+ * or by re-reading the run directory's files when no server is
+ * listening.
  * Collection and rendering are split so tests can render canned
  * snapshots without a server or a terminal.
  */
@@ -14,8 +15,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "output/ledger.hh"
 
 namespace gest {
 namespace output {
@@ -89,6 +88,9 @@ struct TopSnapshot
     std::string gitSha;
     std::string build;
 
+    /** The run's telemetry address (from status.json; "" when none). */
+    std::string listen;
+
     /** Non-empty when collection failed; other fields are unusable. */
     std::string error;
 };
@@ -101,60 +103,24 @@ struct TopSnapshot
 bool fetchTopSnapshot(const std::string& url, TopSnapshot& out);
 
 /**
- * The file poller behind `gest top <run_dir>`, for runs without
- * --listen. Each poll reads only the history.csv bytes appended since
- * the last one and feeds its complete lines to the history ledger's
- * decoder: a partial last line waits for its newline, and a file that
- * shrank (truncated or replaced) is re-read from offset 0. So a refresh
- * costs O(new generations), not O(run length). status.json is a
- * snapshot and is re-read whole. coverage.csv and alerts.csv are
- * per-generation append-only ledgers as well, but are still re-read
- * whole each poll: O(run length) for coverage.csv, while alerts.csv
- * holds at most one row per watchdog rule.
+ * One `gest top <run_dir>` frame, for runs without --listen: the
+ * history.csv totals from loadHistory() (report.hh), refined by
+ * status.json, coverage.csv and alerts.csv. Every frame re-reads each
+ * file whole. @return false with snapshot.error set when the directory
+ * is missing or a ledger is damaged (the error names the file and
+ * line); a run with no complete history row yet renders as a waiting
+ * frame.
  */
-class TopFilePoller
-{
-  public:
-    explicit TopFilePoller(std::string run_dir);
+bool loadTopSnapshot(const std::string& run_dir, TopSnapshot& out);
 
-    /**
-     * Refresh @p out from the run directory (status.json refines the
-     * history.csv totals with rates and the live state). @return false
-     * with snapshot.error set when the directory is missing or a
-     * ledger is damaged (the error names the file and line); a run
-     * with no history.csv yet renders as a waiting frame.
-     */
-    bool poll(TopSnapshot& out);
-
-  private:
-    /** Aggregates over every history row decoded so far. */
-    struct Totals
-    {
-        bool sawRow = false;
-        int lastGeneration = -1;
-        double lastAverage = 0.0;
-        double lastDiversity = 0.0;
-        double best = 0.0;
-        std::vector<double> trajectory;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        double selectionMs = 0.0;
-        double crossoverMs = 0.0;
-        double mutationMs = 0.0;
-        double evaluationMs = 0.0;
-    };
-
-    bool refresh(TopSnapshot& out);  ///< poll() minus error handling
-    void reset();
-    void readHistory();
-    void addRow();
-
-    std::string _runDir;
-    std::uint64_t _offset = 0;  ///< history.csv bytes consumed
-    std::string _carry;         ///< partial line awaiting its newline
-    ledger::Decoder _history;
-    Totals _totals;
-};
+/**
+ * Fill the status fields of @p out from @p run_dir/status.json through
+ * the parser live /status goes through; a field the file lacks takes
+ * its fallback, except `state`, which keeps @p out's. @return false
+ * when the file cannot be read; a file that is not valid JSON returns
+ * true and leaves @p out untouched.
+ */
+bool readStatusFile(const std::string& run_dir, TopSnapshot& out);
 
 /**
  * Map @p values onto a @p width-glyph Unicode sparkline (block

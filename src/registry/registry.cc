@@ -6,10 +6,10 @@
 
 #include "analysis/health.hh"
 #include "output/report.hh"
+#include "output/top.hh"
 #include "provenance/manifest.hh"
 #include "stats/resample.hh"
 #include "util/fileutil.hh"
-#include "util/jsonlite.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -45,24 +45,19 @@ fitnessString(double v)
 
 /** Fill @p entry from the run's status.json, when present/parseable. */
 void
-applyStatusJson(const std::string& run_dir, RunEntry& entry)
+applyStatusFile(const std::string& run_dir, RunEntry& entry)
 {
-    std::string text;
-    if (!tryReadFile(run_dir + "/status.json", text))
+    output::TopSnapshot status;
+    status.state = entry.state;  // kept when status.json names none
+    if (!output::readStatusFile(run_dir, status))
         return;
-    json::Value status;
-    if (!json::parse(text, status, nullptr))
-        return;
-    const std::string state = status.stringOr("state", "");
-    if (!state.empty())
-        entry.state = state;
-    entry.listen = status.stringOr("listen", "");
+    if (!status.state.empty())
+        entry.state = status.state;
+    entry.listen = status.listen;
     if (entry.generations == 0)
-        entry.generations = static_cast<int>(
-            status.numberOr("total_generations", 0.0));
-    const std::string sha = status.stringOr("git_sha", "");
-    if (entry.gitSha.empty() && !sha.empty())
-        entry.gitSha = sha;
+        entry.generations = status.totalGenerations;
+    if (entry.gitSha.empty())
+        entry.gitSha = status.gitSha;
 }
 
 /** Count alerts.csv data rows; tolerate absent/malformed ledgers. */
@@ -92,7 +87,7 @@ indexRun(const std::string& workspace, const std::string& name)
         if (!provenance::loadManifest(entry.path, manifest, &error)) {
             entry.status = "corrupt";
             entry.note = csvSanitize(error);
-            applyStatusJson(entry.path, entry);
+            applyStatusFile(entry.path, entry);
             applyAlerts(entry.path, entry);
             return entry;
         }
@@ -110,7 +105,7 @@ indexRun(const std::string& workspace, const std::string& name)
         entry.evaluations = manifest.evaluations;
         entry.bestFitness = manifest.bestFitness;
         entry.bestId = manifest.bestId;
-        applyStatusJson(entry.path, entry);
+        applyStatusFile(entry.path, entry);
         applyAlerts(entry.path, entry);
         return entry;
     }
@@ -120,10 +115,12 @@ indexRun(const std::string& workspace, const std::string& name)
     // the recorded configuration yields the cohort key.
     entry.status = "unsealed";
     try {
-        const output::RunReport report = output::analyzeRun(entry.path);
-        entry.generationsCompleted = static_cast<int>(report.rows.size());
-        entry.evaluations = report.totalMeasured;
-        entry.bestFitness = report.bestFitness;
+        const output::RunHistory history =
+            output::analyzeHistory(entry.path);
+        entry.generationsCompleted =
+            static_cast<int>(history.rows.size());
+        entry.evaluations = history.totalMeasured;
+        entry.bestFitness = history.bestFitness;
     } catch (const FatalError& err) {
         entry.note = csvSanitize(err.what());
     }
@@ -137,7 +134,7 @@ indexRun(const std::string& workspace, const std::string& name)
             // Malformed recorded config: leave the cohort key empty.
         }
     }
-    applyStatusJson(entry.path, entry);
+    applyStatusFile(entry.path, entry);
     applyAlerts(entry.path, entry);
     return entry;
 }
@@ -156,15 +153,16 @@ collectSamples(const std::string& run_dir)
 {
     RunSamples out;
     try {
-        const output::RunReport report = output::analyzeRun(run_dir);
-        for (const output::HistoryRow& row : report.rows) {
+        const output::RunHistory history =
+            output::analyzeHistory(run_dir);
+        for (const output::HistoryRow& row : history.rows) {
             out.best.push_back(row.bestFitness);
             if (row.evaluationMs > 0.0 && row.cacheMisses > 0)
                 out.rates.push_back(
                     static_cast<double>(row.cacheMisses) /
                     (row.evaluationMs / 1e3));
         }
-        out.evalsPerSec = report.evaluationsPerSecond();
+        out.evalsPerSec = history.evaluationsPerSecond();
     } catch (const FatalError& err) {
         out.error = err.what();
     }

@@ -19,7 +19,7 @@ namespace run {
 
 namespace {
 
-/** One histogram per sink of RunPipeline::step, in step order. */
+/** One histogram per sink of RunPipeline::step. */
 struct SinkStats
 {
     stats::Histogram& analytics;
@@ -143,7 +143,8 @@ RunPipeline::RunPipeline(std::string status_path, int total_generations)
       _totalGenerations(total_generations), _startUs(stats::nowUs())
 {
     _last.generation = -1;
-    // Register the sink histograms up front, in step order.
+    // Register the sink histograms with the pipeline, so metrics.json
+    // lists them even when no generation is stepped.
     sinkStats();
 }
 

@@ -283,7 +283,6 @@ runFromConfig(const RunConfig& cfg)
     engine.run();
 
     RunResult result;
-    result.finalPopulation = engine.population();
     result.best = engine.bestEver();
     result.history = engine.history();
     result.evaluations = engine.evaluations();

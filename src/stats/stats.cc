@@ -201,24 +201,20 @@ Counter&
 StatsRegistry::counter(const std::string& name, const std::string& desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    for (const std::unique_ptr<Counter>& c : _counters) {
-        if (c->name() == name)
-            return *c;
-    }
-    _counters.emplace_back(new Counter(name, desc));
-    return *_counters.back();
+    std::unique_ptr<Counter>& slot = _counters[name];
+    if (!slot)
+        slot.reset(new Counter(name, desc));
+    return *slot;
 }
 
 Gauge&
 StatsRegistry::gauge(const std::string& name, const std::string& desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    for (const std::unique_ptr<Gauge>& g : _gauges) {
-        if (g->name() == name)
-            return *g;
-    }
-    _gauges.emplace_back(new Gauge(name, desc));
-    return *_gauges.back();
+    std::unique_ptr<Gauge>& slot = _gauges[name];
+    if (!slot)
+        slot.reset(new Gauge(name, desc));
+    return *slot;
 }
 
 Histogram&
@@ -226,23 +222,21 @@ StatsRegistry::histogram(const std::string& name, const std::string& desc,
                          double lo, double hi, std::size_t buckets)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    for (const std::unique_ptr<Histogram>& h : _histograms) {
-        if (h->name() == name)
-            return *h;
-    }
-    _histograms.emplace_back(new Histogram(name, desc, lo, hi, buckets));
-    return *_histograms.back();
+    std::unique_ptr<Histogram>& slot = _histograms[name];
+    if (!slot)
+        slot.reset(new Histogram(name, desc, lo, hi, buckets));
+    return *slot;
 }
 
 void
 StatsRegistry::resetValues()
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    for (const std::unique_ptr<Counter>& c : _counters)
+    for (const auto& [name, c] : _counters)
         c->reset();
-    for (const std::unique_ptr<Gauge>& g : _gauges)
+    for (const auto& [name, g] : _gauges)
         g->reset();
-    for (const std::unique_ptr<Histogram>& h : _histograms)
+    for (const auto& [name, h] : _histograms)
         h->reset();
 }
 
@@ -252,12 +246,12 @@ StatsRegistry::names() const
     std::lock_guard<std::mutex> lock(_mutex);
     std::vector<std::string> out;
     out.reserve(_counters.size() + _gauges.size() + _histograms.size());
-    for (const std::unique_ptr<Counter>& c : _counters)
-        out.push_back(c->name());
-    for (const std::unique_ptr<Gauge>& g : _gauges)
-        out.push_back(g->name());
-    for (const std::unique_ptr<Histogram>& h : _histograms)
-        out.push_back(h->name());
+    for (const auto& [name, c] : _counters)
+        out.push_back(name);
+    for (const auto& [name, g] : _gauges)
+        out.push_back(name);
+    for (const auto& [name, h] : _histograms)
+        out.push_back(name);
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -268,7 +262,7 @@ StatsRegistry::counterList() const
     std::lock_guard<std::mutex> lock(_mutex);
     std::vector<const Counter*> out;
     out.reserve(_counters.size());
-    for (const std::unique_ptr<Counter>& c : _counters)
+    for (const auto& [name, c] : _counters)
         out.push_back(c.get());
     return out;
 }
@@ -279,7 +273,7 @@ StatsRegistry::gaugeList() const
     std::lock_guard<std::mutex> lock(_mutex);
     std::vector<const Gauge*> out;
     out.reserve(_gauges.size());
-    for (const std::unique_ptr<Gauge>& g : _gauges)
+    for (const auto& [name, g] : _gauges)
         out.push_back(g.get());
     return out;
 }
@@ -290,7 +284,7 @@ StatsRegistry::histogramList() const
     std::lock_guard<std::mutex> lock(_mutex);
     std::vector<const Histogram*> out;
     out.reserve(_histograms.size());
-    for (const std::unique_ptr<Histogram>& h : _histograms)
+    for (const auto& [name, h] : _histograms)
         out.push_back(h.get());
     return out;
 }
@@ -302,22 +296,22 @@ StatsRegistry::jsonDump() const
     std::ostringstream os;
     os << "{\n  \"version\": 1,\n  \"counters\": {";
     bool first = true;
-    for (const std::unique_ptr<Counter>& c : _counters) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(c->name())
+    for (const auto& [name, c] : _counters) {
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": " << c->value();
         first = false;
     }
     os << (first ? "}" : "\n  }") << ",\n  \"gauges\": {";
     first = true;
-    for (const std::unique_ptr<Gauge>& g : _gauges) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(g->name())
+    for (const auto& [name, g] : _gauges) {
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": " << formatValue(g->value());
         first = false;
     }
     os << (first ? "}" : "\n  }") << ",\n  \"histograms\": {";
     first = true;
-    for (const std::unique_ptr<Histogram>& h : _histograms) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(h->name())
+    for (const auto& [name, h] : _histograms) {
+        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": {\"count\": " << h->count()
            << ", \"sum\": " << formatValue(h->sum())
            << ", \"mean\": " << formatValue(h->mean())

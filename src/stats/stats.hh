@@ -1,15 +1,14 @@
 /**
  * @file
  * Run-wide statistics in the gem5 idiom: a process-wide registry of
- * named counters, gauges and fixed-bucket histograms, plus a scoped
- * timer that feeds histograms.
+ * named counters, gauges and fixed-bucket histograms.
  *
  * Design constraints, in order:
  *
  *  1. **Zero cost when disabled.** Everything funnels through one
  *     relaxed atomic `enabled` flag; a disabled counter bump is a load
- *     and a predicted branch, and ScopedTimer never reads the clock.
- *     The engine's hot paths stay benchmark-neutral with stats off.
+ *     and a predicted branch. The engine's hot paths stay
+ *     benchmark-neutral with stats off.
  *  2. **Lock-free when enabled.** Counters and histogram buckets are
  *     relaxed atomics, so evaluation workers record samples
  *     concurrently without serializing on a mutex (the registry mutex
@@ -29,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -257,15 +257,18 @@ class StatsRegistry
     /** Zero every value; names and layouts survive. */
     void resetValues();
 
-    /** Machine-readable dump (the `metrics.json` artifact). */
+    /**
+     * Machine-readable dump (the `metrics.json` artifact), each kind
+     * in name order.
+     */
     std::string jsonDump() const;
 
     /** Sorted names of all registered stats (tests, report). */
     std::vector<std::string> names() const;
 
     /**
-     * Pointers to every registered stat of one kind, in registration
-     * order. The objects live for the process, so the pointers never
+     * Pointers to every registered stat of one kind, in name order.
+     * The objects live for the process, so the pointers never
      * dangle; values read off them are as fresh as their relaxed
      * atomics. Used by renderers that need typed access (the /metrics
      * Prometheus endpoint).
@@ -278,51 +281,9 @@ class StatsRegistry
     StatsRegistry() = default;
 
     mutable std::mutex _mutex;
-    std::vector<std::unique_ptr<Counter>> _counters;
-    std::vector<std::unique_ptr<Gauge>> _gauges;
-    std::vector<std::unique_ptr<Histogram>> _histograms;
-};
-
-/**
- * Times a scope and feeds the elapsed microseconds into a histogram on
- * destruction. Does not read the clock when stats are disabled (or
- * when constructed with a null histogram).
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Histogram* hist) : _hist(hist)
-    {
-        if (_hist && enabled()) {
-            _running = true;
-            _start = nowUs();
-        }
-    }
-
-    ~ScopedTimer() { stop(); }
-
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-    /**
-     * Record now instead of at scope exit; @return the elapsed
-     * microseconds (0 if the timer never started).
-     */
-    double
-    stop()
-    {
-        if (!_running)
-            return 0.0;
-        _running = false;
-        const double elapsed = nowUs() - _start;
-        _hist->sample(elapsed);
-        return elapsed;
-    }
-
-  private:
-    Histogram* _hist;
-    double _start = 0.0;
-    bool _running = false;
+    std::map<std::string, std::unique_ptr<Counter>> _counters;
+    std::map<std::string, std::unique_ptr<Gauge>> _gauges;
+    std::map<std::string, std::unique_ptr<Histogram>> _histograms;
 };
 
 } // namespace stats

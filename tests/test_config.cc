@@ -208,7 +208,7 @@ TEST(RunFromConfig, EndToEndWithOutputDirectory)
     cfg.outputDirectory = dir + "/out";
 
     const RunResult result = runFromConfig(cfg);
-    EXPECT_EQ(result.finalPopulation.generation, 3);
+    EXPECT_EQ(result.history.back().generation, 3);
     EXPECT_EQ(result.history.size(), 4u);
     EXPECT_GT(result.best.fitness, 0.0);
     EXPECT_EQ(result.evaluations, 10u + 3u * 9u);

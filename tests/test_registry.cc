@@ -456,21 +456,21 @@ TEST(Registry, RunKilledMidAppendReadsUpToItsLastCompleteRow)
     EXPECT_EQ(report.rows.size(), 3u);
     EXPECT_EQ(analysis::loadLineage(run).size(), 2u);
 
-    // gest top: the poller shows the last complete generation and the
+    // gest top: the frame shows the last complete generation and the
     // complete alert.
-    output::TopFilePoller poller(run);
     output::TopSnapshot snapshot;
-    ASSERT_TRUE(poller.poll(snapshot)) << snapshot.error;
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
     EXPECT_EQ(snapshot.generation, 2);
     EXPECT_DOUBLE_EQ(snapshot.bestFitness, 3.0);
     EXPECT_EQ(snapshot.bestTrajectory.size(), 3u);
     EXPECT_EQ(snapshot.alertsRaised, 1);
 
-    // The torn row completes: the next poll picks it up.
+    // The torn row completes: the next frame shows it.
     appendFile(run + "/history.csv", ",4,5,0.5,2,8,0.1,0.1,0.1,2,0.05\n");
-    ASSERT_TRUE(poller.poll(snapshot)) << snapshot.error;
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
     EXPECT_EQ(snapshot.generation, 3);
     EXPECT_DOUBLE_EQ(snapshot.bestFitness, 4.5);
+    EXPECT_EQ(snapshot.bestTrajectory.size(), 4u);
     removeAll(ws);
 }
 
@@ -487,11 +487,78 @@ TEST(Registry, DamagedLedgerIsReportedByFileAndLine)
     EXPECT_NE(entries[0].note.find("history.csv:5"), std::string::npos)
         << entries[0].note;
 
-    output::TopFilePoller poller(run);
     output::TopSnapshot snapshot;
-    EXPECT_FALSE(poller.poll(snapshot));
+    EXPECT_FALSE(output::loadTopSnapshot(run, snapshot));
     EXPECT_NE(snapshot.error.find("history.csv:5"), std::string::npos)
         << snapshot.error;
+    removeAll(ws);
+}
+
+TEST(Registry, IndexingReadsOnlyTheHistory)
+{
+    // gest runs indexes an unsealed run from history.csv alone: a
+    // damaged analytics.csv neither hides the run nor becomes its note.
+    const std::string ws = makeTempDir("gest-registry");
+    const std::string run = ws + "/unsealed";
+    writeHistory(run, {{1.0, 2.0}, {2.5, 2.0}});
+    writeFile(run + "/analytics.csv", "# gest-analytics v1\n"
+                                      "generation,mix_short_int\n"
+                                      "0\n");
+
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].note, "");
+    EXPECT_EQ(entries[0].generationsCompleted, 2);
+    EXPECT_DOUBLE_EQ(entries[0].bestFitness, 2.5);
+    EXPECT_THROW(output::analyzeRun(run), FatalError);
+    removeAll(ws);
+}
+
+TEST(Registry, TopWaitsUntilTheFirstCompleteRow)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    const std::string run = ws + "/starting";
+    output::TopSnapshot snapshot;
+
+    // No history.csv, a header only, a torn first row: all waiting.
+    ensureDir(run);
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.state, "waiting for first generation");
+    writeHistory(run, {});
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.state, "waiting for first generation");
+    EXPECT_NE(output::renderTop(snapshot).find("waiting for first "
+                                               "generation"),
+              std::string::npos);
+    appendFile(run + "/history.csv", "0,1.5,0.7");
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.state, "waiting for first generation");
+
+    // A directory that does not exist is an error, not a wait.
+    EXPECT_FALSE(output::loadTopSnapshot(ws + "/absent", snapshot));
+    EXPECT_NE(snapshot.error.find("does not exist"), std::string::npos)
+        << snapshot.error;
+    removeAll(ws);
+}
+
+TEST(Registry, TopShowsAHistoryReplacedByAShorterFile)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    const std::string run = ws + "/rerun";
+    writeHistory(run, {{1.0, 2.0}, {2.0, 2.0}, {3.0, 2.0}, {4.0, 2.0}});
+    output::TopSnapshot snapshot;
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.generation, 3);
+    EXPECT_DOUBLE_EQ(snapshot.bestFitness, 4.0);
+
+    // The run is restarted into the same directory: a shorter file.
+    writeHistory(run, {{0.25, 2.0}, {0.5, 2.0}});
+    ASSERT_TRUE(output::loadTopSnapshot(run, snapshot)) << snapshot.error;
+    EXPECT_EQ(snapshot.generation, 1);
+    EXPECT_DOUBLE_EQ(snapshot.bestFitness, 0.5);
+    EXPECT_EQ(snapshot.bestTrajectory.size(), 2u);
+    EXPECT_EQ(snapshot.evaluations, 16u);
     removeAll(ws);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability layer: the stats registry, the scoped
- * timer, JSON escaping, the Chrome trace writer, the run-report
+ * span, JSON escaping, the Chrome trace writer, the run-report
  * analyzer and the thread-pool worker ids that trace events rely on.
  */
 
@@ -120,32 +120,24 @@ TEST_F(StatsTest, HistogramBucketsAndExtrema)
     EXPECT_DOUBLE_EQ(h.minSeen(), 0.0);
 }
 
-TEST_F(StatsTest, ScopedTimerOnlyRunsWhenEnabled)
+TEST_F(StatsTest, ScopedSpanSamplesOnlyWhenEnabled)
 {
     stats::Histogram& h = stats::StatsRegistry::instance().histogram(
-        "test.timer", "", 0.0, 1e9, 4);
+        "test.span", "", 0.0, 1e9, 4);
     stats::StatsRegistry::instance().resetValues();
 
+    // Histogram only, no trace: stats off takes no sample.
     stats::setEnabled(false);
     {
-        stats::ScopedTimer timer(&h);
-        EXPECT_DOUBLE_EQ(timer.stop(), 0.0);
+        output::ScopedSpan span(h, nullptr, "test.span", "test");
     }
     EXPECT_EQ(h.count(), 0u);
 
     stats::setEnabled(true);
-    {
-        stats::ScopedTimer timer(&h);
-        EXPECT_GE(timer.stop(), 0.0);
-        EXPECT_DOUBLE_EQ(timer.stop(), 0.0); // second stop is a no-op
+    for (int i = 0; i < 2; ++i) {
+        output::ScopedSpan span(h, nullptr, "test.span", "test");
     }
-    {
-        stats::ScopedTimer timer(&h); // records at scope exit
-    }
-    EXPECT_EQ(h.count(), 2u);
-
-    stats::ScopedTimer null_timer(nullptr); // never samples
-    EXPECT_DOUBLE_EQ(null_timer.stop(), 0.0);
+    EXPECT_EQ(h.count(), 2u); // one sample per scope
 }
 
 TEST_F(StatsTest, ConcurrentRecordingIsConsistent)
@@ -203,6 +195,33 @@ TEST_F(StatsTest, DumpsCarryNamesValuesAndEscaping)
     EXPECT_NE(std::find(names.begin(), names.end(),
                         std::string("test.dump_counter")),
               names.end());
+}
+
+TEST_F(StatsTest, DumpsListStatsInNameOrder)
+{
+    stats::StatsRegistry& reg = stats::StatsRegistry::instance();
+    reg.counter("test.order_b");
+    reg.counter("test.order_a");
+    reg.gauge("test.order_gauge_b");
+    reg.gauge("test.order_gauge_a");
+    reg.histogram("test.order_hist_b", "", 0.0, 1.0, 2);
+    reg.histogram("test.order_hist_a", "", 0.0, 1.0, 2);
+
+    const std::string json = reg.jsonDump();
+    const std::string text = net::renderPrometheusMetrics();
+    for (const char* kind : {"", "gauge_", "hist_"}) {
+        const std::string a = std::string("test.order_") + kind + "a";
+        const std::string b = std::string("test.order_") + kind + "b";
+        ASSERT_NE(json.find('"' + a + '"'), std::string::npos) << a;
+        EXPECT_LT(json.find('"' + a + '"'), json.find('"' + b + '"'))
+            << a;
+        const std::string prom_a =
+            std::string("gest_test_order_") + kind + "a";
+        const std::string prom_b =
+            std::string("gest_test_order_") + kind + "b";
+        ASSERT_NE(text.find(prom_a), std::string::npos) << prom_a;
+        EXPECT_LT(text.find(prom_a), text.find(prom_b)) << prom_a;
+    }
 }
 
 // ---------------------------------------------------------------- JSON

@@ -464,15 +464,11 @@ cmdTop(const std::string& target, double interval_s, bool once)
         (startsWith(target, "http://") ||
          target.find(':') != std::string::npos);
 
-    // File targets refresh through the incremental poller: only the
-    // history.csv bytes appended since the previous frame are parsed.
-    output::TopFilePoller poller(target);
-
     bool had_success = false;
     for (;;) {
         output::TopSnapshot snapshot;
         const bool ok = is_url ? output::fetchTopSnapshot(target, snapshot)
-                               : poller.poll(snapshot);
+                               : output::loadTopSnapshot(target, snapshot);
         if (!ok) {
             if (had_success && is_url) {
                 // The server went away mid-watch: the run finished and

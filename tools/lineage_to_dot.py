@@ -16,7 +16,8 @@ Usage:
   lineage_to_dot.py --drive <gest-binary>
 
 --drive runs a tiny GA in a temp dir, polls status.json for well-formed
-JSON while the run is live, then schema-validates the lineage.csv and
+JSON and renders `gest top <run_dir> --once` while the run is live and
+again after it, then schema-validates the lineage.csv and
 analytics.csv it wrote, checks the champion's ancestry reaches
 generation 0, and round-trips the ledger through the dot exporter.
 Exit status 0 on success; 1 with a message otherwise.
@@ -27,7 +28,8 @@ import os
 import sys
 import time
 
-from gestcheck import fail, live_run, number, ok, read_framed, scratch
+from gestcheck import (fail, live_run, number, ok, read_framed, run,
+                       scratch)
 
 LINEAGE_COLUMNS = [
     "generation", "id", "op", "parent1", "parent2", "mutated_genes",
@@ -221,19 +223,31 @@ def check_status(path, require_completed=False):
     return doc
 
 
+def check_top(gest_binary, work, out):
+    """`gest top <run_dir> --once` must exit 0 with a file-mode frame."""
+    frame = run([gest_binary, "top", out, "--once"], work).stdout
+    if "(files)" not in frame.partition("\n")[0]:
+        fail(f"gest top frame lacks the '(files)' header:\n{frame}")
+    return frame
+
+
 def drive(gest_binary):
     with scratch("check_lineage") as work:
         out = os.path.join(work, "out")
         status = os.path.join(out, "status.json")
 
         # Poll status.json while the run is live: the atomic replace
-        # must never expose a torn file to a concurrent reader.
-        polls = 0
+        # must never expose a torn file to a concurrent reader. gest top
+        # re-reads the same files, mid-append included.
+        polls = tops = 0
         with live_run(gest_binary, work, DRIVE_CONFIG,
                       listen=False) as live:
             while live.alive():
                 if check_status(status) is not None:
                     polls += 1
+                if os.path.isdir(out):
+                    check_top(gest_binary, work, out)
+                    tops += 1
                 time.sleep(0.001)
             live.finish()
         final = check_status(status, require_completed=True)
@@ -242,6 +256,10 @@ def drive(gest_binary):
         ok(f"status.json valid on {polls} live polls; final state "
            f"'{final['state']}', generation "
            f"{final['generation']}/{final['total_generations'] - 1}")
+        frame = check_top(gest_binary, work, out)
+        if "state completed" not in frame:
+            fail(f"final gest top frame is not completed:\n{frame}")
+        ok(f"gest top rendered {tops} live frames and the final one")
 
         events = parse_lineage(os.path.join(out, "lineage.csv"))
         generations = {e["generation"] for e in events}
