@@ -109,28 +109,21 @@ serializePopulation(const isa::InstructionLibrary& lib,
 
 namespace {
 
-[[noreturn]] void
-badFormat(std::size_t line_no, const std::string& why)
-{
-    fatal("malformed population file at line ", line_no, ": ", why);
-}
-
-} // namespace
-
+/**
+ * The records of a population file; fatal() on the first error, with
+ * @p pos left at the line it stopped after.
+ */
 Population
-deserializePopulation(const isa::InstructionLibrary& lib,
-                      const std::string& text)
+parseRecords(const isa::InstructionLibrary& lib,
+             const std::vector<std::string>& lines, std::size_t& pos)
 {
-    const std::vector<std::string> lines = split(text, '\n');
-    std::size_t pos = 0;
-
     auto next_line = [&]() -> std::string {
         while (pos < lines.size()) {
             const std::string t = trim(lines[pos++]);
             if (!t.empty())
                 return t;
         }
-        badFormat(pos, "unexpected end of file");
+        fatal("unexpected end of file");
     };
 
     Population pop;
@@ -139,12 +132,12 @@ deserializePopulation(const isa::InstructionLibrary& lib,
             splitWhitespace(next_line());
         if (header.size() != 2 || header[0] != "gest-population" ||
             header[1] != "1")
-            badFormat(pos, "missing 'gest-population 1' header");
+            fatal("missing 'gest-population 1' header");
     }
     {
         const std::vector<std::string> gen = splitWhitespace(next_line());
         if (gen.size() != 2 || gen[0] != "generation")
-            badFormat(pos, "missing 'generation' record");
+            fatal("missing 'generation' record");
         pop.generation =
             static_cast<int>(parseInt(gen[1], "generation"));
     }
@@ -155,8 +148,7 @@ deserializePopulation(const isa::InstructionLibrary& lib,
             break;
         const std::vector<std::string> fields = splitWhitespace(line);
         if (fields.size() != 6 || fields[0] != "individual")
-            badFormat(pos, "expected 'individual' record, got '" + line +
-                               "'");
+            fatal("expected 'individual' record, got '", line, "'");
         Individual ind;
         ind.id = static_cast<std::uint64_t>(parseInt(fields[1], "id"));
         ind.parent1 =
@@ -169,42 +161,56 @@ deserializePopulation(const isa::InstructionLibrary& lib,
         const std::vector<std::string> meas =
             splitWhitespace(next_line());
         if (meas.size() < 2 || meas[0] != "measurements")
-            badFormat(pos, "expected 'measurements' record");
+            fatal("expected 'measurements' record");
         const std::size_t n_meas = static_cast<std::size_t>(
             parseInt(meas[1], "measurement count"));
         if (meas.size() != n_meas + 2)
-            badFormat(pos, "measurement count mismatch");
+            fatal("measurement count mismatch");
         for (std::size_t i = 0; i < n_meas; ++i)
             ind.measurements.push_back(
                 parseDouble(meas[i + 2], "measurement value"));
 
         const std::vector<std::string> code = splitWhitespace(next_line());
         if (code.size() != 2 || code[0] != "code")
-            badFormat(pos, "expected 'code' record");
+            fatal("expected 'code' record");
         const std::size_t n_code = static_cast<std::size_t>(
             parseInt(code[1], "code length"));
         for (std::size_t i = 0; i < n_code; ++i) {
             const std::vector<std::string> gene =
                 splitWhitespace(next_line());
             if (gene.empty())
-                badFormat(pos, "empty instruction record");
+                fatal("empty instruction record");
             const int def_index = lib.findInstruction(gene[0]);
             if (def_index < 0)
-                fatal("population file references instruction '", gene[0],
-                      "' which is not in the current library");
+                fatal("instruction '", gene[0],
+                      "' is not in the current library");
             isa::InstructionInstance inst;
             inst.defIndex = static_cast<std::uint32_t>(def_index);
             for (std::size_t f = 1; f < gene.size(); ++f)
                 inst.operandChoice.push_back(static_cast<std::uint32_t>(
                     parseInt(gene[f], "operand choice")));
             if (!lib.valid(inst))
-                fatal("population file contains an invalid encoding of "
-                      "instruction '", gene[0], "'");
+                fatal("invalid encoding of instruction '", gene[0], "'");
             ind.code.push_back(std::move(inst));
         }
         pop.individuals.push_back(std::move(ind));
     }
     return pop;
+}
+
+} // namespace
+
+Population
+deserializePopulation(const isa::InstructionLibrary& lib,
+                      const std::string& text, const std::string& source)
+{
+    const std::vector<std::string> lines = split(text, '\n');
+    std::size_t pos = 0;
+    try {
+        return parseRecords(lib, lines, pos);
+    } catch (const FatalError& err) {
+        fatal(source, ":", pos, ": ", err.what());
+    }
 }
 
 void
@@ -217,7 +223,7 @@ savePopulation(const isa::InstructionLibrary& lib, const Population& pop,
 Population
 loadPopulation(const isa::InstructionLibrary& lib, const std::string& path)
 {
-    return deserializePopulation(lib, readFile(path));
+    return deserializePopulation(lib, readFile(path), path);
 }
 
 } // namespace core

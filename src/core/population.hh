@@ -52,16 +52,18 @@ std::string serializePopulation(const isa::InstructionLibrary& lib,
 
 /**
  * Parse a population file produced by serializePopulation(). fatal() on
- * malformed input or instruction names missing from @p lib.
+ * malformed input or instruction names missing from @p lib, with a
+ * message that starts `<source>:<line>: `; @p source names the text.
  */
 Population deserializePopulation(const isa::InstructionLibrary& lib,
-                                 const std::string& text);
+                                 const std::string& text,
+                                 const std::string& source);
 
 /** Write a population file. */
 void savePopulation(const isa::InstructionLibrary& lib,
                     const Population& pop, const std::string& path);
 
-/** Read a population file. */
+/** Read a population file; errors name @p path and the line. */
 Population loadPopulation(const isa::InstructionLibrary& lib,
                           const std::string& path);
 

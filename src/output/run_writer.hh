@@ -2,13 +2,19 @@
  * @file
  * Run-directory output (§III.D).
  *
- * For every GA run the framework records, like the original tool:
- *  - one source file per individual, named
- *    `<population>_<id>_<m1>_<m2>....txt` so the fittest individual can
- *    be retrieved with basic UNIX commands (the first measurement is the
- *    fitness by default);
- *  - one reloadable population file per generation (seed populations);
+ * For every GA run the framework records:
+ *  - one reloadable population checkpoint per generation,
+ *    `population_<gen>.pop`, holding every individual's genome and
+ *    measurements; it is each individual's only record, and it doubles
+ *    as a seed population for a resumed run;
+ *  - one history.csv row per generation;
  *  - the configuration and template used, for record keeping.
+ *
+ * The original tool also stored every individual as its own source
+ * file, `<population>_<id>_<m1>_<m2>....txt`, so the fittest one could
+ * be found with basic UNIX commands. That layout is rendered on demand
+ * from the checkpoints and run_template.txt (output::exportIndividuals,
+ * `gest fittest <run_dir> --out <dir>`).
  */
 
 #ifndef GEST_OUTPUT_RUN_WRITER_HH
@@ -18,7 +24,6 @@
 
 #include "core/engine.hh"
 #include "core/population.hh"
-#include "isa/asm_template.hh"
 #include "isa/library.hh"
 #include "output/ledger.hh"
 
@@ -30,8 +35,6 @@ class Histogram;
 
 namespace output {
 
-class TraceWriter;
-
 /**
  * Writes one GA run's artifacts under a root directory.
  */
@@ -41,16 +44,10 @@ class RunWriter
     /**
      * @param root output directory (created if absent)
      * @param lib the library individuals reference
-     * @param tmpl template the individuals are printed into; when
-     *        nullptr, bare loop bodies are written
      */
-    RunWriter(std::string root, const isa::InstructionLibrary& lib,
-              const isa::AsmTemplate* tmpl = nullptr);
+    RunWriter(std::string root, const isa::InstructionLibrary& lib);
 
-    /** Record one evaluated individual of a given population. */
-    void writeIndividual(int population, const core::Individual& ind);
-
-    /** Record a whole evaluated population (individuals + checkpoint). */
+    /** Write a population's checkpoint, population_<gen>.pop. */
     void writePopulation(const core::Population& pop);
 
     /**
@@ -58,49 +55,28 @@ class RunWriter
      * written on the first call): fitness, diversity, the
      * fitness-cache hit/miss counters and the per-phase milliseconds
      * of that generation. @p io_ms is the time this writer spent
-     * recording the generation's artifacts (onGenerationEvaluated()
-     * fills it in; direct callers may pass 0).
+     * writing the generation's checkpoint (onGenerationEvaluated()
+     * fills it in when stats are enabled and passes 0 otherwise;
+     * direct callers may pass 0).
      */
     void appendHistory(const core::GenerationRecord& record,
                        double io_ms = 0.0);
-
-    /**
-     * Attach a Chrome-trace writer (may be null):
-     * onGenerationEvaluated() then emits one "write run dir" span per
-     * generation on trace thread @p tid, the thread that calls it. The
-     * writer must outlive this RunWriter.
-     */
-    void setTraceWriter(TraceWriter* trace, int tid)
-    {
-        _trace = trace;
-        _traceTid = tid;
-    }
 
     /** Copy configuration/template text into the run directory. */
     void writeRunMetadata(const std::string& config_text,
                           const std::string& template_text);
 
     /**
-     * Record one evaluated generation: its population (individuals +
-     * checkpoint) and its history.csv row with the time spent writing.
+     * Record one evaluated generation: its checkpoint and its
+     * history.csv row with the time spent writing the checkpoint.
      */
     void onGenerationEvaluated(const core::Population& pop,
                                const core::GenerationRecord& record);
 
-    /** The run directory. */
-    const std::string& root() const { return _root; }
-
-    /** File name an individual is stored under (naming convention). */
-    std::string individualFileName(int population,
-                                   const core::Individual& ind) const;
-
   private:
     std::string _root;
     const isa::InstructionLibrary& _lib;
-    const isa::AsmTemplate* _template;
     ledger::Writer _history;
-    TraceWriter* _trace = nullptr;
-    int _traceTid = 0;
     stats::Histogram& _ioUs;  ///< resolved at construction
 };
 

@@ -1,9 +1,11 @@
 #include "output/stats.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "core/individual.hh"
+#include "isa/asm_template.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -52,6 +54,17 @@ loadRun(const isa::InstructionLibrary& lib, const std::string& run_dir)
     return pops;
 }
 
+/** The §III.D file name of individual @p ind of @p generation. */
+std::string
+individualFileName(int generation, const core::Individual& ind)
+{
+    std::string name =
+        std::to_string(generation) + "_" + std::to_string(ind.id);
+    for (double v : ind.measurements)
+        name += "_" + formatFixed(v, 2);
+    return name + ".txt";
+}
+
 } // namespace
 
 std::vector<GenerationSummary>
@@ -94,6 +107,38 @@ fittestInRun(const isa::InstructionLibrary& lib, const std::string& run_dir,
     if (generation_out)
         *generation_out = best_gen;
     return *best;
+}
+
+std::size_t
+exportIndividuals(const isa::InstructionLibrary& lib,
+                  const std::string& run_dir, const std::string& out_dir)
+{
+    const std::vector<core::Population> pops = loadRun(lib, run_dir);
+    std::optional<isa::AsmTemplate> tmpl;
+    std::string text;
+    if (tryReadFile(run_dir + "/run_template.txt", text))
+        tmpl.emplace(std::move(text));
+    ensureDir(out_dir);
+    std::size_t written = 0;
+    for (const core::Population& pop : pops) {
+        for (const core::Individual& ind : pop.individuals) {
+            const std::vector<std::string> lines =
+                core::renderLines(lib, ind);
+            std::string body;
+            if (tmpl) {
+                body = tmpl->render(lines);
+            } else {
+                for (const std::string& line : lines) {
+                    body += line;
+                    body += '\n';
+                }
+            }
+            writeFile(out_dir + "/" + individualFileName(pop.generation, ind),
+                      body);
+            ++written;
+        }
+    }
+    return written;
 }
 
 std::string

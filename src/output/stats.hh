@@ -5,7 +5,8 @@
  * The original release ships a Python script that reads the binary
  * population files and extracts per-generation statistics — the fitness
  * of the fittest individual and its instruction-mix breakdown. This is
- * that tool as a library.
+ * that tool as a library, plus the export of §III.D's per-individual
+ * source files from the same checkpoints.
  */
 
 #ifndef GEST_OUTPUT_STATS_HH
@@ -51,6 +52,21 @@ std::vector<GenerationSummary> summarizePopulations(
 core::Individual fittestInRun(const isa::InstructionLibrary& lib,
                               const std::string& run_dir,
                               int* generation_out = nullptr);
+
+/**
+ * Render every individual of every `population_<n>.pop` in @p run_dir
+ * into @p out_dir (created if absent) in §III.D's layout: one source
+ * file per individual, named `<gen>_<id>_<m1>_<m2>....txt` (individual
+ * 10 of generation 1 with measurements [1.30, 1.33] is
+ * `1_10_1.30_1.33.txt`), so the fittest can be found with basic UNIX
+ * commands. Each body is the individual printed through the run's
+ * run_template.txt, or the bare loop body when the run has none.
+ * fatal() if the directory holds no checkpoint.
+ * @return the number of files written.
+ */
+std::size_t exportIndividuals(const isa::InstructionLibrary& lib,
+                              const std::string& run_dir,
+                              const std::string& out_dir);
 
 /** Render summaries as an aligned text table. */
 std::string formatSummaryTable(

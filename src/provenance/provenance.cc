@@ -46,8 +46,6 @@ inferArtifactKind(const std::string& rel_path)
         return "attribution";
     if (endsWith(rel_path, "trace.json"))
         return "trace";
-    if (endsWith(rel_path, ".txt"))
-        return "individual";
     return "other";
 }
 

@@ -109,7 +109,7 @@ class ProvenanceRecorder
 
 /**
  * @return the artifact kind inferred from a run-relative path
- * ("history", "population", "individual", "waveform", ...).
+ * ("history", "population", "waveform", ...).
  */
 std::string inferArtifactKind(const std::string& rel_path);
 

@@ -45,7 +45,7 @@ bisectGeneration(const std::string& run_dir,
                "individual)";
     core::Population recorded;
     try {
-        recorded = core::deserializePopulation(lib, text);
+        recorded = core::deserializePopulation(lib, text, pop_path);
     } catch (const FatalError& err) {
         return std::string("(checkpoint unreadable: ") + err.what() +
                ")";

@@ -148,19 +148,7 @@ RunPipeline::RunPipeline(std::string status_path, int total_generations)
     sinkStats();
 }
 
-RunPipeline::~RunPipeline()
-{
-    // Unwinding from a failed run: let the in-flight write finish
-    // before the sinks it uses go away. Its own error cannot be thrown
-    // from here, so it is logged.
-    if (!_pendingWrite.valid())
-        return;
-    try {
-        _pendingWrite.get();
-    } catch (const std::exception& err) {
-        warn("run-directory write failed: ", err.what());
-    }
-}
+RunPipeline::~RunPipeline() = default;
 
 void
 RunPipeline::attach(core::Engine& engine)
@@ -229,23 +217,15 @@ RunPipeline::step(const core::Population& pop,
         status = statusFor(/*running=*/true);
     }
     if (writer || recorder) {
-        // Hand the run directory's share of this generation to the
-        // write task. Waiting for the previous one first keeps at most
-        // one generation in flight, so files still land in generation
-        // order; the task writes status.json last, after every other
-        // file of its generation.
-        drain();
-        _pendingWrite = std::async(
-            std::launch::async,
-            [this, pop_copy = pop, record,
-             heartbeat = recorder ? status : std::string()] {
-                if (writer)
-                    writer->onGenerationEvaluated(pop_copy, record);
-                // Atomic replace: a poller either sees the previous
-                // heartbeat or this one, never a torn file.
-                if (!heartbeat.empty())
-                    writeFileAtomic(_statusPath, heartbeat);
-            });
+        // status.json goes last, so whenever it names generation g,
+        // every generation-g file is on disk.
+        output::ScopedSpan span(trace, "write run dir", "pipeline", gen);
+        if (writer)
+            writer->onGenerationEvaluated(pop, record);
+        // Atomic replace: a poller either sees the previous heartbeat
+        // or this one, never a torn file.
+        if (recorder)
+            writeFileAtomic(_statusPath, status);
     }
     if (telemetry)
         telemetry->service().onGenerationEvaluated(pop, record, facts,
@@ -253,17 +233,8 @@ RunPipeline::step(const core::Population& pop,
 }
 
 void
-RunPipeline::drain()
-{
-    // get() rethrows a failed write here, on the coordinator.
-    if (_pendingWrite.valid())
-        _pendingWrite.get();
-}
-
-void
 RunPipeline::finish()
 {
-    drain();
     if (!recorder && !telemetry)
         return;
     std::string status = statusFor(/*running=*/false);

@@ -12,24 +12,16 @@
  *  4. health watchdog — alerts.csv;
  *  5. provenance — the digests.csv row;
  *  6. status — one snapshot rendered for status.json (analytics on)
- *     and the telemetry service (/status, /history, SSE...).
+ *     and the telemetry service (/status, /history, SSE...);
+ *  7. run writer — population checkpoint and history.csv;
+ *  8. status.json, last, so whenever it names generation g every
+ *     generation-g file is on disk;
+ *  9. telemetry — the snapshot served to clients.
  *
- * Each of the six is timed into a `pipeline.<sink>_us` histogram and,
- * with a trace attached, a span on the coordinator's tid.
- *
- * Then one write task (std::async) takes a copy of the population and
- * writes, off the coordinator:
- *
- *  7. run writer — individuals, population checkpoint, history.csv;
- *  8. status.json, last.
- *
- * At most one write task is in flight: step() waits for generation g's
- * before handing over g+1, so whenever status.json names generation g,
- * every generation-g file is on disk. drain() waits for the task and
- * rethrows its error on the coordinator. After Engine::run() the run
- * driver first runs its champion pass, which reads no run-directory
- * file, beside the last write task, and drains before every later
- * seal step.
+ * Sinks 1-6 are each timed into a `pipeline.<sink>_us` histogram and,
+ * with a trace attached, a span on the coordinator's tid; 7 and 8
+ * share one trace span, "write run dir" (output.io_us times the
+ * checkpoint).
  *
  * Producers fill the generation's GenerationFacts record; consumers
  * later in the step read it, so no sink holds a callback into another.
@@ -41,7 +33,6 @@
 #define GEST_RUN_PIPELINE_HH
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -126,7 +117,7 @@ class RunPipeline
      * @param total_generations the run's generation budget (ETA)
      */
     RunPipeline(std::string status_path, int total_generations);
-    ~RunPipeline();
+    ~RunPipeline();  ///< out of line: the sinks are incomplete here
 
     RunPipeline(const RunPipeline&) = delete;
     RunPipeline& operator=(const RunPipeline&) = delete;
@@ -154,16 +145,8 @@ class RunPipeline
               const core::GenerationRecord& record);
 
     /**
-     * Wait until the last generation's write task is done and rethrow
-     * its error (a FatalError) here. The run writer may be read only
-     * after a drain.
-     */
-    void drain();
-
-    /**
-     * Drain, then publish the final "completed" status: status.json
-     * (analytics on) and /status carry the same bytes, and /events
-     * streams end.
+     * Publish the final "completed" status: status.json (analytics on)
+     * and /status carry the same bytes, and /events streams end.
      */
     void finish();
 
@@ -175,9 +158,6 @@ class RunPipeline
     double _startUs;
     GenerationFacts _facts;
     core::GenerationRecord _last;
-
-    /** The in-flight write task, if any (at most one). */
-    std::future<void> _pendingWrite;
 };
 
 } // namespace run

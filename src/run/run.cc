@@ -41,7 +41,6 @@ struct SealStats
 {
     stats::Histogram& champions;
     stats::Histogram& champion;
-    stats::Histogram& drain;
 };
 
 SealStats&
@@ -55,7 +54,6 @@ sealStats()
     static SealStats s{
         step("champions", "champion pass: waveforms and attribution"),
         step("champion", "one champion's waveforms and attribution"),
-        step("drain", "wait for the last generation's write task"),
     };
     return s;
 }
@@ -83,9 +81,7 @@ isInside(const std::string& file, const std::string& dir)
  * One pass over the flight recorder's retained champions (or the
  * best-ever individual without one) on the engine's evaluation pool,
  * one task per champion, on the worker's measurement: capture and
- * write its waveforms, and compute and write its attribution. Neither
- * step reads the run directory, so the pass may overlap the last
- * write task.
+ * write its waveforms, and compute and write its attribution.
  */
 void
 sealChampions(const RunConfig& cfg, core::Engine& engine,
@@ -192,10 +188,8 @@ runFromConfig(const RunConfig& cfg)
 {
     const Evaluator built = buildEvaluator(cfg);
 
-    // The trace outlives the pipeline, whose write task may still be
-    // emitting spans when a failed run unwinds. The pipeline is
-    // declared before the engine so the engine, which holds the
-    // pipeline's observer and recorder, is destroyed first.
+    // The pipeline is declared before the engine so the engine, which
+    // holds the pipeline's observer and recorder, is destroyed first.
     std::unique_ptr<output::TraceWriter> trace;
     const std::string& dir = cfg.outputDirectory;
     run::RunPipeline pipeline(dir + "/status.json", cfg.ga.generations);
@@ -237,17 +231,10 @@ runFromConfig(const RunConfig& cfg)
                 dir, cfg.waveformTopK);
     }
     if (!dir.empty()) {
-        pipeline.writer = std::make_unique<output::RunWriter>(
-            dir, cfg.library,
-            cfg.asmTemplate ? &*cfg.asmTemplate : nullptr);
+        pipeline.writer =
+            std::make_unique<output::RunWriter>(dir, cfg.library);
         pipeline.writer->writeRunMetadata(
             cfg.rawText, cfg.asmTemplate ? cfg.asmTemplate->text() : "");
-        // The write task gets its own trace thread after the N
-        // evaluation workers (tids 1..N).
-        const int writer_tid = cfg.ga.threads + 1;
-        if (trace)
-            trace->setThreadName(writer_tid, "run-dir writer");
-        pipeline.writer->setTraceWriter(trace.get(), writer_tid);
     }
     // Coverage and health are useful even without an output directory
     // (live /coverage and /alerts only).
@@ -289,18 +276,10 @@ runFromConfig(const RunConfig& cfg)
     result.cacheHits = engine.cacheHits();
     result.cacheMisses = engine.cacheMisses();
 
-    // The last generation's write task may still be running: the
-    // champion pass reads no run-directory file, so it runs beside it
-    // on the evaluation pool. Attribution goes before the stats dump,
-    // so the attribution.* counters land in metrics.json, and before
-    // the provenance seal, so the manifest covers its artifacts.
+    // Attribution goes before the stats dump, so the attribution.*
+    // counters land in metrics.json, and before the provenance seal, so
+    // the manifest covers its artifacts.
     sealChampions(cfg, engine, *built.fitness, pipeline, result);
-    {
-        // Every step below reads the run directory.
-        output::ScopedSpan span(sealStats().drain, trace.get(),
-                                "drain last write", "seal");
-        pipeline.drain();
-    }
 
     if (pipeline.coverage && fileExists(pipeline.coverage->csvPath()))
         result.coverageFile = pipeline.coverage->csvPath();

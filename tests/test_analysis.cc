@@ -459,7 +459,6 @@ TEST(Recorder, ResultsAreBitIdenticalWithAnalyticsOnOrOff)
     pipeline.recorder = std::make_unique<Recorder>(dir, lib);
     pipeline.attach(with);
     with.run();
-    pipeline.drain();
 
     ClassCountMeasurement m2(lib, isa::InstrClass::Mem);
     core::Engine without(params, lib, m2, fit);
@@ -520,7 +519,6 @@ TEST(Recorder, ResumedRunToleratesPreLedgerAncestors)
     pipeline.recorder = std::make_unique<Recorder>(dir, lib);
     pipeline.attach(second);
     second.run();
-    pipeline.drain();
 
     const std::vector<LineageEvent> events = loadLineage(dir);
     std::size_t resumed = 0;

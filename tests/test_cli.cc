@@ -159,6 +159,62 @@ TEST_F(CliTest, StatsWorksWhenConfigReferencedExternalFiles)
     EXPECT_NE(output.find("# id "), std::string::npos);
 }
 
+TEST_F(CliTest, FittestOutExportsThePaperLayoutFromCheckpoints)
+{
+    writeFile(_dir + "/tmpl.s", "loop:\n#loop_code\nb loop\n");
+    writeFile(_dir + "/config_export.xml", R"(
+<gest_configuration>
+  <ga population_size="4" individual_size="3" tournament_size="2"
+      generations="2" seed="11"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a7" min_cycles="1024"/>
+  </measurement>
+  <template file="tmpl.s"/>
+  <output directory="run_export"/>
+</gest_configuration>
+)");
+    std::string output;
+    ASSERT_EQ(runCli("run '" + _dir + "/config_export.xml'", output, _dir),
+              0)
+        << output;
+
+    // The run leaves no <gen>_<id>_<m...>.txt: checkpoints only.
+    const std::string run_dir = _dir + "/run_export";
+    auto individual_files = [](const std::string& dir) {
+        std::set<std::string> found;
+        for (const std::string& name : listFiles(dir)) {
+            if (endsWith(name, ".txt") && name != "run_template.txt")
+                found.insert(name);
+        }
+        return found;
+    };
+    EXPECT_TRUE(individual_files(run_dir).empty());
+
+    std::string plain, exported;
+    ASSERT_EQ(runCli("fittest '" + run_dir + "'", plain, _dir), 0)
+        << plain;
+    const std::string out_dir = _dir + "/layout";
+    ASSERT_EQ(runCli("fittest '" + run_dir + "' --out '" + out_dir + "'",
+                     exported, _dir),
+              0)
+        << exported;
+    EXPECT_EQ(exported, plain);
+
+    // Population 4 x 2 checkpoints, one file each, rendered through
+    // the recorded template.
+    const std::set<std::string> files = individual_files(out_dir);
+    EXPECT_EQ(files.size(), 8u);
+    EXPECT_EQ(listFiles(out_dir).size(), 8u);
+    ASSERT_EQ(files.count("0_1_0.73_0.21_0.80.txt"), 1u);
+    EXPECT_EQ(readFile(out_dir + "/0_1_0.73_0.21_0.80.txt"),
+              "loop:\n"
+              "FMUL v1.2D, v5.2D, v0.2D\n"
+              "MADD x7, x5, x7, x5\n"
+              "ORR x7, x8, x7\n"
+              "b loop\n");
+}
+
 TEST_F(CliTest, RunWithTraceWritesObservabilityArtifacts)
 {
     std::string output;

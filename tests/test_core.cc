@@ -447,7 +447,7 @@ TEST(Population, SerializeRoundTrips)
     }
 
     const Population again =
-        deserializePopulation(lib, serializePopulation(lib, pop));
+        deserializePopulation(lib, serializePopulation(lib, pop), "<test>");
     ASSERT_EQ(again.individuals.size(), 5u);
     EXPECT_EQ(again.generation, 7);
     for (std::size_t i = 0; i < 5; ++i) {
@@ -465,15 +465,16 @@ TEST(Population, SerializeRoundTrips)
 TEST(Population, DeserializeRejectsGarbage)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
-    EXPECT_THROW(deserializePopulation(lib, "not a population"),
+    EXPECT_THROW(deserializePopulation(lib, "not a population", "<test>"),
                  FatalError);
-    EXPECT_THROW(deserializePopulation(lib, "gest-population 1\n"),
+    EXPECT_THROW(deserializePopulation(lib, "gest-population 1\n", "<test>"),
                  FatalError);
     EXPECT_THROW(
         deserializePopulation(
             lib, "gest-population 1\ngeneration 0\n"
                  "individual 1 0 0 0.5 1\nmeasurements 0\ncode 1\n"
-                 "UNKNOWN_INSTR 0 0\nend\n"),
+                 "UNKNOWN_INSTR 0 0\nend\n",
+            "<test>"),
         FatalError);
 }
 

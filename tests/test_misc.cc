@@ -10,7 +10,6 @@
 #include "config/config.hh"
 #include "core/operators.hh"
 #include "measure/sim_measurements.hh"
-#include "output/run_writer.hh"
 #include "output/stats.hh"
 #include "pdn/spectrum.hh"
 #include "util/fileutil.hh"
@@ -199,20 +198,6 @@ TEST(Config, Armv7AndCacheStressBundledLibraries)
         "<gest_configuration><library name=\"cache-stress\"/>"
         "</gest_configuration>");
     EXPECT_GE(cs.library.findInstruction("ADVANCE"), 0);
-}
-
-TEST(Output, NegativeMeasurementsInFileNames)
-{
-    const isa::InstructionLibrary lib = isa::armLikeLibrary();
-    const std::string dir = makeTempDir("gest-misc");
-    output::RunWriter writer(dir, lib);
-    core::Individual ind;
-    ind.id = 2;
-    ind.measurements = {-1.5, 0.0};
-    Rng rng(5);
-    ind.code.push_back(lib.randomInstance(rng));
-    EXPECT_EQ(writer.individualFileName(3, ind), "3_2_-1.50_0.00.txt");
-    removeAll(dir);
 }
 
 } // namespace

@@ -244,7 +244,7 @@ TEST_P(SerializationFuzzTest, RandomPopulationsRoundTrip)
     }
 
     const core::Population again = core::deserializePopulation(
-        lib, core::serializePopulation(lib, pop));
+        lib, core::serializePopulation(lib, pop), "<test>");
     ASSERT_EQ(again.individuals.size(), pop.individuals.size());
     for (std::size_t i = 0; i < pop.individuals.size(); ++i) {
         EXPECT_EQ(again.individuals[i].code, pop.individuals[i].code);

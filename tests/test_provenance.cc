@@ -535,8 +535,10 @@ TEST(Provenance, InferredArtifactKinds)
               "population");
     EXPECT_EQ(provenance::inferArtifactKind("waveforms/42.csv"),
               "waveform");
-    EXPECT_EQ(provenance::inferArtifactKind("0_1_2.97.txt"),
-              "individual");
+    EXPECT_EQ(provenance::inferArtifactKind("run_template.txt"),
+              "template");
+    // §III.D's per-individual sources are an export, not an artifact.
+    EXPECT_EQ(provenance::inferArtifactKind("0_1_2.97.txt"), "other");
     EXPECT_EQ(provenance::inferArtifactKind("run_configuration.xml"),
               "config");
     EXPECT_EQ(provenance::inferArtifactKind("metrics.json"), "stats");

@@ -245,7 +245,7 @@ TEST(RunPipeline, AFailedWriteSurfacesAsFatalErrorOnTheCaller)
     cfg.outputDirectory = dir;
     cfg.ga.generations = 4;
     // A directory where generation 1's checkpoint belongs: the write
-    // task fails, and the run must rethrow rather than abort.
+    // fails, and the run must rethrow rather than abort.
     const std::string blocker = dir + "/population_1.pop";
     ensureDir(blocker);
 
@@ -258,9 +258,8 @@ TEST(RunPipeline, AFailedWriteSurfacesAsFatalErrorOnTheCaller)
     EXPECT_NE(message.find(blocker), std::string::npos) << message;
     removeAll(dir);
 
-    // The last generation's write fails while the champion pass runs
-    // beside it: the error still reaches the caller, after the pass,
-    // and nothing is sealed.
+    // The last generation's write fails: the error reaches the caller
+    // before any seal step, and nothing is sealed.
     const std::string last_dir = makeTempDir("gest-run");
     cfg.outputDirectory = last_dir;
     cfg.waveformTopK = 3;
@@ -276,12 +275,11 @@ TEST(RunPipeline, AFailedWriteSurfacesAsFatalErrorOnTheCaller)
         message = err.what();
     }
     EXPECT_NE(message.find(last_blocker), std::string::npos) << message;
-    EXPECT_TRUE(fileExists(last_dir + "/waveforms/index.csv"));
     EXPECT_FALSE(fileExists(last_dir + "/manifest.json"));
     removeAll(last_dir);
 }
 
-TEST(RunPipeline, RunDirWritesHaveTheirOwnTraceThread)
+TEST(RunPipeline, RunDirIsWrittenOnTheCoordinator)
 {
     const std::string dir = makeTempDir("gest-run");
     config::RunConfig cfg = config::parseConfig(kWriterConfig);
@@ -294,23 +292,17 @@ TEST(RunPipeline, RunDirWritesHaveTheirOwnTraceThread)
     ASSERT_TRUE(json::parse(readFile(cfg.traceFile), trace, nullptr));
     const json::Value* events = trace.find("traceEvents");
     ASSERT_TRUE(events && events->isArray());
-    // Workers hold tids 1..threads; the write task comes next.
-    const double writer_tid = cfg.ga.threads + 1;
-    int writes = 0;
-    bool named = false;
+    // One write per generation, each on the coordinator's tid 0.
+    std::vector<double> generations;
     for (const json::Value& event : events->array) {
-        if (event.stringOr("name", "") == "write run dir") {
-            EXPECT_EQ(event.numberOr("tid", -1.0), writer_tid);
-            ++writes;
-        }
-        if (event.stringOr("name", "") == "thread_name" &&
-            event.numberOr("tid", -1.0) == writer_tid) {
-            const json::Value* args = event.find("args");
-            named = args && args->stringOr("name", "") == "run-dir writer";
-        }
+        if (event.stringOr("name", "") != "write run dir")
+            continue;
+        EXPECT_EQ(event.numberOr("tid", -1.0), 0.0);
+        const json::Value* args = event.find("args");
+        generations.push_back(args ? args->numberOr("generation", -1.0)
+                                   : -1.0);
     }
-    EXPECT_EQ(writes, 5);
-    EXPECT_TRUE(named);
+    EXPECT_EQ(generations, (std::vector<double>{0, 1, 2, 3, 4}));
     removeAll(dir);
 }
 
@@ -429,12 +421,12 @@ TEST(RunPipeline, EverySinkAndSealStepIsTraced)
     // One span per generation for each sink this run has...
     EXPECT_EQ(coordinator["flight recorder"], cfg.ga.generations);
     EXPECT_EQ(coordinator["provenance append"], cfg.ga.generations);
+    EXPECT_EQ(coordinator["write run dir"], cfg.ga.generations);
     EXPECT_EQ(coordinator["analytics"], 0);
     // ...one per seal step on the coordinator, and one per champion on
     // the worker that wrote it.
-    for (const char* step : {"seal champions", "drain last write",
-                             "stats dump", "manifest walk",
-                             "manifest hash"})
+    for (const char* step : {"seal champions", "stats dump",
+                             "manifest walk", "manifest hash"})
         EXPECT_EQ(coordinator[step], 1) << step;
     EXPECT_EQ(workers["champion"], cfg.waveformTopK);
 
@@ -455,8 +447,7 @@ TEST(RunPipeline, EverySinkAndSealStepIsTraced)
     std::sort(seal_histograms.begin(), seal_histograms.end());
     EXPECT_EQ(seal_histograms,
               (std::vector<std::string>{"seal.champion_us",
-                                        "seal.champions_us",
-                                        "seal.drain_us"}));
+                                        "seal.champions_us"}));
     removeAll(dir);
     removeAll(trace_dir);
 }

@@ -15,10 +15,20 @@ wall-clock time, scheduling or the build:
   * alerts.csv rows of the timing rules (throughput_collapse,
     worker_starvation);
   * manifest.json: created, build, run.digest_ms_total and each
-    artifact's sha256 and bytes (the files themselves are compared).
+    artifact's sha256 and bytes (the files themselves are compared),
+    and the artifacts of kind "individual".
 
-Fitness, digests.csv, individuals, population checkpoints, lineage,
-analytics, coverage, waveforms and attribution are compared whole.
+Fitness, digests.csv, population checkpoints, lineage, analytics,
+coverage, waveforms and attribution are compared whole.
+
+The §III.D per-individual sources, <gen>_<id>_<m1>_....txt, are compared
+whole too, wherever they come from. A run directory that holds none
+(its binary writes only the population checkpoints) is exported with
+the same binary, `gest fittest <run> --out <run>.individuals`, and the
+two sides' file sets and bytes are compared: written against written,
+written against exported, or exported against exported. A binary that
+still writes them in-run lists them in its manifest with kind
+"individual", which is why those entries are dropped there.
 
 Usage:
   check_identity.py <gest-a> <gest-b> [--generations N] [--threads N]
@@ -27,7 +37,8 @@ Usage:
       all shipped configs)
   check_identity.py --drive <gest-binary>
       self-check at 2 generations with the same binary on both sides:
-      the runs must match, and a rewritten digests.csv must be caught
+      the runs must match, a rewritten digests.csv must be caught, and
+      so must one flipped byte in one individual's source
 
 Exit status 0 when the run directories match; 1 with a list of the
 differing files otherwise.
@@ -39,11 +50,12 @@ import glob
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import xml.etree.ElementTree as ET
 
-from gestcheck import fail, ok, run_gest, scratch
+from gestcheck import fail, ok, run, run_gest, scratch
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.xml")))
@@ -64,6 +76,7 @@ UNCOMPARED = {"trace.json", "metrics.json"}
 STATUS_VOLATILE = {"elapsed_seconds", "eta_seconds", "evals_per_sec",
                    "git_sha", "build", "listen", "alerts"}
 TIMING_RULES = {"throughput_collapse", "worker_starvation"}
+INDIVIDUAL = re.compile(r"^\d+_\d+(_[^_/]+)*\.txt$")
 
 
 def oracle_config(path, generations):
@@ -87,9 +100,16 @@ def oracle_config(path, generations):
 
 
 def record(gest, work, config, threads, dest):
-    """Run `config` in `work` with `gest` and move the run to `dest`."""
+    """Run `config` in `work` with `gest` and move the run to `dest`.
+    Return the directory holding the run's individual sources: `dest`
+    when the run wrote them, else their export by the same binary."""
     out = run_gest(gest, work, config, "--threads", str(threads))
     shutil.move(out, dest)
+    if _individuals(dest):
+        return dest
+    exported = dest + ".individuals"
+    run([gest, "fittest", dest, "--quiet", "--out", exported], work)
+    return exported
 
 
 # ----------------------------------------------------------- comparison
@@ -125,6 +145,9 @@ def _manifest(text):
     doc.pop("created", None)
     doc.pop("build", None)
     doc.get("run", {}).pop("digest_ms_total", None)
+    if "artifacts" in doc:
+        doc["artifacts"] = [a for a in doc["artifacts"]
+                            if a.get("kind") != "individual"]
     for artifact in doc.get("artifacts", []):
         artifact.pop("sha256", None)
         artifact.pop("bytes", None)
@@ -139,23 +162,27 @@ NORMALIZE = {
 }
 
 
+def _individuals(directory):
+    """The individual sources directly under `directory`."""
+    return {name for name in os.listdir(directory) if INDIVIDUAL.match(name)}
+
+
 def _files(run_dir):
     found = set()
     for parent, _, names in os.walk(run_dir):
         for name in names:
             found.add(os.path.relpath(os.path.join(parent, name), run_dir))
-    return found - UNCOMPARED
+    return found - UNCOMPARED - _individuals(run_dir)
 
 
-def diff_runs(run_a, run_b):
-    """Relative paths (with a reason) that differ between the runs."""
-    files_a, files_b = _files(run_a), _files(run_b)
+def _diff_files(dir_a, files_a, dir_b, files_b):
+    """Relative paths (with a reason) that differ between the sets."""
     diffs = [f"{p}: only in A" for p in sorted(files_a - files_b)]
     diffs += [f"{p}: only in B" for p in sorted(files_b - files_a)]
     for rel in sorted(files_a & files_b):
-        with open(os.path.join(run_a, rel), "rb") as handle:
+        with open(os.path.join(dir_a, rel), "rb") as handle:
             bytes_a = handle.read()
-        with open(os.path.join(run_b, rel), "rb") as handle:
+        with open(os.path.join(dir_b, rel), "rb") as handle:
             bytes_b = handle.read()
         if bytes_a == bytes_b:
             continue
@@ -171,6 +198,14 @@ def diff_runs(run_a, run_b):
     return diffs
 
 
+def diff_runs(run_a, individuals_a, run_b, individuals_b):
+    """Relative paths (with a reason) that differ between the runs:
+    their artifacts, then their individual sources (see record())."""
+    return (_diff_files(run_a, _files(run_a), run_b, _files(run_b)) +
+            _diff_files(individuals_a, _individuals(individuals_a),
+                        individuals_b, _individuals(individuals_b)))
+
+
 # --------------------------------------------------------------- modes
 
 def compare(gest_a, gest_b, generations, threads, configs, work):
@@ -180,10 +215,11 @@ def compare(gest_a, gest_b, generations, threads, configs, work):
         name = os.path.splitext(os.path.basename(path))[0]
         config = oracle_config(path, generations)
         case = os.path.join(work, name)
-        record(gest_a, case, config, threads, os.path.join(case, "a"))
-        record(gest_b, case, config, threads, os.path.join(case, "b"))
-        results[name] = diff_runs(os.path.join(case, "a"),
-                                  os.path.join(case, "b"))
+        run_a, run_b = os.path.join(case, "a"), os.path.join(case, "b")
+        individuals_a = record(gest_a, case, config, threads, run_a)
+        individuals_b = record(gest_b, case, config, threads, run_b)
+        results[name] = diff_runs(run_a, individuals_a, run_b,
+                                  individuals_b)
     return results
 
 
@@ -193,6 +229,16 @@ def report(results):
         fail("run directories differ:\n" + "\n".join(
             f"  {name}: {diff}" for name, diffs in bad.items()
             for diff in diffs))
+
+
+def _recorded(case):
+    """diff_runs()'s arguments for a case compare() recorded."""
+    sides = []
+    for side in ("a", "b"):
+        run_dir = os.path.join(case, side)
+        exported = run_dir + ".individuals"
+        sides += [run_dir, exported if os.path.isdir(exported) else run_dir]
+    return sides
 
 
 def drive(gest):
@@ -216,10 +262,26 @@ def drive(gest):
                      + last[digit + 1:])
         with open(digests, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
-        diffs = diff_runs(os.path.join(case, "a"), os.path.join(case, "b"))
+        diffs = diff_runs(*_recorded(case))
         if diffs != ["digests.csv: contents differ"]:
             fail(f"a rewritten digests.csv gave {diffs}")
         ok("a rewritten digests.csv is caught")
+
+        # So must one flipped byte in one individual's source.
+        case = os.path.join(work, os.path.splitext(
+            os.path.basename(CONFIGS[1]))[0])
+        recorded = _recorded(case)
+        name = sorted(_individuals(recorded[3]))[0]
+        path = os.path.join(recorded[3], name)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        data[len(data) // 2] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(data)
+        diffs = diff_runs(*recorded)
+        if diffs != [f"{name}: contents differ"]:
+            fail(f"a flipped byte in {name} gave {diffs}")
+        ok(f"a flipped byte in an individual's source ({name}) is caught")
 
 
 def main(argv):

@@ -12,7 +12,9 @@
  *   gest verify <run_dir>      replay a sealed run against its manifest
  *   gest compare <a> <b> [...] cross-run result + performance deltas
  *   gest stats <run_dir>       per-generation statistics of a saved run
- *   gest fittest <run_dir>     print the fittest individual's source
+ *   gest fittest <run_dir>     print the fittest individual's source;
+ *                              --out <dir> also renders every
+ *                              individual in §III.D's file layout
  *   gest runs <workspace>      index every run in a workspace and
  *                              screen cross-run regressions
  *   gest platforms             list the bundled platform presets
@@ -125,6 +127,8 @@ usage()
         "attribution/)\n"
         "                       --top K (load-bearing genes listed; "
         "default 5)\n"
+        "options for fittest: --out <dir> (also write every individual "
+        "as <gen>_<id>_<m1>_...txt)\n"
         "options for stats/fittest: --library arm|x86|cache-stress\n");
     return 2;
 }
@@ -439,7 +443,8 @@ cmdStats(const std::string& run_dir, const char* library_override)
 }
 
 int
-cmdFittest(const std::string& run_dir, const char* library_override)
+cmdFittest(const std::string& run_dir, const char* library_override,
+           const char* out_dir)
 {
     const isa::InstructionLibrary lib =
         libraryForRun(run_dir, library_override);
@@ -451,6 +456,8 @@ cmdFittest(const std::string& run_dir, const char* library_override)
                 best.fitness);
     for (const std::string& line : core::renderLines(lib, best))
         std::printf("%s\n", line.c_str());
+    if (out_dir)
+        output::exportIndividuals(lib, run_dir, out_dir);
     return 0;
 }
 
@@ -818,7 +825,7 @@ try {
     if (command == "stats" && positional.size() == 1)
         return cmdStats(positional[0], library_override);
     if (command == "fittest" && positional.size() == 1)
-        return cmdFittest(positional[0], library_override);
+        return cmdFittest(positional[0], library_override, out_override);
     if (command == "platforms")
         return cmdPlatforms();
     if (command == "classes")
