@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "config/config.hh"
+#include "core/population.hh"
 #include "platform/platform.hh"
 #include "signal/signal_probe.hh"
 #include "util/fileutil.hh"
@@ -493,6 +494,206 @@ TEST(SteadyGolden, SimResultsMatchTheRecordedDigests)
         << "the simulator's output changed; the digests it produces "
            "now are:\n"
         << table;
+}
+
+/**
+ * simDigest() of @p code evaluated on @p plat, with the idle cycles
+ * the simulator jumped over folded in, chained onto @p h.
+ */
+std::uint64_t
+foldEvaluation(std::uint64_t h, const platform::Platform& plat,
+               const isa::InstructionLibrary& lib,
+               const std::vector<isa::InstructionInstance>& code,
+               std::uint64_t min_cycles, bool steady)
+{
+    platform::EvalScratch scratch;
+    platform::Evaluation eval;
+    scratch.steadyState = steady;
+    plat.evaluateInto(code, lib, false, min_cycles, nullptr, scratch,
+                      eval);
+    for (std::uint64_t w : {simDigest(eval.sim), eval.sim.skippedCycles})
+        h = (h ^ w) * 0x100000001b3ULL;
+    return h;
+}
+
+/**
+ * Compare freshly computed (name, steady on, steady off) digests with
+ * a recorded table; on any difference print the table they form.
+ */
+template <std::size_t N>
+void
+expectDigestTable(const std::vector<GoldenDigest>& got,
+                  const GoldenDigest (&want)[N])
+{
+    bool all_match = got.size() == N;
+    std::string table;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        char row[160];
+        std::snprintf(row, sizeof row,
+                      "    {\"%s\", 0x%016llxULL, 0x%016llxULL},\n",
+                      got[i].name,
+                      static_cast<unsigned long long>(got[i].steadyOn),
+                      static_cast<unsigned long long>(got[i].steadyOff));
+        table += row;
+        const bool match = i < N &&
+                           std::string(got[i].name) == want[i].name &&
+                           got[i].steadyOn == want[i].steadyOn &&
+                           got[i].steadyOff == want[i].steadyOff;
+        EXPECT_TRUE(match) << got[i].name << " differs from the table";
+        all_match = all_match && match;
+    }
+    EXPECT_TRUE(all_match)
+        << "the simulator's output changed; the digests it produces "
+           "now are:\n"
+        << table;
+}
+
+/** A frozen benchmark population and the measurement it was bred on. */
+struct EvolvedWorkload
+{
+    const char* name;
+    const char* config;
+    const char* platform;
+    std::uint64_t minCycles;
+};
+
+constexpr EvolvedWorkload evolvedWorkloads[] = {
+    {"power_a15", "a15_power.xml", "cortex-a15", 4096},
+    {"didt_athlon", "athlon_didt.xml", "athlon-x4", 8192},
+    {"ipc_xgene2", "xgene2_ipc.xml", "xgene2", 4096},
+    {"llc_xgene2", "xgene2_llc_stress.xml", "xgene2-llc", 16384},
+    {"outputs_a7", "a7_power.xml", "cortex-a7", 4096},
+};
+
+// Recorded from the simulator that asked every window slot each cycle.
+constexpr GoldenDigest evolvedDigests[] = {
+    {"power_a15", 0x1ae664687f1d0763ULL, 0x1ae664687f1d0763ULL},
+    {"didt_athlon", 0x4bdfb498bf22a3c2ULL, 0x06977783590dcf84ULL},
+    {"ipc_xgene2", 0x88e2213309937af7ULL, 0x47a9eb1c69ea42c4ULL},
+    {"llc_xgene2", 0x9c14f2be7a192c00ULL, 0x9c14f2be7a192c00ULL},
+    {"outputs_a7", 0xc4b85b3d073bbf47ULL, 0xf21c6e9000fa9109ULL},
+};
+
+TEST(SteadyGolden, EvolvedBodiesMatchTheRecordedDigests)
+{
+    // Every individual of each frozen start population: bodies the GA
+    // bred, whose windows stay full of dependent ops, unlike random
+    // bodies.
+    std::vector<GoldenDigest> got;
+    for (const EvolvedWorkload& w : evolvedWorkloads) {
+        const std::string dir = GEST_WORKLOADS_DIR;
+        const config::RunConfig cfg =
+            config::loadConfig(dir + "/" + w.config);
+        const core::Population pop = core::loadPopulation(
+            cfg.library, dir + "/" + w.name + ".pop");
+        ASSERT_FALSE(pop.individuals.empty()) << w.name;
+        const auto plat = platform::Platform::byName(w.platform);
+        GoldenDigest row{w.name, 0xcbf29ce484222325ULL,
+                         0xcbf29ce484222325ULL};
+        for (const core::Individual& ind : pop.individuals) {
+            row.steadyOn = foldEvaluation(row.steadyOn, *plat,
+                                          cfg.library, ind.code,
+                                          w.minCycles, true);
+            row.steadyOff = foldEvaluation(row.steadyOff, *plat,
+                                           cfg.library, ind.code,
+                                           w.minCycles, false);
+        }
+        got.push_back(row);
+    }
+    expectDigestTable(got, evolvedDigests);
+}
+
+/**
+ * A library for window-edge bodies on the LLC platform: a strided
+ * pointer walk whose loads miss L1 on every iteration and write the
+ * same registers the compute ops read and write.
+ */
+isa::InstructionLibrary
+windowEdgeLibrary()
+{
+    using isa::InstrClass;
+    using isa::OperandDef;
+    using isa::Opcode;
+    isa::InstructionLibrary lib;
+    lib.addOperand(OperandDef::makeRegisters(
+        "int_reg", {"x4", "x5", "x6", "x7", "x8", "x9"}));
+    lib.addOperand(OperandDef::makeRegisters("base", {"x10"}));
+    lib.addOperand(OperandDef::makeImmediate("offset", 0, 256, 8));
+    lib.addOperand(OperandDef::makeImmediate("stride", 64, 4032, 64));
+    lib.addInstruction("ADVANCE", {"base", "stride"}, "ADD op1, op1, #op2",
+                       InstrClass::ShortInt, Opcode::AddWrap);
+    lib.addInstruction("LDR", {"int_reg", "base", "offset"},
+                       "LDR op1, [op2, #op3]", InstrClass::Mem,
+                       Opcode::Load);
+    lib.addInstruction("ADD", {"int_reg", "base", "int_reg"},
+                       "ADD op1, op2, op3", InstrClass::ShortInt,
+                       Opcode::Add);
+    lib.addInstruction("EOR", {"int_reg", "int_reg", "int_reg"},
+                       "EOR op1, op2, op3", InstrClass::ShortInt,
+                       Opcode::Eor);
+    lib.addInstruction("MUL", {"int_reg", "int_reg", "int_reg"},
+                       "MUL op1, op2, op3", InstrClass::LongInt,
+                       Opcode::Mul);
+    return lib;
+}
+
+// Recorded from the simulator that asked every window slot each cycle.
+constexpr GoldenDigest windowEdgeDigests[] = {
+    {"younger writer lowers a miss", 0xd38065ef679173faULL, 0xd38065ef679173faULL},
+    {"divide chain fills the window", 0x78133de94493722aULL, 0xe4d8dba1a8d9a104ULL},
+};
+
+TEST(SteadyGolden, WindowEdgesMatchTheRecordedDigests)
+{
+    std::vector<GoldenDigest> got;
+    auto record = [&](const char* name, const std::string& platform,
+                      const isa::InstructionLibrary& lib,
+                      const std::vector<isa::InstructionInstance>& code,
+                      std::uint64_t min_cycles) {
+        const auto plat = platform::Platform::byName(platform);
+        const std::uint64_t seed = 0xcbf29ce484222325ULL;
+        got.push_back({name,
+                       foldEvaluation(seed, *plat, lib, code, min_cycles,
+                                      true),
+                       foldEvaluation(seed, *plat, lib, code, min_cycles,
+                                      false)});
+    };
+
+    // Each LDR misses L1 on a fresh line. The younger ADD to the same
+    // register issues right behind it with a one-cycle latency, so x4
+    // becomes ready long before the older miss returns, and its
+    // consumers must see the lowered cycle. When the MSHRs are busy the
+    // ADD goes first and the miss raises the ready cycle instead.
+    const isa::InstructionLibrary edge = windowEdgeLibrary();
+    record("younger writer lowers a miss", "xgene2-llc", edge,
+           {edge.makeInstance("ADVANCE", {"x10", "4032"}),
+            edge.makeInstance("LDR", {"x4", "x10", "0"}),
+            edge.makeInstance("ADD", {"x4", "x10", "x5"}),
+            edge.makeInstance("EOR", {"x6", "x4", "x7"}),
+            edge.makeInstance("LDR", {"x5", "x10", "128"}),
+            edge.makeInstance("MUL", {"x7", "x5", "x6"}),
+            edge.makeInstance("EOR", {"x5", "x6", "x8"}),
+            edge.makeInstance("ADD", {"x8", "x10", "x7"})},
+           16384);
+
+    // A chain of unpipelined divides through x4 holds the window head
+    // while the independent ops behind it fill the rest of the
+    // out-of-order window.
+    const auto a15 = platform::Platform::byName("cortex-a15");
+    const isa::InstructionLibrary& arm = a15->library();
+    std::vector<isa::InstructionInstance> divides;
+    for (int i = 0; i < 4; ++i)
+        divides.push_back(arm.makeInstance("UDIV", {"x4", "x4", "x5"}));
+    for (int i = 0; i < 12; ++i) {
+        divides.push_back(arm.makeInstance("ADD", {"x6", "x7", "x8"}));
+        divides.push_back(arm.makeInstance("EOR", {"x7", "x8", "x9"}));
+        divides.push_back(arm.makeInstance("FADD", {"v1", "v2", "v3"}));
+    }
+    divides.push_back(arm.makeInstance("MUL", {"x9", "x4", "x6"}));
+    record("divide chain fills the window", "cortex-a15", arm, divides,
+           4096);
+
+    expectDigestTable(got, windowEdgeDigests);
 }
 
 // ------------------------------------------------ whole-run parity
