@@ -9,9 +9,13 @@
  *
  *  - Fetch: up to fetchWidth micro-ops per cycle enter a scheduler window,
  *    stalling on taken-branch redirects.
- *  - Issue: up to issueWidth ready micro-ops per cycle, oldest first. An
- *    in-order core stops scanning at the first stalled micro-op; an
- *    out-of-order core skips it.
+ *  - Issue: up to issueWidth ready micro-ops per cycle, oldest first,
+ *    in one loop for both kinds of core. An in-order core stops at the
+ *    first micro-op that cannot issue; an out-of-order core skips it.
+ *    A 64-bit mask of the registers whose results are still in flight,
+ *    refreshed only when the earliest of them becomes ready, lets the
+ *    loop skip a micro-op with a pending source with one AND against
+ *    the source mask the slot carries from fetch.
  *  - Functional units: pipelined units accept one op per cycle per unit;
  *    unpipelined units (dividers) stay busy for the full latency.
  *  - Memory: addresses are computed from register values; an L1 cache
@@ -75,13 +79,15 @@ struct InitState
 
 /**
  * One scheduler-window entry: a fetched micro-op with its architectural
- * effects (address, datapath toggles) precomputed in program order.
+ * effects (address, datapath toggles) precomputed in program order, and
+ * its source registers as a mask over the unified register space.
  */
 struct WindowSlot
 {
     const MicroOp* mo;
     std::uint64_t address;
     std::uint32_t toggles;
+    std::uint64_t srcMask;
 };
 
 /** Per-run options for the simulator. */
