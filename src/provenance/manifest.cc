@@ -79,15 +79,6 @@ quoted(const std::string& s)
     return "\"" + jsonEscape(s) + "\"";
 }
 
-std::string
-formatDouble(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 } // namespace
 
 std::string
@@ -210,11 +201,11 @@ formatManifest(const Manifest& m)
     os << "    \"generations_completed\": " << m.generationsCompleted
        << ",\n";
     os << "    \"evaluations\": " << m.evaluations << ",\n";
-    os << "    \"best_fitness\": " << formatDouble(m.bestFitness)
+    os << "    \"best_fitness\": " << jsonNumber(m.bestFitness, 17)
        << ",\n";
     os << "    \"best_id\": " << m.bestId << ",\n";
     os << "    \"digests_sealed\": " << m.digestsSealed << ",\n";
-    os << "    \"digest_ms_total\": " << formatDouble(m.digestMsTotal)
+    os << "    \"digest_ms_total\": " << jsonNumber(m.digestMsTotal, 17)
        << "\n";
     os << "  },\n";
 

@@ -97,8 +97,8 @@ statusJson(const core::GenerationRecord& record,
         "  \"state\": \"%s\",\n"
         "  \"generation\": %d,\n"
         "  \"total_generations\": %d,\n"
-        "  \"best_fitness\": %.17g,\n"
-        "  \"average_fitness\": %.17g,\n"
+        "  \"best_fitness\": %s,\n"
+        "  \"average_fitness\": %s,\n"
         "  \"diversity\": %.6f,\n"
         "  \"gene_entropy_bits\": %.6f,\n"
         "  \"pairwise_diversity\": %.6f,\n"
@@ -111,7 +111,8 @@ statusJson(const core::GenerationRecord& record,
         "  \"cycles_simulated\": %llu,\n"
         "  \"cycles_tiled\": %llu,\n",
         running ? "running" : "completed", record.generation,
-        total_generations, record.bestFitness, record.averageFitness,
+        total_generations, jsonNumber(record.bestFitness, 17).c_str(),
+        jsonNumber(record.averageFitness, 17).c_str(),
         record.diversity, facts.geneEntropyBits, facts.pairwiseDiversity,
         static_cast<unsigned long long>(facts.totalMeasured),
         cache_hit_rate, evals_per_sec, elapsed_s, eta_s, steady_hits,

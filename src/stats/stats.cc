@@ -79,13 +79,13 @@ formatValue(double v)
 {
     // Integral values print without a decimal tail so metrics.json
     // stays scannable; everything else keeps six significant digits.
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
+    // The range check comes first: converting a value outside long
+    // long's range, or nan, is undefined.
+    if (v > -1e15 && v < 1e15 &&
+        v == static_cast<double>(static_cast<long long>(v))) {
         return std::to_string(static_cast<long long>(v));
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
+    return jsonNumber(v, 6);
 }
 
 } // namespace

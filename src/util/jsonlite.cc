@@ -1,6 +1,6 @@
 #include "util/jsonlite.hh"
 
-#include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace gest {
@@ -87,16 +87,43 @@ class Reader
     bool
     number(Value& out)
     {
-        const char* begin = _text.data() + _pos;
-        char* end = nullptr;
-        out.number = std::strtod(begin, &end);
-        if (end == begin)
+        // Scan RFC 8259's grammar within the view first: strtod would
+        // read past its end and accept hex, inf and nan.
+        const std::size_t begin = _pos;
+        auto digits = [this] {
+            const std::size_t from = _pos;
+            while (_pos < _text.size() && _text[_pos] >= '0' &&
+                   _text[_pos] <= '9')
+                ++_pos;
+            return _pos > from;
+        };
+        if (_pos < _text.size() && _text[_pos] == '-')
+            ++_pos;
+        if (_pos < _text.size() && _text[_pos] == '0')
+            ++_pos;
+        else if (!digits())
             return fail("expected a JSON value");
-        const char first = *begin;
-        if (first != '-' && (first < '0' || first > '9'))
-            return fail("expected a JSON value");
+        if (_pos < _text.size() && _text[_pos] == '.') {
+            ++_pos;
+            if (!digits())
+                return fail("expected a digit after '.'");
+        }
+        if (_pos < _text.size() &&
+            (_text[_pos] == 'e' || _text[_pos] == 'E')) {
+            ++_pos;
+            if (_pos < _text.size() &&
+                (_text[_pos] == '+' || _text[_pos] == '-'))
+                ++_pos;
+            if (!digits())
+                return fail("expected a digit in the exponent");
+        }
+        const std::string token(_text.substr(begin, _pos - begin));
+        out.number = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(out.number)) {
+            _pos = begin;
+            return fail("number out of range");
+        }
         out.type = Value::Type::Number;
-        _pos += static_cast<std::size_t>(end - begin);
         return true;
     }
 

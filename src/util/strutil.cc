@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -193,6 +194,16 @@ jsonEscape(std::string_view s)
         }
     }
     return out;
+}
+
+std::string
+jsonNumber(double v, int precision)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    return buf;
 }
 
 } // namespace gest

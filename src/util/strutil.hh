@@ -71,6 +71,12 @@ std::string formatFixed(double v, int precision);
  */
 std::string jsonEscape(std::string_view s);
 
+/**
+ * Render @p v as a JSON number with printf's `%.<precision>g`, or as
+ * null when it is not finite: JSON has no literal for inf or nan.
+ */
+std::string jsonNumber(double v, int precision);
+
 } // namespace gest
 
 #endif // GEST_UTIL_STRUTIL_HH

@@ -7,13 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string_view>
+
 #include "config/config.hh"
 #include "core/engine.hh"
 #include "measure/sim_measurements.hh"
 #include "pdn/pdn_model.hh"
 #include "platform/platform.hh"
 #include "power/power_model.hh"
+#include "util/fileutil.hh"
+#include "util/jsonlite.hh"
 #include "util/random.hh"
+#include "util/strutil.hh"
 #include "xml/xml.hh"
 
 namespace gest {
@@ -350,6 +359,195 @@ TEST_P(ConfigFuzzTest, MutatedConfigsNeverCrashTheLoader)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzzTest,
                          ::testing::Values(2001, 2002, 2003));
+
+/** metrics.json, status.json and manifest.json of a short sealed run. */
+const std::vector<std::string>&
+jsonCorpus()
+{
+    static const std::vector<std::string> corpus = [] {
+        const std::string dir = makeTempDir("gest-json-fuzz");
+        config::RunConfig cfg = config::parseConfig(R"(
+<gest_configuration>
+  <ga population_size="6" individual_size="8" generations="2" seed="5"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a7"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="replaced" stats="true" provenance="true"/>
+</gest_configuration>
+)");
+        cfg.outputDirectory = dir;
+        config::runFromConfig(cfg);
+        std::vector<std::string> texts;
+        for (const char* name :
+             {"metrics.json", "status.json", "manifest.json"})
+            texts.push_back(readFile(dir + "/" + name));
+        removeAll(dir);
+        return texts;
+    }();
+    return corpus;
+}
+
+/** Both trees hold the same values, numbers compared bitwise. */
+bool
+sameTree(const json::Value& a, const json::Value& b)
+{
+    if (a.type != b.type || a.boolean != b.boolean || a.str != b.str ||
+        std::memcmp(&a.number, &b.number, sizeof a.number) != 0 ||
+        a.array.size() != b.array.size() ||
+        a.members.size() != b.members.size())
+        return false;
+    for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!sameTree(a.array[i], b.array[i]))
+            return false;
+    for (std::size_t i = 0; i < a.members.size(); ++i)
+        if (a.members[i].first != b.members[i].first ||
+            !sameTree(a.members[i].second, b.members[i].second))
+            return false;
+    return true;
+}
+
+/** JSON has no infinities and no NaN. */
+bool
+allFinite(const json::Value& v)
+{
+    if (v.isNumber() && !std::isfinite(v.number))
+        return false;
+    for (const json::Value& element : v.array)
+        if (!allFinite(element))
+            return false;
+    for (const auto& member : v.members)
+        if (!allFinite(member.second))
+            return false;
+    return true;
+}
+
+/**
+ * The reader's contract on one text: it parses the text alone exactly
+ * as it parses the same bytes as a view into a longer buffer (it must
+ * not read past the view it is given), and whatever it accepts holds
+ * only finite numbers.
+ */
+void
+expectJsonContract(const std::string& text)
+{
+    json::Value alone, viewed;
+    std::string alone_error, viewed_error;
+    const bool ok = json::parse(text, alone, &alone_error);
+    const std::string longer = text + "0123456789e5";
+    const bool viewed_ok =
+        json::parse(std::string_view(longer).substr(0, text.size()),
+                    viewed, &viewed_error);
+    EXPECT_EQ(ok, viewed_ok) << text;
+    EXPECT_EQ(alone_error, viewed_error) << text;
+    if (ok && viewed_ok) {
+        EXPECT_TRUE(sameTree(alone, viewed)) << text;
+        EXPECT_TRUE(allFinite(alone)) << text;
+    }
+}
+
+class JsonFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(JsonFuzzTest, MutatedArtifactsKeepTheReaderContract)
+{
+    // Byte and token mutations of real artifacts, plus truncation: a
+    // run killed mid-write leaves a prefix behind.
+    const std::vector<std::string>& corpus = jsonCorpus();
+    for (const std::string& text : corpus) {
+        json::Value v;
+        ASSERT_TRUE(json::parse(text, v, nullptr)) << text;
+        expectJsonContract(text);
+    }
+    static const char* const tokens[] = {
+        "-", "0", "1e999", "-inf", "nan", "0x1f", ".5", "1.", "+1",
+        "e", "\\u", "\\ud800", "\"", "{", "}", "[", "]", ",", ":",
+        "null", "true", " "};
+    Rng rng(GetParam());
+    for (int trial = 0; trial < 300; ++trial) {
+        std::string mutated = rng.pick(corpus);
+        const int edits = 1 + static_cast<int>(rng.nextBelow(6));
+        for (int e = 0; e < edits && !mutated.empty(); ++e) {
+            const std::size_t pos = rng.pickIndex(mutated.size());
+            switch (rng.nextBelow(5)) {
+              case 0: // flip to a random byte
+                mutated[pos] = static_cast<char>(rng.nextBelow(256));
+                break;
+              case 1: // delete a byte
+                mutated.erase(pos, 1);
+                break;
+              case 2: // insert a JSON token
+                mutated.insert(pos, rng.pick(std::vector<std::string>(
+                                        std::begin(tokens),
+                                        std::end(tokens))));
+                break;
+              case 3: // truncate
+                mutated.resize(pos);
+                break;
+              default: // duplicate a byte
+                mutated.insert(pos, 1, mutated[pos]);
+                break;
+            }
+        }
+        expectJsonContract(mutated);
+        if (HasFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzzTest,
+                         ::testing::Values(3001, 3002, 3003, 3004));
+
+// The fuzzer's findings, minimized.
+
+TEST(JsonFuzzRegression, NumberEndsWithItsView)
+{
+    // A truncated artifact ending in a number: strtod read on past the
+    // view into whatever followed it in memory.
+    json::Value v;
+    std::string error;
+    ASSERT_TRUE(json::parse(std::string_view("123").substr(0, 1), v,
+                            &error))
+        << error;
+    EXPECT_EQ(v.number, 1.0);
+    EXPECT_FALSE(json::parse(std::string_view("[1]").substr(0, 2), v,
+                             &error));
+    EXPECT_EQ(error, "unterminated array at byte 2");
+}
+
+TEST(JsonFuzzRegression, OutOfRangeNumbersAreRejected)
+{
+    // A mutated exponent overflowed to inf, which JSON cannot hold.
+    json::Value v;
+    std::string error;
+    EXPECT_FALSE(json::parse("1e2001", v, &error));
+    EXPECT_EQ(error, "number out of range at byte 0");
+    EXPECT_FALSE(json::parse("[-1e999]", v, nullptr));
+    ASSERT_TRUE(json::parse("1e-400", v, nullptr));
+    EXPECT_EQ(v.number, 0.0);
+}
+
+TEST(JsonFuzzRegression, OnlyJsonNumbersAreNumbers)
+{
+    // strtod also took hex, inf and nan after a '-' or a digit.
+    json::Value v;
+    for (const char* text : {"-inf", "-nan", "0x1f", "-0x10", "1.",
+                             ".5", "+1", "01", "1e", "-"})
+        EXPECT_FALSE(json::parse(text, v, nullptr)) << text;
+    for (const char* text : {"0", "-0", "1.5", "-2e3", "4E+2", "7e-1"})
+        EXPECT_TRUE(json::parse(text, v, nullptr)) << text;
+}
+
+TEST(JsonFuzzRegression, NonFiniteNumbersAreWrittenAsNull)
+{
+    // The writers must not produce what the reader now rejects.
+    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity(), 17),
+              "null");
+    EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::quiet_NaN(), 17),
+              "null");
+    EXPECT_EQ(jsonNumber(0.1, 17), "0.10000000000000001");
+}
 
 } // namespace
 } // namespace gest
