@@ -1,6 +1,5 @@
 #include "output/trace_writer.hh"
 
-#include <cmath>
 #include <cstdio>
 
 #include "stats/stats.hh"
@@ -21,16 +20,6 @@ formatUs(double v)
     // Timestamps are clamped non-negative: Chrome rejects negative ts.
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", v < 0.0 ? 0.0 : v);
-    return buf;
-}
-
-std::string
-formatArg(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan literals.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
 }
 
@@ -161,7 +150,7 @@ TraceWriter::appendEvent(std::string& out, const Event& event) const
             out += '"';
             out += jsonEscape(key);
             out += "\":";
-            out += formatArg(value);
+            out += jsonNumber(value, 9);
             first = false;
         }
         out += '}';
