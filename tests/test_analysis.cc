@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -16,6 +17,7 @@
 #include "analysis/analytics.hh"
 #include "analysis/lineage.hh"
 #include "analysis/recorder.hh"
+#include "config/config.hh"
 #include "core/engine.hh"
 #include "isa/standard_libs.hh"
 #include "run/pipeline.hh"
@@ -165,6 +167,77 @@ TEST(Analytics, PairwiseDiversityBounds)
     EXPECT_DOUBLE_EQ(pairwiseDiversity(opposed), 1.0);
 
     EXPECT_DOUBLE_EQ(pairwiseDiversity(core::Population{}), 0.0);
+}
+
+/** The all-pairs loop pairwiseDiversity() must match bit for bit. */
+double
+naivePairwiseDiversity(const core::Population& pop)
+{
+    const std::size_t n = pop.individuals.size();
+    double total = 0.0;
+    std::size_t pairs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const auto& a = pop.individuals[i].code;
+            const auto& b = pop.individuals[j].code;
+            const std::size_t len = std::max(a.size(), b.size());
+            if (len == 0)
+                continue;
+            std::size_t differing = 0;
+            for (std::size_t pos = 0; pos < len; ++pos) {
+                if (pos >= a.size() || pos >= b.size() ||
+                    !(a[pos] == b[pos]))
+                    ++differing;
+            }
+            total += static_cast<double>(differing) /
+                     static_cast<double>(len);
+            ++pairs;
+        }
+    }
+    return pairs > 0 ? total / static_cast<double>(pairs) : 0.0;
+}
+
+TEST(Analytics, PairwiseDiversityMatchesTheAllPairsReference)
+{
+    // Random populations of ragged length drawn from a small gene pool,
+    // so positions repeat genes and some bodies are empty or equal.
+    const isa::InstructionLibrary lib = isa::armLikeLibrary();
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        std::vector<isa::InstructionInstance> pool;
+        const std::size_t pool_size = 1 + rng.nextBelow(6);
+        for (std::size_t g = 0; g < pool_size; ++g)
+            pool.push_back(lib.randomInstance(rng));
+        core::Population pop;
+        const std::size_t n = rng.nextBelow(30);
+        for (std::size_t i = 0; i < n; ++i) {
+            core::Individual ind;
+            const std::size_t len = rng.nextBelow(12);
+            for (std::size_t g = 0; g < len; ++g)
+                ind.code.push_back(rng.pick(pool));
+            pop.individuals.push_back(std::move(ind));
+        }
+        EXPECT_EQ(pairwiseDiversity(pop), naivePairwiseDiversity(pop))
+            << "seed " << seed;
+    }
+
+    // The frozen start populations of the benchmark: bred bodies.
+    const std::string dir = GEST_WORKLOADS_DIR;
+    for (const auto& [name, config] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"power_a15", "a15_power.xml"},
+             {"didt_athlon", "athlon_didt.xml"},
+             {"ipc_xgene2", "xgene2_ipc.xml"},
+             {"llc_xgene2", "xgene2_llc_stress.xml"},
+             {"outputs_a7", "a7_power.xml"}}) {
+        const config::RunConfig cfg =
+            config::loadConfig(dir + "/" + config);
+        const core::Population pop = core::loadPopulation(
+            cfg.library, dir + "/" + name + ".pop");
+        ASSERT_GT(pop.individuals.size(), 1u) << name;
+        EXPECT_EQ(pairwiseDiversity(pop), naivePairwiseDiversity(pop))
+            << name;
+    }
 }
 
 TEST(Analytics, FitnessQuartilesHandComputed)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/engine.hh"
@@ -460,6 +461,66 @@ TEST(Population, SerializeRoundTrips)
         EXPECT_EQ(a.measurements, b.measurements);
         EXPECT_EQ(a.code, b.code);
     }
+}
+
+TEST(Population, SerializedTextIsPinned)
+{
+    // The checkpoint format byte for byte: doubles at 17 significant
+    // digits (signed zero, infinities, NaN, the smallest subnormal, a
+    // value with no short decimal form), an empty measurement list, an
+    // empty body and ids past INT64_MAX.
+    const isa::InstructionLibrary lib = isa::armLikeLibrary();
+    const double inf = std::numeric_limits<double>::infinity();
+    Population pop;
+    pop.generation = 12;
+    Rng rng(31);
+    Individual edge;
+    edge.id = std::numeric_limits<std::uint64_t>::max();
+    edge.parent1 = 9223372036854775808ULL;
+    edge.parent2 = 0;
+    edge.fitness = -0.0;
+    edge.evaluated = true;
+    edge.measurements = {0.1, 5e-324, 1e300, inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN()};
+    for (int g = 0; g < 3; ++g)
+        edge.code.push_back(lib.randomInstance(rng));
+    pop.individuals.push_back(edge);
+    Individual bare;
+    bare.id = 42;
+    bare.parent1 = 7;
+    bare.parent2 = 8;
+    bare.fitness = std::numeric_limits<double>::quiet_NaN();
+    pop.individuals.push_back(bare);
+    Individual plain;
+    plain.id = 43;
+    plain.fitness = inf;
+    plain.evaluated = true;
+    plain.measurements = {-0.0, 2.2250738585072014e-308,
+                          123456789012345678.0, 1.0 / 3.0, -1.5e-7,
+                          1e21, 100.0};
+    plain.code.push_back(lib.randomInstance(rng));
+    pop.individuals.push_back(plain);
+
+    EXPECT_EQ(serializePopulation(lib, pop),
+              "gest-population 1\n"
+              "generation 12\n"
+              "individual 18446744073709551615 9223372036854775808 0 -0 1\n"
+              "measurements 6 0.10000000000000001 4.9406564584124654e-324 "
+              "1.0000000000000001e+300 inf -inf nan\n"
+              "code 3\n"
+              "EOR 0 4 5\n"
+              "FMLA 7 0 1\n"
+              "BNEXT\n"
+              "individual 42 7 8 nan 0\n"
+              "measurements 0\n"
+              "code 0\n"
+              "individual 43 0 0 inf 1\n"
+              "measurements 7 -0 2.2250738585072014e-308 "
+              "1.2345678901234568e+17 0.33333333333333331 "
+              "-1.4999999999999999e-07 1e+21 100\n"
+              "code 1\n"
+              "MADD 5 4 0 4\n"
+              "end\n");
 }
 
 TEST(Population, DeserializeRejectsGarbage)
