@@ -87,21 +87,63 @@ pairwiseDiversity(const core::Population& pop)
     if (n < 2)
         return 0.0;
 
+    // Intern every distinct gene once, so the all-pairs loop compares
+    // dense ids instead of operand vectors. Equal ids at a position mean
+    // equal instances there, which is all the distance asks.
+    struct GeneHash
+    {
+        std::size_t
+        operator()(const isa::InstructionInstance* inst) const
+        {
+            std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ inst->defIndex;
+            for (const std::uint32_t choice : inst->operandChoice)
+                h = (h ^ choice) * 0x100000001b3ULL;
+            return static_cast<std::size_t>(h ^ (h >> 29));
+        }
+    };
+    struct GeneEqual
+    {
+        bool
+        operator()(const isa::InstructionInstance* a,
+                   const isa::InstructionInstance* b) const
+        {
+            return *a == *b;
+        }
+    };
+    std::unordered_map<const isa::InstructionInstance*, std::uint32_t,
+                       GeneHash, GeneEqual>
+        ids;
+    std::vector<std::size_t> begin(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        begin[i + 1] = begin[i] + pop.individuals[i].code.size();
+    std::vector<std::uint32_t> rows(begin[n]);
+    ids.reserve(begin[n]);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t* row = rows.data() + begin[i];
+        for (const isa::InstructionInstance& gene :
+             pop.individuals[i].code)
+            *row++ = ids.try_emplace(&gene,
+                                     static_cast<std::uint32_t>(ids.size()))
+                         .first->second;
+    }
+
+    // The per-pair terms and their (i < j) summation order are the
+    // all-pairs definition's, so the double is the same bit for bit.
     double total = 0.0;
     std::size_t pairs = 0;
     for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t* a = rows.data() + begin[i];
+        const std::size_t a_len = begin[i + 1] - begin[i];
         for (std::size_t j = i + 1; j < n; ++j) {
-            const auto& a = pop.individuals[i].code;
-            const auto& b = pop.individuals[j].code;
-            const std::size_t len = std::max(a.size(), b.size());
+            const std::uint32_t* b = rows.data() + begin[j];
+            const std::size_t b_len = begin[j + 1] - begin[j];
+            const std::size_t len = std::max(a_len, b_len);
             if (len == 0)
                 continue;
-            std::size_t differing = 0;
-            for (std::size_t pos = 0; pos < len; ++pos) {
-                if (pos >= a.size() || pos >= b.size() ||
-                    !(a[pos] == b[pos]))
-                    ++differing;
-            }
+            const std::size_t common = std::min(a_len, b_len);
+            std::size_t differing = len - common;
+            for (std::size_t pos = 0; pos < common; ++pos)
+                differing += a[pos] != b[pos];
             total += static_cast<double>(differing) /
                      static_cast<double>(len);
             ++pairs;

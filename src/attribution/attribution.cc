@@ -72,17 +72,50 @@ fillerFor(const isa::InstructionLibrary& lib,
     return out;
 }
 
+AttributionPlan
+planAttribution(const isa::InstructionLibrary& lib,
+                const core::Individual& ind)
+{
+    AttributionPlan plan;
+    if (ind.code.empty())
+        return plan;
+    plan.bodies.push_back(ind.code);
+    std::vector<isa::InstructionInstance> ablated = ind.code;
+    for (std::size_t i = 0; i < ind.code.size(); ++i) {
+        const isa::InstructionInstance filler = fillerFor(lib, ind.code[i]);
+        if (filler == ind.code[i]) {
+            plan.geneBody.push_back(-1);
+            continue;
+        }
+        plan.geneBody.push_back(static_cast<int>(plan.bodies.size()));
+        plan.bodies.push_back(ind.code);
+        plan.bodies.back()[i] = filler;
+        ablated[i] = filler;
+    }
+    // Whole-champion ablation: how far the additive per-gene story can
+    // be trusted (interaction effects show up as the difference).
+    if (plan.bodies.size() > 1) {
+        plan.wholeBody = static_cast<int>(plan.bodies.size());
+        plan.bodies.push_back(std::move(ablated));
+    }
+    return plan;
+}
+
 AttributionResult
-computeAttribution(const isa::InstructionLibrary& lib,
-                   measure::Measurement& measurement,
-                   const fitness::Fitness& fitness,
-                   const core::Individual& ind,
-                   const AttributionOptions& options)
+assembleAttribution(const isa::InstructionLibrary& lib,
+                    const fitness::Fitness& fitness,
+                    const core::Individual& ind,
+                    const AttributionPlan& plan,
+                    const std::vector<std::vector<double>>& values,
+                    const AttributionOptions& options)
 {
     AttributionResult result;
     result.individualId = ind.id;
     if (ind.code.empty())
         return result;
+    if (values.size() != plan.bodies.size())
+        panic("assembleAttribution: ", values.size(),
+              " measurements for ", plan.bodies.size(), " bodies");
 
     const int filler_def =
         fillerDefIndex(lib, lib.instruction(ind.code[0].defIndex).cls);
@@ -96,18 +129,17 @@ computeAttribution(const isa::InstructionLibrary& lib,
 
     core::Individual probe;
     probe.id = ind.id;
-    auto eval = [&](const std::vector<isa::InstructionInstance>& code) {
-        probe.code = code;
-        probe.measurements = measurement.measure(code).values;
-        probe.evaluated = true;
-        ++result.evaluationsUsed;
+    probe.evaluated = true;
+    auto score = [&](int body) {
+        const std::size_t k = static_cast<std::size_t>(body);
+        probe.code = plan.bodies[k];
+        probe.measurements = values[k];
         return fitness.getFitness(probe, lib);
     };
-
-    result.baselineFitness = eval(ind.code);
+    result.evaluationsUsed = plan.bodies.size();
+    result.baselineFitness = score(0);
 
     std::array<ClassAttribution, isa::numInstrClasses> by_class{};
-    std::vector<isa::InstructionInstance> body = ind.code;
     for (std::size_t i = 0; i < ind.code.size(); ++i) {
         const isa::InstructionInstance& gene = ind.code[i];
         const isa::InstructionDef& def = lib.instruction(gene.defIndex);
@@ -122,17 +154,10 @@ computeAttribution(const isa::InstructionLibrary& lib,
             g.operands += lib.operand(def.operandIndex[s])
                               .renderValue(gene.operandChoice[s]);
         }
-
-        const isa::InstructionInstance filler = fillerFor(lib, gene);
-        if (filler == gene) {
-            // The gene already is the filler: ablating it is a no-op,
-            // so the re-measurement is free.
-            g.fitnessWithout = result.baselineFitness;
-        } else {
-            body[i] = filler;
-            g.fitnessWithout = eval(body);
-            body[i] = gene;
-        }
+        // A gene that already is its filler ablates to a no-op.
+        g.fitnessWithout = plan.geneBody[i] < 0
+                               ? result.baselineFitness
+                               : score(plan.geneBody[i]);
         g.deltaFitness = result.baselineFitness - g.fitnessWithout;
         result.sumDelta += g.deltaFitness;
 
@@ -143,20 +168,10 @@ computeAttribution(const isa::InstructionLibrary& lib,
 
         result.genes.push_back(std::move(g));
     }
-
-    // Whole-champion ablation: how far the additive per-gene story can
-    // be trusted (interaction effects show up as the difference).
-    std::vector<isa::InstructionInstance> ablated = ind.code;
-    bool any_replaced = false;
-    for (isa::InstructionInstance& gene : ablated) {
-        const isa::InstructionInstance filler = fillerFor(lib, gene);
-        if (!(filler == gene)) {
-            gene = filler;
-            any_replaced = true;
-        }
-    }
     result.wholeAblationDelta =
-        any_replaced ? result.baselineFitness - eval(ablated) : 0.0;
+        plan.wholeBody < 0
+            ? 0.0
+            : result.baselineFitness - score(plan.wholeBody);
 
     for (const ClassAttribution& cagg : by_class) {
         if (cagg.genes > 0)
@@ -186,6 +201,21 @@ computeAttribution(const isa::InstructionLibrary& lib,
     attributionStats().runs.inc();
     attributionStats().evaluations.inc(result.evaluationsUsed);
     return result;
+}
+
+AttributionResult
+computeAttribution(const isa::InstructionLibrary& lib,
+                   measure::Measurement& measurement,
+                   const fitness::Fitness& fitness,
+                   const core::Individual& ind,
+                   const AttributionOptions& options)
+{
+    const AttributionPlan plan = planAttribution(lib, ind);
+    std::vector<std::vector<double>> values;
+    values.reserve(plan.bodies.size());
+    for (const std::vector<isa::InstructionInstance>& body : plan.bodies)
+        values.push_back(measurement.measure(body).values);
+    return assembleAttribution(lib, fitness, ind, plan, values, options);
 }
 
 } // namespace attribution

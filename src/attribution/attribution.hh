@@ -103,12 +103,47 @@ isa::InstructionInstance fillerFor(const isa::InstructionLibrary& lib,
                                    const isa::InstructionInstance& inst);
 
 /**
+ * The bodies one attribution measures, in the order the result is
+ * assembled from: the champion itself, then the champion with each
+ * gene that differs from its filler ablated in turn, then with every
+ * such gene ablated at once (absent when there is none). Empty for an
+ * empty champion.
+ */
+struct AttributionPlan
+{
+    std::vector<std::vector<isa::InstructionInstance>> bodies;
+
+    /** Per gene, its ablation's index in bodies; -1 for a gene that
+     *  already is its filler (ablating it is free). */
+    std::vector<int> geneBody;
+
+    /** The whole-champion ablation's index in bodies; -1 if none. */
+    int wholeBody = -1;
+};
+
+/** Plan the ablation bodies of @p ind. */
+AttributionPlan planAttribution(const isa::InstructionLibrary& lib,
+                                const core::Individual& ind);
+
+/**
+ * Score each planned body from its measurement vector, @p values[k]
+ * for plan.bodies[k], and attribute @p ind's fitness. evaluationsUsed
+ * is the number of planned bodies, however they were measured.
+ */
+AttributionResult assembleAttribution(
+    const isa::InstructionLibrary& lib, const fitness::Fitness& fitness,
+    const core::Individual& ind, const AttributionPlan& plan,
+    const std::vector<std::vector<double>>& values,
+    const AttributionOptions& options = AttributionOptions());
+
+/**
  * Ablate @p ind gene by gene on @p measurement and attribute its
- * fitness. The measurement should be private to the caller (a
- * Measurement::clone of the run's instrument): attribution re-measures
- * through the normal measure() path, so the steady-state fast path and
- * its zero-alloc scratch are reused, but any internal measurement
- * state is the caller's to isolate.
+ * fitness: planAttribution(), each body measured in turn, then
+ * assembleAttribution(). The measurement should be private to the
+ * caller (a Measurement::clone of the run's instrument): attribution
+ * re-measures through the normal measure() path, so the steady-state
+ * fast path and its zero-alloc scratch are reused, but any internal
+ * measurement state is the caller's to isolate.
  */
 AttributionResult computeAttribution(const isa::InstructionLibrary& lib,
                                      measure::Measurement& measurement,

@@ -177,6 +177,9 @@ class Engine
     /** The engine's parameters. */
     const GaParams& params() const { return _params; }
 
+    /** The library the engine's genomes index. */
+    const isa::InstructionLibrary& library() const { return _lib; }
+
     /** Mutable RNG access (tests). */
     Rng& rng() { return _rng; }
 

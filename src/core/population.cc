@@ -1,8 +1,11 @@
 #include "core/population.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <set>
-#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "util/fileutil.hh"
 #include "util/logging.hh"
@@ -79,35 +82,99 @@ Population::averageFitness() const
     return count > 0 ? sum / count : 0.0;
 }
 
+namespace {
+
+void
+appendNumber(std::string& out, double v)
+{
+    // The bytes a precision(17) stream prints (%.17g) for every
+    // double, NaN and infinities included, without the stream.
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+template <typename Int>
+    requires std::is_integral_v<Int>
+void
+appendNumber(std::string& out, Int v)
+{
+    char buf[24];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
+
+} // namespace
+
+void
+appendIndividualRecords(const isa::InstructionLibrary& lib,
+                        const Individual& ind, std::string& out)
+{
+    out += "individual ";
+    appendNumber(out, ind.id);
+    out += ' ';
+    appendNumber(out, ind.parent1);
+    out += ' ';
+    appendNumber(out, ind.parent2);
+    out += ' ';
+    appendNumber(out, ind.fitness);
+    out += ind.evaluated ? " 1\nmeasurements " : " 0\nmeasurements ";
+    appendNumber(out, ind.measurements.size());
+    for (double v : ind.measurements) {
+        out += ' ';
+        appendNumber(out, v);
+    }
+    out += "\ncode ";
+    appendNumber(out, ind.code.size());
+    out += '\n';
+    for (const isa::InstructionInstance& inst : ind.code) {
+        out += lib.instruction(inst.defIndex).name;
+        for (std::uint32_t choice : inst.operandChoice) {
+            out += ' ';
+            appendNumber(out, choice);
+        }
+        out += '\n';
+    }
+}
+
+void
+renderPopulation(const isa::InstructionLibrary& lib, const Population& pop,
+                 PopulationText& out)
+{
+    out.text.assign("gest-population 1\ngeneration ");
+    out.text += std::to_string(pop.generation);
+    out.text += '\n';
+    out.recordsBegin = out.text.size();
+    for (const Individual& ind : pop.individuals)
+        appendIndividualRecords(lib, ind, out.text);
+    out.recordsEnd = out.text.size();
+    out.text += "end\n";
+}
+
 std::string
 serializePopulation(const isa::InstructionLibrary& lib,
                     const Population& pop)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << "gest-population 1\n";
-    os << "generation " << pop.generation << "\n";
-    for (const Individual& ind : pop.individuals) {
-        os << "individual " << ind.id << " " << ind.parent1 << " "
-           << ind.parent2 << " " << ind.fitness << " "
-           << (ind.evaluated ? 1 : 0) << "\n";
-        os << "measurements " << ind.measurements.size();
-        for (double v : ind.measurements)
-            os << " " << v;
-        os << "\n";
-        os << "code " << ind.code.size() << "\n";
-        for (const isa::InstructionInstance& inst : ind.code) {
-            os << lib.instruction(inst.defIndex).name;
-            for (std::uint32_t choice : inst.operandChoice)
-                os << " " << choice;
-            os << "\n";
-        }
-    }
-    os << "end\n";
-    return os.str();
+    PopulationText out;
+    renderPopulation(lib, pop, out);
+    return std::move(out.text);
 }
 
 namespace {
+
+/** @p field as an @p Int; fatal() when it is not one or does not fit. */
+template <typename Int>
+Int
+parseField(const std::string& field, const char* what)
+{
+    const std::int64_t v = parseInt(field, what);
+    if (std::cmp_less(v, std::numeric_limits<Int>::min()) ||
+        std::cmp_greater(v, std::numeric_limits<Int>::max()))
+        fatal(what, " '", field, "' is out of range");
+    return static_cast<Int>(v);
+}
 
 /**
  * The records of a population file; fatal() on the first error, with
@@ -138,8 +205,7 @@ parseRecords(const isa::InstructionLibrary& lib,
         const std::vector<std::string> gen = splitWhitespace(next_line());
         if (gen.size() != 2 || gen[0] != "generation")
             fatal("missing 'generation' record");
-        pop.generation =
-            static_cast<int>(parseInt(gen[1], "generation"));
+        pop.generation = parseField<int>(gen[1], "generation");
     }
 
     for (;;) {
@@ -150,11 +216,9 @@ parseRecords(const isa::InstructionLibrary& lib,
         if (fields.size() != 6 || fields[0] != "individual")
             fatal("expected 'individual' record, got '", line, "'");
         Individual ind;
-        ind.id = static_cast<std::uint64_t>(parseInt(fields[1], "id"));
-        ind.parent1 =
-            static_cast<std::uint64_t>(parseInt(fields[2], "parent1"));
-        ind.parent2 =
-            static_cast<std::uint64_t>(parseInt(fields[3], "parent2"));
+        ind.id = parseUint64(fields[1], "id");
+        ind.parent1 = parseUint64(fields[2], "parent1");
+        ind.parent2 = parseUint64(fields[3], "parent2");
         ind.fitness = parseDouble(fields[4], "fitness");
         ind.evaluated = parseInt(fields[5], "evaluated") != 0;
 
@@ -162,8 +226,8 @@ parseRecords(const isa::InstructionLibrary& lib,
             splitWhitespace(next_line());
         if (meas.size() < 2 || meas[0] != "measurements")
             fatal("expected 'measurements' record");
-        const std::size_t n_meas = static_cast<std::size_t>(
-            parseInt(meas[1], "measurement count"));
+        const std::size_t n_meas =
+            parseUint64(meas[1], "measurement count");
         if (meas.size() != n_meas + 2)
             fatal("measurement count mismatch");
         for (std::size_t i = 0; i < n_meas; ++i)
@@ -173,8 +237,7 @@ parseRecords(const isa::InstructionLibrary& lib,
         const std::vector<std::string> code = splitWhitespace(next_line());
         if (code.size() != 2 || code[0] != "code")
             fatal("expected 'code' record");
-        const std::size_t n_code = static_cast<std::size_t>(
-            parseInt(code[1], "code length"));
+        const std::size_t n_code = parseUint64(code[1], "code length");
         for (std::size_t i = 0; i < n_code; ++i) {
             const std::vector<std::string> gene =
                 splitWhitespace(next_line());
@@ -187,8 +250,8 @@ parseRecords(const isa::InstructionLibrary& lib,
             isa::InstructionInstance inst;
             inst.defIndex = static_cast<std::uint32_t>(def_index);
             for (std::size_t f = 1; f < gene.size(); ++f)
-                inst.operandChoice.push_back(static_cast<std::uint32_t>(
-                    parseInt(gene[f], "operand choice")));
+                inst.operandChoice.push_back(
+                    parseField<std::uint32_t>(gene[f], "operand choice"));
             if (!lib.valid(inst))
                 fatal("invalid encoding of instruction '", gene[0], "'");
             ind.code.push_back(std::move(inst));

@@ -9,6 +9,7 @@
 #define GEST_CORE_POPULATION_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/individual.hh"
@@ -43,10 +44,44 @@ struct Population
 };
 
 /**
- * Serialize a population to the framework's portable text format.
- * Instructions are stored by name plus operand-choice indices so files
- * survive library reordering as long as names are stable.
+ * A population rendered in the file format, with the span of its
+ * individual records: the text between the `generation` line and the
+ * closing `end`. The run pipeline renders each generation once; the
+ * checkpoint is the whole text and the population digest hashes the
+ * records.
  */
+struct PopulationText
+{
+    std::string text;
+    std::size_t recordsBegin = 0;
+    std::size_t recordsEnd = 0;
+
+    std::string_view
+    records() const
+    {
+        return std::string_view(text).substr(recordsBegin,
+                                             recordsEnd - recordsBegin);
+    }
+};
+
+/**
+ * Append the `individual`, `measurements` and `code` records of @p ind
+ * to @p out. Doubles carry 17 significant digits, so they round-trip
+ * exactly.
+ */
+void appendIndividualRecords(const isa::InstructionLibrary& lib,
+                             const Individual& ind, std::string& out);
+
+/**
+ * Render @p pop into @p out in the framework's portable text format,
+ * reusing the capacity of its buffer. Instructions are stored by name
+ * plus operand-choice indices so files survive library reordering as
+ * long as names are stable.
+ */
+void renderPopulation(const isa::InstructionLibrary& lib,
+                      const Population& pop, PopulationText& out);
+
+/** The text renderPopulation() produces, as one string. */
 std::string serializePopulation(const isa::InstructionLibrary& lib,
                                 const Population& pop);
 

@@ -8,8 +8,8 @@
 namespace gest {
 namespace output {
 
-RunWriter::RunWriter(std::string root, const isa::InstructionLibrary& lib)
-    : _root(std::move(root)), _lib(lib),
+RunWriter::RunWriter(std::string root)
+    : _root(std::move(root)),
       _history(ledger::history, _root + "/" + ledger::history.file),
       _ioUs(stats::StatsRegistry::instance().histogram(
           "output.io_us", "checkpoint write per generation (us)", 0.0,
@@ -19,11 +19,10 @@ RunWriter::RunWriter(std::string root, const isa::InstructionLibrary& lib)
 }
 
 void
-RunWriter::writePopulation(const core::Population& pop)
+RunWriter::writePopulation(const core::PopulationText& text, int generation)
 {
-    core::savePopulation(_lib, pop,
-                         _root + "/population_" +
-                             std::to_string(pop.generation) + ".pop");
+    writeFile(_root + "/population_" + std::to_string(generation) + ".pop",
+              text.text);
 }
 
 void
@@ -52,12 +51,12 @@ RunWriter::writeRunMetadata(const std::string& config_text,
 }
 
 void
-RunWriter::onGenerationEvaluated(const core::Population& pop,
+RunWriter::onGenerationEvaluated(const core::PopulationText& text,
                                  const core::GenerationRecord& record)
 {
     const bool record_io = stats::enabled();
     const double start = record_io ? stats::nowUs() : 0.0;
-    writePopulation(pop);
+    writePopulation(text, record.generation);
     double io_ms = 0.0;
     if (record_io) {
         const double elapsed = stats::nowUs() - start;

@@ -24,7 +24,6 @@
 
 #include "core/engine.hh"
 #include "core/population.hh"
-#include "isa/library.hh"
 #include "output/ledger.hh"
 
 namespace gest {
@@ -41,14 +40,14 @@ namespace output {
 class RunWriter
 {
   public:
-    /**
-     * @param root output directory (created if absent)
-     * @param lib the library individuals reference
-     */
-    RunWriter(std::string root, const isa::InstructionLibrary& lib);
+    /** @param root output directory (created if absent) */
+    explicit RunWriter(std::string root);
 
-    /** Write a population's checkpoint, population_<gen>.pop. */
-    void writePopulation(const core::Population& pop);
+    /**
+     * Write the checkpoint of generation @p generation,
+     * population_<generation>.pop: the population rendered as @p text.
+     */
+    void writePopulation(const core::PopulationText& text, int generation);
 
     /**
      * Append one generation record to `history.csv` (the ledger's head
@@ -67,15 +66,15 @@ class RunWriter
                           const std::string& template_text);
 
     /**
-     * Record one evaluated generation: its checkpoint and its
-     * history.csv row with the time spent writing the checkpoint.
+     * Record one evaluated generation: write its checkpoint, the
+     * population already rendered as @p text, and its history.csv row
+     * with the time spent writing that file.
      */
-    void onGenerationEvaluated(const core::Population& pop,
+    void onGenerationEvaluated(const core::PopulationText& text,
                                const core::GenerationRecord& record);
 
   private:
     std::string _root;
-    const isa::InstructionLibrary& _lib;
     ledger::Writer _history;
     stats::Histogram& _ioUs;  ///< resolved at construction
 };

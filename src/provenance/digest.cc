@@ -14,57 +14,35 @@ std::string
 canonicalIndividualText(const isa::InstructionLibrary& lib,
                         const core::Individual& ind)
 {
-    // Mirrors the per-individual records of serializePopulation(): the
-    // two formats must agree so a digest of a deserialized checkpoint
-    // equals the digest of the population it checkpointed. Precision 17
-    // makes the doubles round-trip exactly.
-    std::ostringstream os;
-    os.precision(17);
-    os << "individual " << ind.id << " " << ind.parent1 << " "
-       << ind.parent2 << " " << ind.fitness << " "
-       << (ind.evaluated ? 1 : 0) << "\n";
-    os << "measurements " << ind.measurements.size();
-    for (double v : ind.measurements)
-        os << " " << v;
-    os << "\n";
-    os << "code " << ind.code.size() << "\n";
-    for (const isa::InstructionInstance& inst : ind.code) {
-        os << lib.instruction(inst.defIndex).name;
-        for (std::uint32_t choice : inst.operandChoice)
-            os << " " << choice;
-        os << "\n";
-    }
-    return os.str();
+    std::string text;
+    core::appendIndividualRecords(lib, ind, text);
+    return text;
 }
 
 std::string
 populationDigest(const isa::InstructionLibrary& lib,
                  const core::Population& pop)
 {
-    Sha256 hasher;
-    for (const core::Individual& ind : pop.individuals)
-        hasher.update(canonicalIndividualText(lib, ind));
-    return hasher.finishHex();
+    core::PopulationText text;
+    core::renderPopulation(lib, pop, text);
+    return sha256Hex(text.records());
 }
 
-DigestLedger::DigestLedger(std::string run_dir,
-                           const isa::InstructionLibrary& lib)
-    : _lib(lib), _csv(ledger::digests, run_dir + "/" + ledger::digests.file)
+DigestLedger::DigestLedger(std::string run_dir)
+    : _csv(ledger::digests, run_dir + "/" + ledger::digests.file)
 {
     ensureDir(run_dir);
 }
 
 void
-DigestLedger::append(const core::Population& pop,
+DigestLedger::append(const core::PopulationText& text,
                      const core::GenerationRecord& record)
 {
     const double start = stats::nowUs();
-    const std::string digest = populationDigest(_lib, pop);
-
     std::ostringstream out;
     out.precision(17);
     out << record.generation << ',' << record.bestFitness << ','
-        << digest << '\n';
+        << sha256Hex(text.records()) << '\n';
     _csv.append(out.str());
     ++_rows;
     _digestUs += stats::nowUs() - start;

@@ -32,17 +32,17 @@ namespace gest {
 namespace provenance {
 
 /**
- * The canonical serialization of one individual that populationDigest()
- * hashes: the `individual` / `measurements` / `code` records of the
- * population file format (core::serializePopulation), with doubles at
- * precision 17 so they round-trip exactly. No generation number.
+ * The canonical serialization of one individual: its `individual` /
+ * `measurements` / `code` records in the population file format
+ * (core::appendIndividualRecords). No generation number.
  */
 std::string canonicalIndividualText(const isa::InstructionLibrary& lib,
                                     const core::Individual& ind);
 
 /**
  * SHA-256 (64 hex digits) over the canonical serialization of every
- * individual of @p pop, in population order.
+ * individual of @p pop, in population order: the record block of the
+ * population's checkpoint.
  */
 std::string populationDigest(const isa::InstructionLibrary& lib,
                              const core::Population& pop);
@@ -64,24 +64,30 @@ struct DigestRow
 class DigestLedger
 {
   public:
-    /** @param lib must outlive the ledger. */
-    DigestLedger(std::string run_dir, const isa::InstructionLibrary& lib);
+    explicit DigestLedger(std::string run_dir);
 
-    /** Digest @p pop and append its row (header on the first call). */
-    void append(const core::Population& pop,
+    /**
+     * Append the row of the population rendered as @p text: SHA-256
+     * over its record block (header on the first call).
+     */
+    void append(const core::PopulationText& text,
                 const core::GenerationRecord& record);
 
     /** Rows appended so far. */
     std::uint64_t rowsSealed() const { return _rows; }
 
-    /** Microseconds spent serializing + hashing, run total. */
+    /**
+     * Microseconds spent hashing the rendered records and appending
+     * the row, run total. The render is not included: the run
+     * pipeline renders each generation once, for this ledger and the
+     * checkpoint.
+     */
     double digestUsTotal() const { return _digestUs; }
 
     /** The ledger file's path. */
     const std::string& path() const { return _csv.path(); }
 
   private:
-    const isa::InstructionLibrary& _lib;
     ledger::Writer _csv;
     std::uint64_t _rows = 0;
     double _digestUs = 0.0;

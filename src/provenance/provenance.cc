@@ -49,9 +49,8 @@ inferArtifactKind(const std::string& rel_path)
     return "other";
 }
 
-ProvenanceRecorder::ProvenanceRecorder(std::string run_dir,
-                                       const isa::InstructionLibrary& lib)
-    : _runDir(std::move(run_dir)), _lib(lib), _ledger(_runDir, lib)
+ProvenanceRecorder::ProvenanceRecorder(std::string run_dir)
+    : _runDir(std::move(run_dir)), _ledger(_runDir)
 {}
 
 std::string

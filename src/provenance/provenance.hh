@@ -74,15 +74,13 @@ struct SealInfo
 class ProvenanceRecorder
 {
   public:
-    /** @param lib must outlive the recorder. */
-    ProvenanceRecorder(std::string run_dir,
-                       const isa::InstructionLibrary& lib);
+    explicit ProvenanceRecorder(std::string run_dir);
 
-    /** Append @p pop's row to the digest ledger. */
-    void append(const core::Population& pop,
+    /** Append the row of the population rendered as @p text. */
+    void append(const core::PopulationText& text,
                 const core::GenerationRecord& record)
     {
-        _ledger.append(pop, record);
+        _ledger.append(text, record);
     }
 
     /** Digest rows sealed so far (status.json's digests_sealed). */
@@ -102,7 +100,6 @@ class ProvenanceRecorder
 
   private:
     std::string _runDir;
-    const isa::InstructionLibrary& _lib;
     DigestLedger _ledger;
     bool _sealed = false;
 };

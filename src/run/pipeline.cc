@@ -154,6 +154,7 @@ RunPipeline::~RunPipeline() = default;
 void
 RunPipeline::attach(core::Engine& engine)
 {
+    _lib = &engine.library();
     engine.setAnalytics(recorder.get());
     engine.addGenerationObserver(
         [this](const core::Population& pop,
@@ -173,6 +174,16 @@ RunPipeline::step(const core::Population& pop,
     _last = record;
 
     SinkStats& timers = sinkStats();
+    // The digest and the checkpoint share one render of the population,
+    // made inside the span of whichever needs it first.
+    bool rendered = false;
+    auto text = [&]() -> const core::PopulationText& {
+        if (!rendered) {
+            core::renderPopulation(*_lib, pop, _text);
+            rendered = true;
+        }
+        return _text;
+    };
     const output::TraceWriter::Args gen = {
         {"generation", static_cast<double>(record.generation)}};
     if (recorder) {
@@ -206,7 +217,7 @@ RunPipeline::step(const core::Population& pop,
     if (provenance) {
         output::ScopedSpan span(timers.provenance, trace,
                                 "provenance append", "pipeline", gen);
-        provenance->append(pop, record);
+        provenance->append(text(), record);
         facts.digestsSealed =
             static_cast<std::int64_t>(provenance->digestsSealed());
     }
@@ -222,7 +233,7 @@ RunPipeline::step(const core::Population& pop,
         // every generation-g file is on disk.
         output::ScopedSpan span(trace, "write run dir", "pipeline", gen);
         if (writer)
-            writer->onGenerationEvaluated(pop, record);
+            writer->onGenerationEvaluated(text(), record);
         // Atomic replace: a poller either sees the previous heartbeat
         // or this one, never a torn file.
         if (recorder)

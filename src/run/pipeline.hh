@@ -21,7 +21,13 @@
  * Sinks 1-6 are each timed into a `pipeline.<sink>_us` histogram and,
  * with a trace attached, a span on the coordinator's tid; 7 and 8
  * share one trace span, "write run dir" (output.io_us times the
- * checkpoint).
+ * checkpoint's file write).
+ *
+ * The population is rendered in the checkpoint format once per
+ * generation, into a buffer kept across generations: the digest
+ * hashes its record block and the run writer writes the whole text.
+ * The render runs in the first span that needs it, the provenance
+ * sink's when provenance is on and "write run dir" otherwise.
  *
  * Producers fill the generation's GenerationFacts record; consumers
  * later in the step read it, so no sink holds a callback into another.
@@ -154,6 +160,8 @@ class RunPipeline
     std::string statusFor(bool running);
 
     std::string _statusPath;
+    const isa::InstructionLibrary* _lib = nullptr;  ///< from attach()
+    core::PopulationText _text;  ///< the generation's render
     int _totalGenerations;
     double _startUs;
     GenerationFacts _facts;

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <unordered_map>
 
 #include "analysis/recorder.hh"
 #include "attribution/attribution.hh"
 #include "attribution/attribution_io.hh"
 #include "config/config.hh"
+#include "core/fitness_cache.hh"
 #include "fitness/fitness.hh"
 #include "measure/sim_measurements.hh"
 #include "net/telemetry.hh"
@@ -79,9 +81,12 @@ isInside(const std::string& file, const std::string& dir)
 
 /**
  * One pass over the flight recorder's retained champions (or the
- * best-ever individual without one) on the engine's evaluation pool,
- * one task per champion, on the worker's measurement: capture and
- * write its waveforms, and compute and write its attribution.
+ * best-ever individual without one) on the engine's evaluation pool.
+ * The pool runs one task per champion that captures and writes its
+ * waveforms, then one per distinct ablation body of every champion's
+ * attribution plan: champions often share code, and a body two plans
+ * hold is simulated once. Each champion's attribution is then
+ * assembled and written on the caller's thread.
  */
 void
 sealChampions(const RunConfig& cfg, core::Engine& engine,
@@ -120,42 +125,84 @@ sealChampions(const RunConfig& cfg, core::Engine& engine,
     output::ScopedSpan pass(
         sealStats().champions, pipeline.trace, "seal champions", "seal",
         {{"champions", static_cast<double>(champions.size())}});
-    std::vector<signal::WaveformArtifacts> captures(champions.size());
-    std::vector<std::string> attributions(champions.size());
+
+    // Every plan's bodies, each distinct one once (genome hash, then
+    // equality); bodyOf[c][k] is the distinct index of plans[c]'s k-th.
+    // distinct points into the plans, which are not moved once made.
+    using Body = std::vector<isa::InstructionInstance>;
+    std::vector<attribution::AttributionPlan> plans;
+    std::vector<std::vector<std::size_t>> bodyOf;
+    std::vector<const Body*> distinct;
+    if (attribute) {
+        plans.reserve(champions.size());
+        std::unordered_map<std::uint64_t, std::vector<std::size_t>> seen;
+        for (const Champion& champion : champions) {
+            plans.push_back(
+                attribution::planAttribution(cfg.library, champion.ind));
+            std::vector<std::size_t>& slots = bodyOf.emplace_back();
+            for (const Body& body : plans.back().bodies) {
+                std::vector<std::size_t>& same = seen[core::genomeHash(body)];
+                auto it = std::find_if(
+                    same.begin(), same.end(),
+                    [&](std::size_t k) { return *distinct[k] == body; });
+                if (it == same.end()) {
+                    same.push_back(distinct.size());
+                    distinct.push_back(&body);
+                    it = same.end() - 1;
+                }
+                slots.push_back(*it);
+            }
+        }
+    }
+
+    const std::size_t captures = pipeline.flight ? champions.size() : 0;
+    std::vector<signal::WaveformArtifacts> waveforms(captures);
+    std::vector<std::vector<double>> values(distinct.size());
     engine.forEachOnWorkers(
-        champions.size(),
+        captures + distinct.size(),
         [&](std::size_t i, int, measure::Measurement& measurement) {
-            const Champion& champion = champions[i];
-            output::ScopedSpan span(
-                sealStats().champion, pipeline.trace, "champion", "seal",
-                {{"individual", static_cast<double>(champion.ind.id)}});
-            if (pipeline.flight) {
+            if (i < captures) {
+                output::ScopedSpan span(
+                    sealStats().champion, pipeline.trace, "champion",
+                    "seal",
+                    {{"individual",
+                      static_cast<double>(champions[i].ind.id)}});
                 // Simulated targets are deterministic: this capture is
                 // the measurement the GA scored, now with signals.
                 signal::SignalProbe probe;
-                measurement.measureWithProbe(champion.ind.code, &probe);
-                captures[i] = pipeline.flight->writeCapture(i, probe);
-            }
-            if (!attribute)
+                measurement.measureWithProbe(champions[i].ind.code, &probe);
+                waveforms[i] = pipeline.flight->writeCapture(i, probe);
                 return;
-            attribution::AttributionResult attributed =
-                attribution::computeAttribution(cfg.library, measurement,
-                                                fit, champion.ind);
-            attributed.generation = champion.generation;
-            attributions[i] = attribution::writeAttributionArtifacts(
-                cfg.outputDirectory + "/attribution",
-                "individual_" + std::to_string(champion.ind.id),
-                attributed);
+            }
+            const std::size_t k = i - captures;
+            output::ScopedSpan span(pipeline.trace, "ablation", "seal",
+                                    {{"body", static_cast<double>(k)}});
+            values[k] = measurement.measure(*distinct[k]).values;
         });
     if (pipeline.flight)
-        result.waveformFiles = pipeline.flight->writeIndex(captures);
-    if (attribute) {
-        result.attributionFiles = std::move(attributions);
-        if (!champions.empty())
-            debug("attribution sealed for ", champions.size(),
-                  " individual(s) in ", cfg.outputDirectory,
-                  "/attribution");
+        result.waveformFiles = pipeline.flight->writeIndex(waveforms);
+    if (!attribute)
+        return;
+
+    for (std::size_t c = 0; c < champions.size(); ++c) {
+        std::vector<std::vector<double>> measured;
+        measured.reserve(bodyOf[c].size());
+        for (const std::size_t k : bodyOf[c])
+            measured.push_back(values[k]);
+        attribution::AttributionResult attributed =
+            attribution::assembleAttribution(cfg.library, fit,
+                                             champions[c].ind, plans[c],
+                                             measured);
+        attributed.generation = champions[c].generation;
+        result.attributionFiles.push_back(
+            attribution::writeAttributionArtifacts(
+                cfg.outputDirectory + "/attribution",
+                "individual_" + std::to_string(champions[c].ind.id),
+                attributed));
     }
+    if (!champions.empty())
+        debug("attribution sealed for ", champions.size(),
+              " individual(s) in ", cfg.outputDirectory, "/attribution");
 }
 
 } // namespace
@@ -231,8 +278,7 @@ runFromConfig(const RunConfig& cfg)
                 dir, cfg.waveformTopK);
     }
     if (!dir.empty()) {
-        pipeline.writer =
-            std::make_unique<output::RunWriter>(dir, cfg.library);
+        pipeline.writer = std::make_unique<output::RunWriter>(dir);
         pipeline.writer->writeRunMetadata(
             cfg.rawText, cfg.asmTemplate ? cfg.asmTemplate->text() : "");
     }
@@ -254,8 +300,7 @@ runFromConfig(const RunConfig& cfg)
     }
     if (cfg.recordProvenance && !dir.empty())
         pipeline.provenance =
-            std::make_unique<provenance::ProvenanceRecorder>(dir,
-                                                             cfg.library);
+            std::make_unique<provenance::ProvenanceRecorder>(dir);
     // Bind before the run so the first generation is already scrapable.
     if (!cfg.listenAddress.empty()) {
         pipeline.telemetry = std::make_unique<net::TelemetryServer>(

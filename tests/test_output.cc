@@ -37,6 +37,16 @@ makeIndividual(const isa::InstructionLibrary& lib, std::uint64_t id,
     return ind;
 }
 
+/** Write @p pop's checkpoint through @p writer. */
+void
+writeCheckpoint(RunWriter& writer, const isa::InstructionLibrary& lib,
+                const core::Population& pop)
+{
+    core::PopulationText text;
+    core::renderPopulation(lib, pop, text);
+    writer.writePopulation(text, pop.generation);
+}
+
 /**
  * Export a run holding one checkpoint, generation @p generation with
  * @p ind alone, recorded with @p template_text (none when empty).
@@ -49,12 +59,12 @@ exportOne(const isa::InstructionLibrary& lib, int generation,
 {
     const std::string run_dir = makeTempDir("gest-out");
     const std::string out_dir = makeTempDir("gest-export");
-    RunWriter writer(run_dir, lib);
+    RunWriter writer(run_dir);
     writer.writeRunMetadata("", template_text);
     core::Population pop;
     pop.generation = generation;
     pop.individuals.push_back(ind);
-    writer.writePopulation(pop);
+    writeCheckpoint(writer, lib, pop);
 
     EXPECT_EQ(exportIndividuals(lib, run_dir, out_dir), 1u);
     std::map<std::string, std::string> files;
@@ -116,13 +126,13 @@ TEST(RunWriter, WritesPopulationCheckpointAndMetadata)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     const std::string dir = makeTempDir("gest-out");
-    RunWriter writer(dir, lib);
+    RunWriter writer(dir);
 
     core::Population pop;
     pop.generation = 4;
     pop.individuals.push_back(makeIndividual(lib, 1, {1.5}, 4));
     pop.individuals.push_back(makeIndividual(lib, 2, {2.5}, 5));
-    writer.writePopulation(pop);
+    writeCheckpoint(writer, lib, pop);
     writer.writeRunMetadata("<gest_configuration/>", "tmpl #loop_code");
 
     // The checkpoint is each individual's only record.
@@ -143,7 +153,7 @@ TEST(Stats, SummarizeRunAcrossGenerations)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     const std::string dir = makeTempDir("gest-out");
-    RunWriter writer(dir, lib);
+    RunWriter writer(dir);
 
     for (int gen = 0; gen < 3; ++gen) {
         core::Population pop;
@@ -154,7 +164,7 @@ TEST(Stats, SummarizeRunAcrossGenerations)
         pop.individuals.push_back(makeIndividual(
             lib, static_cast<std::uint64_t>(gen * 10 + 2),
             {0.5 + gen}, static_cast<std::uint64_t>(gen + 50)));
-        writer.writePopulation(pop);
+        writeCheckpoint(writer, lib, pop);
     }
 
     const auto summaries = summarizeRun(lib, dir);
@@ -195,12 +205,12 @@ TEST(Stats, TornCheckpointErrorNamesItsFileAndLine)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();
     const std::string dir = makeTempDir("gest-out");
-    RunWriter writer(dir, lib);
+    RunWriter writer(dir);
     core::Population pop;
     pop.generation = 3;
     pop.individuals.push_back(makeIndividual(lib, 1, {1.5}, 4));
     pop.individuals.push_back(makeIndividual(lib, 2, {2.5}, 5));
-    writer.writePopulation(pop);
+    writeCheckpoint(writer, lib, pop);
 
     // Cut the checkpoint after its sixth line, mid-individual.
     const std::string path = dir + "/population_3.pop";

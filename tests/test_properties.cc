@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -547,6 +548,265 @@ TEST(JsonFuzzRegression, NonFiniteNumbersAreWrittenAsNull)
     EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::quiet_NaN(), 17),
               "null");
     EXPECT_EQ(jsonNumber(0.1, 17), "0.10000000000000001");
+}
+
+// ---------------------------------------------------- population fuzz
+
+/** A population file and the library its instruction names resolve in. */
+struct PopulationSample
+{
+    isa::InstructionLibrary lib;
+    std::string text;
+};
+
+/**
+ * The five frozen benchmark start populations, each with its config's
+ * library, and every checkpoint of a short run.
+ */
+const std::vector<PopulationSample>&
+populationCorpus()
+{
+    static const std::vector<PopulationSample> corpus = [] {
+        std::vector<PopulationSample> samples;
+        const std::string dir = GEST_WORKLOADS_DIR;
+        for (const auto& [name, config] :
+             std::vector<std::pair<std::string, std::string>>{
+                 {"power_a15", "a15_power.xml"},
+                 {"didt_athlon", "athlon_didt.xml"},
+                 {"ipc_xgene2", "xgene2_ipc.xml"},
+                 {"llc_xgene2", "xgene2_llc_stress.xml"},
+                 {"outputs_a7", "a7_power.xml"}}) {
+            samples.push_back({config::loadConfig(dir + "/" + config).library,
+                               readFile(dir + "/" + name + ".pop")});
+        }
+
+        const std::string run_dir = makeTempDir("gest-pop-fuzz");
+        config::RunConfig cfg = config::parseConfig(R"(
+<gest_configuration>
+  <ga population_size="6" individual_size="8" generations="3" seed="5"/>
+  <library name="x86"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="athlon-x4"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="replaced" stats="false" analytics="false"/>
+</gest_configuration>
+)");
+        cfg.outputDirectory = run_dir;
+        config::runFromConfig(cfg);
+        for (int g = 0; g < cfg.ga.generations; ++g)
+            samples.push_back(
+                {cfg.library, readFile(run_dir + "/population_" +
+                                       std::to_string(g) + ".pop")});
+        removeAll(run_dir);
+        return samples;
+    }();
+    return corpus;
+}
+
+/** The first line where @p a and @p b differ, both sides shown. */
+std::string
+firstDifferingLine(const std::string& a, const std::string& b)
+{
+    const std::vector<std::string> la = split(a, '\n'),
+                                   lb = split(b, '\n');
+    for (std::size_t i = 0; i < std::max(la.size(), lb.size()); ++i) {
+        const std::string x = i < la.size() ? la[i] : "<none>";
+        const std::string y = i < lb.size() ? lb[i] : "<none>";
+        if (x != y)
+            return "line " + std::to_string(i + 1) + ": '" + x +
+                   "' vs '" + y + "'";
+    }
+    return "no difference";
+}
+
+/**
+ * The loader's contract on one text: it either fails with a FatalError
+ * that names the source and line, or returns a population whose
+ * serialization parses back to the same text.
+ */
+void
+expectPopulationContract(const isa::InstructionLibrary& lib,
+                         const std::string& text)
+{
+    core::Population pop;
+    try {
+        pop = core::deserializePopulation(lib, text, "fuzz.pop");
+    } catch (const FatalError& err) {
+        const std::string what = err.what();
+        std::size_t digits = 0;
+        while (9 + digits < what.size() &&
+               std::isdigit(static_cast<unsigned char>(what[9 + digits])))
+            ++digits;
+        EXPECT_TRUE(startsWith(what, "fuzz.pop:") && digits > 0 &&
+                    9 + digits < what.size() && what[9 + digits] == ':')
+            << what;
+        return;
+    }
+    const std::string again = core::serializePopulation(lib, pop);
+    try {
+        const core::Population back =
+            core::deserializePopulation(lib, again, "again.pop");
+        const std::string twice = core::serializePopulation(lib, back);
+        EXPECT_TRUE(twice == again)
+            << "the parsed population does not parse back to itself, "
+            << firstDifferingLine(again, twice) << "; input "
+            << firstDifferingLine(text, again);
+        EXPECT_EQ(back.individuals.size(), pop.individuals.size());
+    } catch (const FatalError& err) {
+        ADD_FAILURE() << "re-serialization does not parse: " << err.what()
+                      << "; input " << firstDifferingLine(text, again);
+    }
+}
+
+class PopulationFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(PopulationFuzzTest, MutatedCheckpointsKeepTheLoaderContract)
+{
+    // Byte, token and line mutations of real checkpoints, plus
+    // truncation: a run killed mid-write leaves a prefix behind.
+    const std::vector<PopulationSample>& corpus = populationCorpus();
+    for (const PopulationSample& sample : corpus)
+        expectPopulationContract(sample.lib, sample.text);
+    static const std::vector<std::string> tokens = {
+        "-1", "0", "1", "-0", "nan", "-nan", "inf", "1e999", "0x10",
+        "4294967296", "9223372036854775808", "18446744073709551616",
+        "99999999999999999999", " ", "\t", "\n", "\r", "end",
+        "individual", "measurements", "code", "generation",
+        "gest-population"};
+    Rng rng(GetParam());
+    for (int trial = 0; trial < 1000; ++trial) {
+        const PopulationSample& sample = rng.pick(corpus);
+        std::string mutated = sample.text;
+        // Half the trials make one edit: most edits are fatal, and a
+        // second one would hide what the first let through.
+        const int edits =
+            rng.nextBool(0.5) ? 1 : 2 + static_cast<int>(rng.nextBelow(3));
+        for (int e = 0; e < edits && !mutated.empty(); ++e) {
+            const std::size_t pos = rng.pickIndex(mutated.size());
+            switch (rng.nextBelow(7)) {
+              case 0: // flip to a random byte
+                mutated[pos] = static_cast<char>(rng.nextBelow(256));
+                break;
+              case 1: // delete a byte
+                mutated.erase(pos, 1);
+                break;
+              case 2: // insert a token
+                mutated.insert(pos, rng.pick(tokens));
+                break;
+              case 3: { // replace a whitespace-delimited field
+                const std::size_t begin =
+                    mutated.find_last_of(" \n", pos) + 1;
+                const std::size_t end = mutated.find_first_of(" \n", pos);
+                mutated.replace(begin,
+                                (end == std::string::npos ? mutated.size()
+                                                          : end) -
+                                    begin,
+                                rng.pick(tokens));
+                break;
+              }
+              case 4: { // replace a field of an `individual` record
+                const std::size_t line = mutated.find("individual", pos);
+                if (line == std::string::npos)
+                    break;
+                std::size_t begin = line;
+                for (std::size_t f = 1 + rng.nextBelow(5);
+                     f > 0 && begin != std::string::npos; --f)
+                    begin = mutated.find(' ', begin + 1);
+                if (begin == std::string::npos)
+                    break;
+                const std::size_t end =
+                    mutated.find_first_of(" \n", begin + 1);
+                mutated.replace(begin + 1,
+                                (end == std::string::npos ? mutated.size()
+                                                          : end) -
+                                    begin - 1,
+                                rng.pick(tokens));
+                break;
+              }
+              case 5: // truncate
+                mutated.resize(pos);
+                break;
+              default: { // duplicate the line holding pos
+                const std::size_t begin = mutated.rfind('\n', pos);
+                const std::size_t from =
+                    begin == std::string::npos ? 0 : begin + 1;
+                const std::size_t end = mutated.find('\n', pos);
+                mutated.insert(from, mutated.substr(
+                                         from, end == std::string::npos
+                                                   ? std::string::npos
+                                                   : end + 1 - from));
+                break;
+              }
+            }
+        }
+        expectPopulationContract(sample.lib, mutated);
+        if (HasFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PopulationFuzzTest,
+                         ::testing::Values(4001, 4002, 4003, 4004));
+
+// The fuzzer's findings, minimized.
+
+TEST(PopulationFuzzRegression, IdsAreUnsigned64BitIntegers)
+{
+    // A negative parent id loaded as 2^64 - 1, whose own text then
+    // loaded as INT64_MAX: ids went through a signed parse.
+    const isa::InstructionLibrary lib = isa::armLikeLibrary();
+    auto record = [](const std::string& individual) {
+        return "gest-population 1\ngeneration 0\n" + individual +
+               "\nmeasurements 0\ncode 0\nend\n";
+    };
+    const std::string top = record(
+        "individual 18446744073709551615 9223372036854775808 1 0 1");
+    EXPECT_EQ(core::serializePopulation(
+                  lib, core::deserializePopulation(lib, top, "top.pop")),
+              top);
+    for (const char* bad :
+         {"individual -1 0 0 0 1", "individual 1 -1 0 0 1",
+          "individual 1 0 18446744073709551616 0 1"}) {
+        try {
+            core::deserializePopulation(lib, record(bad), "bad.pop");
+            ADD_FAILURE() << bad << " loaded";
+        } catch (const FatalError& err) {
+            EXPECT_TRUE(startsWith(err.what(), "bad.pop:3: "))
+                << err.what();
+        }
+    }
+}
+
+TEST(PopulationFuzzRegression, NarrowFieldsRejectWhatDoesNotFit)
+{
+    // The generation and operand choices were cast from a 64-bit parse:
+    // 2^32 loaded as generation 0 and as operand choice 0.
+    const isa::InstructionLibrary lib = isa::armLikeLibrary();
+    Rng rng(3);
+    const isa::InstructionInstance gene = lib.randomInstance(rng);
+    ASSERT_FALSE(gene.operandChoice.empty());
+    std::string operands;
+    for (std::size_t s = 0; s + 1 < gene.operandChoice.size(); ++s)
+        operands += " " + std::to_string(gene.operandChoice[s]);
+    const std::string name = lib.instruction(gene.defIndex).name;
+    auto text = [&](const std::string& generation,
+                    const std::string& last_choice) {
+        return "gest-population 1\ngeneration " + generation +
+               "\nindividual 1 0 0 0 1\nmeasurements 0\ncode 1\n" +
+               name + operands + " " + last_choice + "\nend\n";
+    };
+    const std::string last = std::to_string(gene.operandChoice.back());
+    EXPECT_NO_THROW(core::deserializePopulation(lib, text("7", last), "ok"));
+    EXPECT_THROW(core::deserializePopulation(lib, text("4294967296", last),
+                                             "gen"),
+                 FatalError);
+    EXPECT_THROW(core::deserializePopulation(
+                     lib, text("7", std::to_string(4294967296ULL +
+                                                   gene.operandChoice.back())),
+                     "choice"),
+                 FatalError);
 }
 
 } // namespace

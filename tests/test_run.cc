@@ -7,7 +7,8 @@
  * task never lets status.json run ahead of its generation's files,
  * rethrows a failed write on the caller, and traces on its own thread.
  * The post-run seal writes the same artifacts and manifest table at
- * any thread count and however the run directory is spelled.
+ * any thread count and however the run directory is spelled, and its
+ * pooled attribution equals a serial one on every champion.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include <vector>
 
 #include "analysis/recorder.hh"
+#include "attribution/attribution.hh"
+#include "attribution/attribution_io.hh"
 #include "config/config.hh"
 #include "fitness/fitness.hh"
 #include "measure/sim_measurements.hh"
@@ -35,6 +38,8 @@
 #include "run/pipeline.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
+#include "util/random.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace {
@@ -147,7 +152,7 @@ TEST(RunPipeline, FinalStatusIsOneSnapshotOnDiskAndOverHttp)
     pipeline.coverage = std::make_unique<attribution::CoverageLedger>(lib);
     pipeline.watchdog = std::make_unique<analysis::HealthWatchdog>();
     pipeline.provenance =
-        std::make_unique<provenance::ProvenanceRecorder>(dir, lib);
+        std::make_unique<provenance::ProvenanceRecorder>(dir);
     pipeline.telemetry = std::make_unique<net::TelemetryServer>(
         "127.0.0.1:0", lib, params.generations);
     pipeline.telemetry->start();
@@ -350,6 +355,105 @@ artifactTable(const std::string& dir)
     return table;
 }
 
+/** Spans per name in @p trace_file: on the coordinator, on workers. */
+std::pair<std::map<std::string, int>, std::map<std::string, int>>
+spansByThread(const std::string& trace_file, int threads)
+{
+    json::Value trace;
+    EXPECT_TRUE(json::parse(readFile(trace_file), trace, nullptr));
+    std::map<std::string, int> coordinator, workers;
+    const json::Value* events = trace.find("traceEvents");
+    if (!events || !events->isArray()) {
+        ADD_FAILURE() << trace_file << " has no traceEvents";
+        return {};
+    }
+    for (const json::Value& event : events->array) {
+        if (event.stringOr("ph", "") != "X")
+            continue;
+        const double tid = event.numberOr("tid", -1.0);
+        const std::string name = event.stringOr("name", "");
+        if (tid == 0)
+            ++coordinator[name];
+        else if (tid >= 1 && tid <= threads)
+            ++workers[name];
+    }
+    return {coordinator, workers};
+}
+
+/** The value after `# annotation <key> ` in an attribution CSV. */
+std::int64_t
+annotation(const std::string& csv, const std::string& key)
+{
+    const std::string tag = "# annotation " + key + " ";
+    const std::size_t at = csv.find(tag);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no " << key << " annotation";
+        return -1;
+    }
+    const std::size_t end = csv.find('\n', at);
+    return parseInt(csv.substr(at + tag.size(), end - at - tag.size()),
+                    key);
+}
+
+/**
+ * Check every attribution artifact sealed under @p dir against a serial
+ * computeAttribution of its champion, read back from the checkpoint of
+ * the generation it was captured in. @return the champions' bodies.
+ */
+std::vector<std::vector<isa::InstructionInstance>>
+expectSealedAttributionIsSerial(const config::RunConfig& cfg,
+                                const std::string& dir)
+{
+    const config::Evaluator serial = config::buildEvaluator(cfg);
+    std::vector<std::vector<isa::InstructionInstance>> champions;
+    for (const auto& [name, csv] : filesUnder(dir + "/attribution")) {
+        SCOPED_TRACE(name);
+        const auto id =
+            static_cast<std::uint64_t>(annotation(csv, "individual_id"));
+        const int generation =
+            static_cast<int>(annotation(csv, "generation"));
+        const core::Population pop = core::loadPopulation(
+            cfg.library, dir + "/population_" +
+                             std::to_string(generation) + ".pop");
+        const auto it = std::find_if(
+            pop.individuals.begin(), pop.individuals.end(),
+            [&](const core::Individual& ind) { return ind.id == id; });
+        if (it == pop.individuals.end()) {
+            ADD_FAILURE() << "champion " << id << " is not in generation "
+                          << generation;
+            continue;
+        }
+        attribution::AttributionResult expected =
+            attribution::computeAttribution(
+                cfg.library, *serial.measurement, *serial.fitness, *it);
+        expected.generation = generation;
+        EXPECT_EQ(csv, attribution::formatAttributionCsv(expected));
+        champions.push_back(it->code);
+    }
+    return champions;
+}
+
+/** Planned ablation bodies of @p champions: in all, and distinct. */
+std::pair<std::size_t, std::size_t>
+ablationBodies(const isa::InstructionLibrary& lib,
+               const std::vector<std::vector<isa::InstructionInstance>>&
+                   champions)
+{
+    std::vector<std::vector<isa::InstructionInstance>> distinct;
+    std::size_t planned = 0;
+    for (const auto& code : champions) {
+        core::Individual ind;
+        ind.code = code;
+        for (auto& body : attribution::planAttribution(lib, ind).bodies) {
+            ++planned;
+            if (std::find(distinct.begin(), distinct.end(), body) ==
+                distinct.end())
+                distinct.push_back(std::move(body));
+        }
+    }
+    return {planned, distinct.size()};
+}
+
 TEST(RunPipeline, SealedArtifactsDoNotDependOnThreadsOrDirectorySpelling)
 {
     config::RunConfig cfg = config::parseConfig(kSealConfig);
@@ -403,32 +507,24 @@ TEST(RunPipeline, EverySinkAndSealStepIsTraced)
     cfg.traceFile = trace_dir + "/trace.json";
     config::runFromConfig(cfg);
 
-    json::Value trace;
-    ASSERT_TRUE(json::parse(readFile(cfg.traceFile), trace, nullptr));
-    const json::Value* events = trace.find("traceEvents");
-    ASSERT_TRUE(events && events->isArray());
-    std::map<std::string, int> coordinator, workers;
-    for (const json::Value& event : events->array) {
-        if (event.stringOr("ph", "") != "X")
-            continue;
-        const double tid = event.numberOr("tid", -1.0);
-        const std::string name = event.stringOr("name", "");
-        if (tid == 0)
-            ++coordinator[name];
-        else if (tid >= 1 && tid <= cfg.ga.threads)
-            ++workers[name];
-    }
+    auto [coordinator, workers] =
+        spansByThread(cfg.traceFile, cfg.ga.threads);
     // One span per generation for each sink this run has...
     EXPECT_EQ(coordinator["flight recorder"], cfg.ga.generations);
     EXPECT_EQ(coordinator["provenance append"], cfg.ga.generations);
     EXPECT_EQ(coordinator["write run dir"], cfg.ga.generations);
     EXPECT_EQ(coordinator["analytics"], 0);
-    // ...one per seal step on the coordinator, and one per champion on
-    // the worker that wrote it.
+    // ...one per seal step on the coordinator, one per champion's
+    // capture on the worker that wrote it, and one per distinct
+    // ablation body on the worker that measured it.
     for (const char* step : {"seal champions", "stats dump",
                              "manifest walk", "manifest hash"})
         EXPECT_EQ(coordinator[step], 1) << step;
     EXPECT_EQ(workers["champion"], cfg.waveformTopK);
+    const auto champions = expectSealedAttributionIsSerial(cfg, dir);
+    EXPECT_EQ(workers["ablation"],
+              static_cast<int>(
+                  ablationBodies(cfg.library, champions).second));
 
     // metrics.json holds a histogram only for the seal steps that end
     // before it is written, and each of those has its sample.
@@ -448,6 +544,47 @@ TEST(RunPipeline, EverySinkAndSealStepIsTraced)
     EXPECT_EQ(seal_histograms,
               (std::vector<std::string>{"seal.champion_us",
                                         "seal.champions_us"}));
+    removeAll(dir);
+    removeAll(trace_dir);
+}
+
+TEST(RunPipeline, PooledAttributionEqualsTheSerialOneOnSharedCode)
+{
+    // Every individual of the seed population has the same body, so the
+    // three retained champions share all their ablation bodies and the
+    // pool measures each once.
+    config::RunConfig cfg = config::parseConfig(kSealConfig);
+    const std::string dir = makeTempDir("gest-seal");
+    const std::string trace_dir = makeTempDir("gest-trace");
+    core::Population seed;
+    Rng rng(77);
+    std::vector<isa::InstructionInstance> body;
+    for (int g = 0; g < cfg.ga.individualSize; ++g)
+        body.push_back(cfg.library.randomInstance(rng));
+    for (int i = 0; i < cfg.ga.populationSize; ++i) {
+        core::Individual ind;
+        ind.id = static_cast<std::uint64_t>(i + 1);
+        ind.code = body;
+        seed.individuals.push_back(std::move(ind));
+    }
+    core::savePopulation(cfg.library, seed, trace_dir + "/seed.pop");
+    cfg.seedPopulationPath = trace_dir + "/seed.pop";
+    cfg.ga.generations = 1;
+    cfg.ga.threads = 4;
+    cfg.outputDirectory = dir;
+    cfg.traceFile = trace_dir + "/trace.json";
+    config::runFromConfig(cfg);
+
+    const auto champions = expectSealedAttributionIsSerial(cfg, dir);
+    ASSERT_EQ(champions.size(), 3u);
+    EXPECT_EQ(champions[0], champions[1]);
+    EXPECT_EQ(champions[1], champions[2]);
+    const auto [planned, distinct] =
+        ablationBodies(cfg.library, champions);
+    EXPECT_EQ(distinct * 3, planned);
+    EXPECT_EQ(spansByThread(cfg.traceFile, cfg.ga.threads)
+                  .second["ablation"],
+              static_cast<int>(distinct));
     removeAll(dir);
     removeAll(trace_dir);
 }
