@@ -32,8 +32,10 @@ Cache::Cache(const CacheConfig& cfg) : _cfg(cfg)
         fatal("cache associativity above 64 is not supported, got ",
               cfg.ways);
     _lines.resize(static_cast<std::size_t>(cfg.sets) * cfg.ways);
+    _fills.resize(static_cast<std::size_t>(cfg.sets));
     _offsetBits = log2i(cfg.lineBytes);
     _indexMask = cfg.sets - 1;
+    _tagShift = _offsetBits + log2i(cfg.sets);
 }
 
 bool
@@ -42,9 +44,8 @@ Cache::access(std::uint64_t address)
     ++_accesses;
     ++_useCounter;
 
-    const std::uint64_t line_addr = address >> _offsetBits;
-    const int set = static_cast<int>(line_addr) & _indexMask;
-    const std::uint64_t tag = line_addr >> log2i(_cfg.sets);
+    const int set = setOf(address);
+    const std::uint64_t tag = address >> _tagShift;
 
     Line* base = &_lines[static_cast<std::size_t>(set) * _cfg.ways];
     Line* victim = base;
@@ -62,6 +63,7 @@ Cache::access(std::uint64_t address)
     }
 
     ++_misses;
+    ++_fills[static_cast<std::size_t>(set)];
     victim->valid = true;
     victim->tag = tag;
     victim->lastUse = _useCounter;
@@ -71,9 +73,8 @@ Cache::access(std::uint64_t address)
 bool
 Cache::probe(std::uint64_t address) const
 {
-    const std::uint64_t line_addr = address >> _offsetBits;
-    const int set = static_cast<int>(line_addr) & _indexMask;
-    const std::uint64_t tag = line_addr >> log2i(_cfg.sets);
+    const int set = setOf(address);
+    const std::uint64_t tag = address >> _tagShift;
     const Line* base = &_lines[static_cast<std::size_t>(set) * _cfg.ways];
     for (int way = 0; way < _cfg.ways; ++way) {
         if (base[way].valid && base[way].tag == tag)
@@ -94,6 +95,7 @@ Cache::reset()
 {
     for (Line& line : _lines)
         line = Line{};
+    std::fill(_fills.begin(), _fills.end(), 0);
     _accesses = 0;
     _misses = 0;
     _useCounter = 0;

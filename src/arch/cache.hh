@@ -38,14 +38,32 @@ class Cache
      */
     bool probe(std::uint64_t address) const;
 
-    /** Reset to the all-invalid state. */
+    /** The set that holds the line containing @p address. */
+    int setOf(std::uint64_t address) const
+    {
+        return static_cast<int>(address >> _offsetBits) & _indexMask;
+    }
+
+    /**
+     * Lines filled into @p set so far: its misses. A line absent from
+     * the cache stays absent while this count does not change.
+     */
+    std::uint32_t fills(int set) const
+    {
+        return _fills[static_cast<std::size_t>(set)];
+    }
+
+    /**
+     * Reset to the all-invalid state. The fill counts keep running:
+     * a line absent before stays absent.
+     */
     void flush();
 
     /**
      * Return to the exact as-constructed state: all lines invalid,
-     * counters and the internal LRU clock zeroed. Lets a scratch arena
-     * reuse one Cache across evaluations with behavior identical to a
-     * freshly constructed instance.
+     * counters, fill counts and the internal LRU clock zeroed. Lets a
+     * scratch arena reuse one Cache across evaluations with behavior
+     * identical to a freshly constructed instance.
      */
     void reset();
 
@@ -81,11 +99,13 @@ class Cache
 
     CacheConfig _cfg;
     std::vector<Line> _lines;      ///< sets * ways, row-major by set
+    std::vector<std::uint32_t> _fills; ///< misses per set
     std::uint64_t _accesses = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _useCounter = 0;
     int _offsetBits = 0;
     int _indexMask = 0;
+    int _tagShift = 0;             ///< offset plus index bits
 };
 
 } // namespace arch

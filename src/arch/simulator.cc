@@ -109,6 +109,10 @@ class RunState
             else
                 scratch.l2->reset();
             _l2 = &*scratch.l2;
+            // lineAbsent() needs every L1 line inside one L2 line.
+            if (cfg.l2.lineBytes < cfg.l1d.lineBytes)
+                fatal("cpu '", cfg.name,
+                      "': L2 lines must not be smaller than L1 lines");
             scratch.mshrFreeAt.assign(
                 static_cast<std::size_t>(std::max(1, cfg.mshrs)), 0);
         } else {
@@ -352,7 +356,7 @@ class RunState
             std::size_t next = 0;
             while (next < window.size() &&
                    issued_this_cycle < _cfg.issueWidth) {
-                const WindowSlot& slot = window[next++];
+                WindowSlot& slot = window[next++];
                 if (!(slot.srcMask & _notReady)) {
                     const std::uint64_t retry_at =
                         tryIssue(slot, cycle, stats);
@@ -517,6 +521,17 @@ class RunState
     std::uint64_t _notReady = 0;
     std::uint64_t _notReadyUntil = ~std::uint64_t{0};
     static_assert(numUnifiedRegs <= 64);
+
+    /**
+     * Busy-until gates: when a search found every unit of a type, or
+     * every MSHR, busy at some cycle, the earliest of their free
+     * cycles; 0 until then. A free-at time changes only when an op
+     * takes a unit or MSHR free at the current cycle, so none does
+     * before the gate, and until then every op that asks fails with
+     * the same earliest free cycle.
+     */
+    std::array<std::uint64_t, numFuTypes> _fuBusyUntil{};
+    std::uint64_t _mshrBusyUntil = 0;
 
     /** Drop the registers ready by @p cycle from _notReady. */
     void
@@ -862,7 +877,7 @@ class RunState
     WindowSlot
     executeAtFetch(const MicroOp& mo)
     {
-        WindowSlot slot{&mo, 0, 0, 0};
+        WindowSlot slot{&mo, 0, 0, 0, 0};
         for (int i = 0; i < mo.numSrc; ++i)
             slot.srcMask |= std::uint64_t{1} << mo.src[i];
         if (mo.isLoad || mo.isStore) {
@@ -912,6 +927,26 @@ class RunState
     }
 
     /**
+     * Whether the line of @p slot's address is in neither cache level.
+     * Such a line can enter either level only through an L2 miss on
+     * it (an L1 fill on an L2 hit needs the line in L2 already), which
+     * moves its L2 set's fill count; so the answer, stamped on the
+     * slot with that count, holds while the count stays put.
+     */
+    bool
+    lineAbsent(WindowSlot& slot) const
+    {
+        const std::uint32_t stamp =
+            _l2->fills(_l2->setOf(slot.address)) + 1;
+        if (slot.absentStamp == stamp)
+            return true;
+        if (_cache->probe(slot.address) || _l2->probe(slot.address))
+            return false;
+        slot.absentStamp = stamp;
+        return true;
+    }
+
+    /**
      * Try to issue one fetched micro-op whose sources are all ready at
      * @p cycle; on success charge its FU, the cache hierarchy and the
      * register readiness.
@@ -922,15 +957,16 @@ class RunState
      *         @p cycle.
      */
     std::uint64_t
-    tryIssue(const WindowSlot& slot, std::uint64_t cycle,
-             CycleStats& stats)
+    tryIssue(WindowSlot& slot, std::uint64_t cycle, CycleStats& stats)
     {
         const MicroOp& mo = *slot.mo;
 
         // Functional unit availability.
         const OpTiming& timing = _cfg.opTiming(mo.op);
-        auto& units =
-            _scratch.fuFreeAt[static_cast<std::size_t>(timing.fu)];
+        const auto fu = static_cast<std::size_t>(timing.fu);
+        if (cycle < _fuBusyUntil[fu])
+            return _fuBusyUntil[fu];
+        auto& units = _scratch.fuFreeAt[fu];
         std::uint64_t* unit = nullptr;
         for (std::uint64_t& free_at : units) {
             if (free_at <= cycle) {
@@ -939,7 +975,7 @@ class RunState
             }
         }
         if (!unit)
-            return earliest(units);
+            return _fuBusyUntil[fu] = earliest(units);
 
         int latency = timing.latency;
 
@@ -952,7 +988,9 @@ class RunState
             // one the op cannot issue this cycle (bounded memory-level
             // parallelism).
             std::uint64_t* mshr = nullptr;
-            if (_l2 && !_cache->probe(address) && !_l2->probe(address)) {
+            if (_l2 && lineAbsent(slot)) {
+                if (cycle < _mshrBusyUntil)
+                    return _mshrBusyUntil;
                 for (std::uint64_t& free_at : _scratch.mshrFreeAt) {
                     if (free_at <= cycle) {
                         mshr = &free_at;
@@ -960,7 +998,8 @@ class RunState
                     }
                 }
                 if (!mshr)
-                    return earliest(_scratch.mshrFreeAt);
+                    return _mshrBusyUntil =
+                               earliest(_scratch.mshrFreeAt);
             }
 
             const bool hit = _cache->access(address);

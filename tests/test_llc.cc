@@ -129,6 +129,61 @@ TEST(Llc, MispredictFreeForwardProgressWithBlockedMshrs)
     EXPECT_GT(result.ipc, 0.0);
 }
 
+TEST(Llc, L2LinesSmallerThanL1LinesAreRejected)
+{
+    // The simulator's absent-line memo needs each L1 line inside one L2
+    // line.
+    const auto lib = isa::armCacheStressLibrary();
+    CpuConfig cfg = arch::xgene2Config();
+    cfg.l2.lineBytes = 32;
+    LoopSimulator sim(cfg, bigBuffer());
+    EXPECT_THROW(sim.run(stridedStream(lib, 4032), 10, 2), FatalError);
+}
+
+TEST(Llc, FillsCountExactlyEachSetsMisses)
+{
+    arch::Cache cache({.sets = 4, .ways = 2, .lineBytes = 64});
+    auto fills = [&cache] {
+        std::vector<std::uint32_t> out;
+        for (int set = 0; set < 4; ++set)
+            out.push_back(cache.fills(set));
+        return out;
+    };
+    using Counts = std::vector<std::uint32_t>;
+    EXPECT_EQ(cache.setOf(0), 0);
+    EXPECT_EQ(cache.setOf(63), 0);
+    EXPECT_EQ(cache.setOf(64), 1);
+    EXPECT_EQ(cache.setOf(256), 0);
+    EXPECT_EQ(fills(), (Counts{0, 0, 0, 0}));
+
+    EXPECT_FALSE(cache.access(0));
+    EXPECT_EQ(fills(), (Counts{1, 0, 0, 0}));
+    // Hits and probes fill nothing.
+    EXPECT_TRUE(cache.access(8));
+    EXPECT_FALSE(cache.probe(256));
+    EXPECT_TRUE(cache.probe(0));
+    EXPECT_EQ(fills(), (Counts{1, 0, 0, 0}));
+
+    // Misses count in their own set only, evictions included.
+    EXPECT_FALSE(cache.access(256));
+    EXPECT_FALSE(cache.access(512));
+    EXPECT_FALSE(cache.access(64 * 3));
+    EXPECT_EQ(fills(), (Counts{3, 0, 0, 1}));
+    EXPECT_FALSE(cache.access(0)); // evicted by 512
+    EXPECT_EQ(fills(), (Counts{4, 0, 0, 1}));
+    EXPECT_EQ(cache.misses(), 5u);
+
+    // flush() keeps the counts running; reset() zeroes them.
+    cache.flush();
+    EXPECT_EQ(fills(), (Counts{4, 0, 0, 1}));
+    EXPECT_FALSE(cache.access(64));
+    EXPECT_EQ(fills(), (Counts{4, 1, 0, 1}));
+    cache.reset();
+    EXPECT_EQ(fills(), (Counts{0, 0, 0, 0}));
+    EXPECT_FALSE(cache.access(0));
+    EXPECT_EQ(fills(), (Counts{1, 0, 0, 0}));
+}
+
 TEST(Llc, CacheStressLibraryShape)
 {
     const auto lib = isa::armCacheStressLibrary();
