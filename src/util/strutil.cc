@@ -105,6 +105,23 @@ toLower(std::string_view s)
     return out;
 }
 
+namespace {
+
+/**
+ * The strtoll() base for the non-empty @p t: 16 when a 0x prefix
+ * follows the optional sign, else 10, so a leading 0 is not octal.
+ */
+int
+integerBase(const std::string& t)
+{
+    const std::size_t at = t[0] == '+' || t[0] == '-' ? 1 : 0;
+    const bool hex = t.size() > at + 1 && t[at] == '0' &&
+                     (t[at + 1] == 'x' || t[at + 1] == 'X');
+    return hex ? 16 : 10;
+}
+
+} // namespace
+
 std::int64_t
 parseInt(std::string_view s, std::string_view what)
 {
@@ -112,8 +129,9 @@ parseInt(std::string_view s, std::string_view what)
     if (t.empty())
         fatal("expected an integer for ", what, ", got an empty string");
     char* end = nullptr;
-    const std::int64_t v = std::strtoll(t.c_str(), &end, 0);
-    if (end == t.c_str() || *end != '\0')
+    errno = 0;
+    const std::int64_t v = std::strtoll(t.c_str(), &end, integerBase(t));
+    if (end == t.c_str() || *end != '\0' || errno == ERANGE)
         fatal("malformed integer '", t, "' for ", what);
     return v;
 }
@@ -129,7 +147,8 @@ parseUint64(std::string_view s, std::string_view what)
               "'");
     char* end = nullptr;
     errno = 0;
-    const std::uint64_t v = std::strtoull(t.c_str(), &end, 0);
+    const std::uint64_t v =
+        std::strtoull(t.c_str(), &end, integerBase(t));
     if (end == t.c_str() || *end != '\0' || errno == ERANGE)
         fatal("malformed integer '", t, "' for ", what);
     return v;

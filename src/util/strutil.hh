@@ -40,16 +40,18 @@ std::string replaceAll(std::string s, std::string_view from,
 std::string toLower(std::string_view s);
 
 /**
- * Parse a signed integer (decimal, or hex with a 0x prefix).
- * Calls fatal() with @p what in the message on malformed input.
+ * Parse a signed integer (decimal, or hex with a 0x prefix; a leading
+ * 0 does not mean octal). Calls fatal() with @p what in the message
+ * on malformed or out-of-range input.
  */
 std::int64_t parseInt(std::string_view s, std::string_view what);
 
 /**
  * Parse an unsigned 64-bit integer (decimal, or hex with a 0x
- * prefix). The full uint64 range is accepted — parseInt() would
- * saturate above INT64_MAX — which matters for RNG seeds round-tripped
- * through manifest.json. fatal() with @p what on malformed input.
+ * prefix, as parseInt()). The full uint64 range is accepted —
+ * parseInt() rejects values above INT64_MAX — which matters for RNG
+ * seeds round-tripped through manifest.json. fatal() with @p what on
+ * malformed or out-of-range input.
  */
 std::uint64_t parseUint64(std::string_view s, std::string_view what);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <set>
 
@@ -79,6 +80,32 @@ TEST(Strutil, ParseIntRejectsGarbage)
     EXPECT_THROW(parseInt("", "t"), FatalError);
     EXPECT_THROW(parseInt("12abc", "t"), FatalError);
     EXPECT_THROW(parseInt("abc", "t"), FatalError);
+    EXPECT_THROW(parseInt("0x", "t"), FatalError);
+}
+
+TEST(Strutil, ParseIntRejectsOutOfRange)
+{
+    EXPECT_EQ(parseInt("9223372036854775807", "t"), INT64_MAX);
+    EXPECT_EQ(parseInt("-9223372036854775808", "t"), INT64_MIN);
+    EXPECT_THROW(parseInt("9223372036854775808", "t"), FatalError);
+    EXPECT_THROW(parseInt("-9223372036854775809", "t"), FatalError);
+    EXPECT_THROW(parseInt("18446744073709551615", "t"), FatalError);
+    EXPECT_THROW(parseInt("0x8000000000000000", "t"), FatalError);
+    EXPECT_EQ(parseUint64("18446744073709551615", "t"), UINT64_MAX);
+    EXPECT_THROW(parseUint64("18446744073709551616", "t"), FatalError);
+}
+
+TEST(Strutil, LeadingZeroIsDecimal)
+{
+    EXPECT_EQ(parseInt("010", "t"), 10);
+    EXPECT_EQ(parseInt("-010", "t"), -10);
+    EXPECT_EQ(parseInt("+0x1F", "t"), 31);
+    EXPECT_EQ(parseInt("-0x10", "t"), -16);
+    EXPECT_EQ(parseInt("0", "t"), 0);
+    EXPECT_EQ(parseInt("08", "t"), 8);
+    EXPECT_EQ(parseUint64("010", "t"), 10u);
+    EXPECT_EQ(parseUint64("0x10", "t"), 16u);
+    EXPECT_EQ(parseUint64("0", "t"), 0u);
 }
 
 TEST(Strutil, ParseDoubleAndBool)
