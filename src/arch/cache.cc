@@ -84,13 +84,6 @@ Cache::probe(std::uint64_t address) const
 }
 
 void
-Cache::flush()
-{
-    for (Line& line : _lines)
-        line.valid = false;
-}
-
-void
 Cache::reset()
 {
     for (Line& line : _lines)

@@ -54,12 +54,6 @@ class Cache
     }
 
     /**
-     * Reset to the all-invalid state. The fill counts keep running:
-     * a line absent before stays absent.
-     */
-    void flush();
-
-    /**
      * Return to the exact as-constructed state: all lines invalid,
      * counters, fill counts and the internal LRU clock zeroed. Lets a
      * scratch arena reuse one Cache across evaluations with behavior

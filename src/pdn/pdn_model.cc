@@ -55,8 +55,6 @@ PdnConfig::validate() const
     if (vdd <= 0.0 || resistanceOhm <= 0.0 || inductanceH <= 0.0 ||
         capacitanceF <= 0.0)
         fatal("PDN '", name, "': non-physical electrical parameters");
-    if (substepsPerCycle < 1)
-        fatal("PDN '", name, "': need at least one integration substep");
 }
 
 PdnModel::PdnModel(PdnConfig cfg) : _cfg(std::move(cfg))
@@ -76,12 +74,68 @@ PdnModel::simulate(const std::vector<double>& current_amps,
 namespace {
 
 /**
+ * exp(A*T) of the network's state matrix, for the state x = (i_L, v_c)
+ * measured from its DC operating point:
+ *
+ *      A = [ -R/L  -1/L ]
+ *          [  1/C    0  ]
+ *
+ * With alpha = R/2L and w0^2 = 1/LC, B = A + alpha*I is traceless with
+ * B^2 = (alpha^2 - w0^2)*I, so exp(A*T) = e^(-alpha*T) * (f0*I + f1*B)
+ * where, for z = (alpha^2 - w0^2)*T^2,
+ *
+ *      z > 0 (overdamped):    f0 = cosh(sqrt z), f1 = T*sinh(sqrt z)/sqrt z
+ *      z < 0 (underdamped):   f0 = cos(sqrt -z), f1 = T*sin(sqrt -z)/sqrt -z
+ *      z = 0 (critical):      f0 = 1,            f1 = T
+ *
+ * None of the three takes a square root of a negative number, so every
+ * damping regime (and the rounding noise around Q = 0.5) stays finite.
+ */
+struct StepMatrix
+{
+    double a00, a01, a10, a11;
+};
+
+StepMatrix
+stepMatrix(const PdnConfig& cfg, double t)
+{
+    const double r = cfg.resistanceOhm;
+    const double l = cfg.inductanceH;
+    const double c = cfg.capacitanceF;
+    const double alpha = r / (2.0 * l);
+    const double z = (alpha * alpha - 1.0 / (l * c)) * t * t;
+    double f0 = 1.0;
+    double f1 = t;
+    if (z > 0.0) {
+        const double s = std::sqrt(z);
+        f0 = std::cosh(s);
+        f1 = t * std::sinh(s) / s;
+    } else if (z < 0.0) {
+        const double s = std::sqrt(-z);
+        f0 = std::cos(s);
+        f1 = t * std::sin(s) / s;
+    }
+    const double decay = std::exp(-alpha * t);
+    return {decay * (f0 - f1 * alpha), decay * (-f1 / l),
+            decay * (f1 / c), decay * (f0 + f1 * alpha)};
+}
+
+/**
  * The one PDN integrator behind simulateAt() and simulateTiled(): steps
  * @p cycles cycles reading the load current of each through
  * @p current_at, and keeps the per-cycle die voltage in
  * VoltageTrace::volts only when @p keep_volts. A warmup window reaching
  * past the trace is clamped to its first half (in place, so the caller
  * can label the waveform).
+ *
+ * The current is constant within a cycle, so one cycle is exact: with
+ * x_eq(i) = (i, vs - R*i) the DC operating point for load i and
+ * A_d = exp(A*T_clk) (stepMatrix()),
+ *
+ *      x[k+1] = x_eq(i_k) + A_d * (x[k] - x_eq(i_k)).
+ *
+ * The DC operating point is a fixed point bit for bit: a load held from
+ * the first cycle keeps the deviation exactly zero.
  */
 template <typename CurrentAt>
 VoltageTrace
@@ -105,11 +159,8 @@ integrate(const PdnConfig& cfg, CurrentAt current_at, std::size_t cycles,
     if (keep_volts)
         out.volts.reserve(cycles);
 
-    const double dt =
-        1e-9 / freq_ghz / static_cast<double>(cfg.substepsPerCycle);
+    const StepMatrix ad = stepMatrix(cfg, 1e-9 / freq_ghz);
     const double r = cfg.resistanceOhm;
-    const double l = cfg.inductanceH;
-    const double c = cfg.capacitanceF;
 
     // Start at the DC operating point for the first sample's current so
     // the transient begins settled.
@@ -123,12 +174,11 @@ integrate(const PdnConfig& cfg, CurrentAt current_at, std::size_t cycles,
 
     for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
         const double i_load = current_at(cycle);
-        // Semi-implicit (symplectic) Euler keeps the oscillator stable
-        // at the modest substep counts we use.
-        for (int s = 0; s < cfg.substepsPerCycle; ++s) {
-            i_l += dt * (vs - v_c - r * i_l) / l;
-            v_c += dt * (i_l - i_load) / c;
-        }
+        const double v_eq = vs - r * i_load;
+        const double di = i_l - i_load;
+        const double dv = v_c - v_eq;
+        i_l = i_load + (ad.a00 * di + ad.a01 * dv);
+        v_c = v_eq + (ad.a10 * di + ad.a11 * dv);
         if (keep_volts)
             out.volts.push_back(v_c);
         if (cycle >= warmup_cycles) {

@@ -46,9 +46,6 @@ struct PdnConfig
     double inductanceH = 80e-12;
     double capacitanceF = 32e-9;
 
-    /** Integration sub-steps per CPU clock cycle. */
-    int substepsPerCycle = 4;
-
     /** First-order resonance frequency (Hz). */
     double resonanceHz() const;
 
@@ -88,7 +85,9 @@ struct VoltageTrace
 };
 
 /**
- * Time-domain PDN simulator.
+ * Time-domain PDN simulator. The load current is held for a whole CPU
+ * cycle, so each cycle advances the network by its exact
+ * zero-order-hold step (no sub-cycle integration error).
  */
 class PdnModel
 {
@@ -130,10 +129,10 @@ class PdnModel
     /**
      * Simulate over a tiled current trace without materializing it.
      * The integrator still steps every virtual cycle in order — the
-     * PDN is stateful, so there is no shortcut — but reads the load
-     * current through @p tiling from the flat stored array, and only
-     * the scalar summary is produced (VoltageTrace::volts stays
-     * empty). Bit-identical to simulate() over the expanded trace.
+     * PDN is stateful — but reads the load current through @p tiling
+     * from the flat stored array, and only the scalar summary is
+     * produced (VoltageTrace::volts stays empty). Bit-identical to
+     * simulate() over the expanded trace.
      *
      * @param current_amps flat array of tiling.storedCycles() samples
      * @param tiling stored-to-virtual trace mapping

@@ -49,6 +49,26 @@ sinkStats()
     return s;
 }
 
+/**
+ * Copy the steady-state fast-path counters into @p facts. They are
+ * looked up without find-or-create: a run that never touches the
+ * simulated fast path (native measurements, stats off) must not grow
+ * eval.* entries in its metrics.json just by heartbeating.
+ */
+void
+snapshotSearchCounters(GenerationFacts& facts)
+{
+    for (const stats::Counter* counter :
+         stats::StatsRegistry::instance().counterList()) {
+        if (counter->name() == "eval.steady_hits")
+            facts.steadyHits = counter->value();
+        else if (counter->name() == "eval.cycles_simulated")
+            facts.cyclesSimulated = counter->value();
+        else if (counter->name() == "eval.cycles_tiled")
+            facts.cyclesTiled = counter->value();
+    }
+}
+
 } // namespace
 
 std::string
@@ -73,22 +93,6 @@ statusJson(const core::GenerationRecord& record,
             ? elapsed_s / static_cast<double>(done) *
                   static_cast<double>(total_generations - done)
             : 0.0;
-
-    // Steady-state fast-path counters, looked up without find-or-create:
-    // a run that never touches the simulated fast path (native
-    // measurements, stats off) must not grow eval.* entries in its
-    // metrics.json just by heartbeating.
-    unsigned long long steady_hits = 0, cycles_simulated = 0,
-                       cycles_tiled = 0;
-    for (const stats::Counter* counter :
-         stats::StatsRegistry::instance().counterList()) {
-        if (counter->name() == "eval.steady_hits")
-            steady_hits = counter->value();
-        else if (counter->name() == "eval.cycles_simulated")
-            cycles_simulated = counter->value();
-        else if (counter->name() == "eval.cycles_tiled")
-            cycles_tiled = counter->value();
-    }
 
     char buf[1536];
     std::snprintf(
@@ -115,8 +119,10 @@ statusJson(const core::GenerationRecord& record,
         jsonNumber(record.averageFitness, 17).c_str(),
         record.diversity, facts.geneEntropyBits, facts.pairwiseDiversity,
         static_cast<unsigned long long>(facts.totalMeasured),
-        cache_hit_rate, evals_per_sec, elapsed_s, eta_s, steady_hits,
-        cycles_simulated, cycles_tiled);
+        cache_hit_rate, evals_per_sec, elapsed_s, eta_s,
+        static_cast<unsigned long long>(facts.steadyHits),
+        static_cast<unsigned long long>(facts.cyclesSimulated),
+        static_cast<unsigned long long>(facts.cyclesTiled));
     std::string payload = buf;
     if (facts.digestsSealed >= 0)
         payload += "  \"digests_sealed\": " +
@@ -226,6 +232,7 @@ RunPipeline::step(const core::Population& pop,
     if (recorder || telemetry) {
         output::ScopedSpan span(timers.status, trace, "status render",
                                 "pipeline", gen);
+        snapshotSearchCounters(facts);
         status = statusFor(/*running=*/true);
     }
     if (writer || recorder) {

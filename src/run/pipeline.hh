@@ -12,7 +12,8 @@
  *  4. health watchdog — alerts.csv;
  *  5. provenance — the digests.csv row;
  *  6. status — one snapshot rendered for status.json (analytics on)
- *     and the telemetry service (/status, /history, SSE...);
+ *     and the telemetry service (/status, /history, SSE...), with the
+ *     eval.* search counters as the generation left them;
  *  7. run writer — population checkpoint and history.csv;
  *  8. status.json, last, so whenever it names generation g every
  *     generation-g file is on disk;
@@ -95,6 +96,16 @@ struct GenerationFacts
 
     /** Digest rows sealed so far; -1 when provenance is off. */
     std::int64_t digestsSealed = -1;
+
+    /**
+     * The eval.steady_hits / cycles_simulated / cycles_tiled counters
+     * as the generation left them. The completed status keeps the last
+     * generation's values, so the seal's captures and ablations do not
+     * count as search work.
+     */
+    std::uint64_t steadyHits = 0;
+    std::uint64_t cyclesSimulated = 0;
+    std::uint64_t cyclesTiled = 0;
 };
 
 /**

