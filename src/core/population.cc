@@ -1,10 +1,8 @@
 #include "core/population.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 #include <set>
-#include <type_traits>
 #include <utility>
 
 #include "util/fileutil.hh"
@@ -82,32 +80,6 @@ Population::averageFitness() const
     return count > 0 ? sum / count : 0.0;
 }
 
-namespace {
-
-void
-appendNumber(std::string& out, double v)
-{
-    // The bytes a precision(17) stream prints (%.17g) for every
-    // double, NaN and infinities included, without the stream.
-    char buf[32];
-    const std::to_chars_result r = std::to_chars(
-        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-    out.append(buf, r.ptr);
-}
-
-template <typename Int>
-    requires std::is_integral_v<Int>
-void
-appendNumber(std::string& out, Int v)
-{
-    char buf[24];
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, r.ptr);
-}
-
-} // namespace
-
 void
 appendIndividualRecords(const isa::InstructionLibrary& lib,
                         const Individual& ind, std::string& out)
@@ -167,7 +139,7 @@ namespace {
 /** @p field as an @p Int; fatal() when it is not one or does not fit. */
 template <typename Int>
 Int
-parseField(const std::string& field, const char* what)
+parseField(std::string_view field, const char* what)
 {
     const std::int64_t v = parseInt(field, what);
     if (std::cmp_less(v, std::numeric_limits<Int>::min()) ||
@@ -177,42 +149,71 @@ parseField(const std::string& field, const char* what)
 }
 
 /**
+ * The lines of a population file, as split(text, '\n') gives them,
+ * trimmed, with blank lines skipped. @p pos counts the lines taken, so
+ * after an error it is the 1-based number of the line last read (or
+ * one past the last line at the end of the text).
+ */
+class Lines
+{
+  public:
+    Lines(std::string_view text, std::size_t& pos) : _rest(text), _pos(pos)
+    {}
+
+    /** The next non-blank line, trimmed; fatal() at the end. */
+    std::string_view
+    next()
+    {
+        while (!_done) {
+            const std::size_t nl = _rest.find('\n');
+            std::string_view line = _rest;
+            if (nl == std::string_view::npos) {
+                _done = true;
+            } else {
+                line = _rest.substr(0, nl);
+                _rest.remove_prefix(nl + 1);
+            }
+            ++_pos;
+            line = trimView(line);
+            if (!line.empty())
+                return line;
+        }
+        fatal("unexpected end of file");
+    }
+
+  private:
+    std::string_view _rest;
+    std::size_t& _pos;
+    bool _done = false;
+};
+
+/**
  * The records of a population file; fatal() on the first error, with
  * @p pos left at the line it stopped after.
  */
 Population
-parseRecords(const isa::InstructionLibrary& lib,
-             const std::vector<std::string>& lines, std::size_t& pos)
+parseRecords(const isa::InstructionLibrary& lib, std::string_view text,
+             std::size_t& pos)
 {
-    auto next_line = [&]() -> std::string {
-        while (pos < lines.size()) {
-            const std::string t = trim(lines[pos++]);
-            if (!t.empty())
-                return t;
-        }
-        fatal("unexpected end of file");
-    };
-
+    Lines lines(text, pos);
+    // The fields of the current record, as views of its line; the
+    // vector keeps its capacity, so a record allocates nothing.
+    std::vector<std::string_view> fields;
     Population pop;
-    {
-        const std::vector<std::string> header =
-            splitWhitespace(next_line());
-        if (header.size() != 2 || header[0] != "gest-population" ||
-            header[1] != "1")
-            fatal("missing 'gest-population 1' header");
-    }
-    {
-        const std::vector<std::string> gen = splitWhitespace(next_line());
-        if (gen.size() != 2 || gen[0] != "generation")
-            fatal("missing 'generation' record");
-        pop.generation = parseField<int>(gen[1], "generation");
-    }
+    splitWhitespaceInto(lines.next(), fields);
+    if (fields.size() != 2 || fields[0] != "gest-population" ||
+        fields[1] != "1")
+        fatal("missing 'gest-population 1' header");
+    splitWhitespaceInto(lines.next(), fields);
+    if (fields.size() != 2 || fields[0] != "generation")
+        fatal("missing 'generation' record");
+    pop.generation = parseField<int>(fields[1], "generation");
 
     for (;;) {
-        const std::string line = next_line();
+        const std::string_view line = lines.next();
         if (line == "end")
             break;
-        const std::vector<std::string> fields = splitWhitespace(line);
+        splitWhitespaceInto(line, fields);
         if (fields.size() != 6 || fields[0] != "individual")
             fatal("expected 'individual' record, got '", line, "'");
         Individual ind;
@@ -222,38 +223,41 @@ parseRecords(const isa::InstructionLibrary& lib,
         ind.fitness = parseDouble(fields[4], "fitness");
         ind.evaluated = parseInt(fields[5], "evaluated") != 0;
 
-        const std::vector<std::string> meas =
-            splitWhitespace(next_line());
-        if (meas.size() < 2 || meas[0] != "measurements")
+        splitWhitespaceInto(lines.next(), fields);
+        if (fields.size() < 2 || fields[0] != "measurements")
             fatal("expected 'measurements' record");
         const std::size_t n_meas =
-            parseUint64(meas[1], "measurement count");
-        if (meas.size() != n_meas + 2)
+            parseUint64(fields[1], "measurement count");
+        if (fields.size() != n_meas + 2)
             fatal("measurement count mismatch");
+        ind.measurements.reserve(n_meas);
         for (std::size_t i = 0; i < n_meas; ++i)
             ind.measurements.push_back(
-                parseDouble(meas[i + 2], "measurement value"));
+                parseDouble(fields[i + 2], "measurement value"));
 
-        const std::vector<std::string> code = splitWhitespace(next_line());
-        if (code.size() != 2 || code[0] != "code")
+        splitWhitespaceInto(lines.next(), fields);
+        if (fields.size() != 2 || fields[0] != "code")
             fatal("expected 'code' record");
-        const std::size_t n_code = parseUint64(code[1], "code length");
+        const std::size_t n_code = parseUint64(fields[1], "code length");
+        // The count is unchecked input: reserve no more than a body
+        // could plausibly hold, and let a longer one grow.
+        ind.code.reserve(std::min<std::size_t>(n_code, 4096));
         for (std::size_t i = 0; i < n_code; ++i) {
-            const std::vector<std::string> gene =
-                splitWhitespace(next_line());
-            if (gene.empty())
+            splitWhitespaceInto(lines.next(), fields);
+            if (fields.empty())
                 fatal("empty instruction record");
-            const int def_index = lib.findInstruction(gene[0]);
+            const int def_index = lib.findInstruction(fields[0]);
             if (def_index < 0)
-                fatal("instruction '", gene[0],
+                fatal("instruction '", fields[0],
                       "' is not in the current library");
             isa::InstructionInstance inst;
             inst.defIndex = static_cast<std::uint32_t>(def_index);
-            for (std::size_t f = 1; f < gene.size(); ++f)
+            inst.operandChoice.reserve(fields.size() - 1);
+            for (std::size_t f = 1; f < fields.size(); ++f)
                 inst.operandChoice.push_back(
-                    parseField<std::uint32_t>(gene[f], "operand choice"));
+                    parseField<std::uint32_t>(fields[f], "operand choice"));
             if (!lib.valid(inst))
-                fatal("invalid encoding of instruction '", gene[0], "'");
+                fatal("invalid encoding of instruction '", fields[0], "'");
             ind.code.push_back(std::move(inst));
         }
         pop.individuals.push_back(std::move(ind));
@@ -267,10 +271,9 @@ Population
 deserializePopulation(const isa::InstructionLibrary& lib,
                       const std::string& text, const std::string& source)
 {
-    const std::vector<std::string> lines = split(text, '\n');
     std::size_t pos = 0;
     try {
-        return parseRecords(lib, lines, pos);
+        return parseRecords(lib, text, pos);
     } catch (const FatalError& err) {
         fatal(source, ":", pos, ": ", err.what());
     }

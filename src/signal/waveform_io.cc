@@ -1,9 +1,8 @@
 #include "signal/waveform_io.hh"
 
-#include <cstdio>
-
 #include "pdn/spectrum.hh"
 #include "util/fileutil.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace signal {
@@ -13,14 +12,15 @@ namespace {
 /**
  * Full-precision decimal rendering: 17 significant digits round-trip
  * an IEEE double, so the validator can hold the artifact to the 1e-9
- * agreement contract against the scalar Evaluation.
+ * agreement contract against the scalar Evaluation. The sample rows
+ * append through appendNumber() directly, the same bytes.
  */
 std::string
 formatExact(double v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendNumber(out, v);
+    return out;
 }
 
 } // namespace
@@ -41,24 +41,29 @@ formatWaveformsCsv(const SignalProbe& probe)
                " dropped=" + std::to_string(w.dropped) + "\n";
     }
     out += "signal,kind,index,time_s,value\n";
+    // A sample row is its signal's name and at most ~64 more bytes.
+    std::size_t row_bytes = 0;
+    for (const Waveform& w : probe.waveforms())
+        row_bytes += w.samples.size() * (w.name.size() + 64);
+    out.reserve(out.size() + row_bytes);
     for (const Waveform& w : probe.waveforms()) {
         for (std::size_t i = 0; i < w.samples.size(); ++i) {
             out += w.name;
             out += ",sample,";
-            out += std::to_string(i);
+            appendNumber(out, i);
             out += ',';
-            out += formatExact(w.timeAt(i));
+            appendNumber(out, w.timeAt(i));
             out += ',';
-            out += formatExact(w.samples[i]);
+            appendNumber(out, w.samples[i]);
             out += '\n';
         }
     }
     for (const EventMark& m : probe.marks()) {
         out += m.kind;
         out += ",mark,";
-        out += std::to_string(m.index);
+        appendNumber(out, m.index);
         out += ',';
-        out += formatExact(m.timeS);
+        appendNumber(out, m.timeS);
         out += ",1\n";
     }
     return out;

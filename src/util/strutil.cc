@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "util/logging.hh"
 
@@ -13,6 +15,12 @@ namespace gest {
 std::string
 trim(std::string_view s)
 {
+    return std::string(trimView(s));
+}
+
+std::string_view
+trimView(std::string_view s)
+{
     std::size_t begin = 0;
     std::size_t end = s.size();
     while (begin < end && std::isspace(static_cast<unsigned char>(s[begin])))
@@ -20,7 +28,7 @@ trim(std::string_view s)
     while (end > begin &&
            std::isspace(static_cast<unsigned char>(s[end - 1])))
         --end;
-    return std::string(s.substr(begin, end - begin));
+    return s.substr(begin, end - begin);
 }
 
 std::vector<std::string>
@@ -40,7 +48,15 @@ split(std::string_view s, char delim)
 std::vector<std::string>
 splitWhitespace(std::string_view s)
 {
-    std::vector<std::string> out;
+    std::vector<std::string_view> views;
+    splitWhitespaceInto(s, views);
+    return {views.begin(), views.end()};
+}
+
+void
+splitWhitespaceInto(std::string_view s, std::vector<std::string_view>& out)
+{
+    out.clear();
     std::size_t i = 0;
     while (i < s.size()) {
         while (i < s.size() &&
@@ -51,9 +67,8 @@ splitWhitespace(std::string_view s)
                !std::isspace(static_cast<unsigned char>(s[i])))
             ++i;
         if (i > start)
-            out.emplace_back(s.substr(start, i - start));
+            out.push_back(s.substr(start, i - start));
     }
-    return out;
 }
 
 std::string
@@ -120,11 +135,34 @@ integerBase(const std::string& t)
     return hex ? 16 : 10;
 }
 
+/**
+ * The value of @p s when it is plain decimal digits short enough not to
+ * overflow @p Int, which strtoll()/strtoull() read the same way; nullopt
+ * otherwise. It spares the common case the NUL-terminated copy those
+ * calls need.
+ */
+template <typename Int>
+std::optional<Int>
+plainDigits(std::string_view s)
+{
+    if (s.empty() || s.size() > std::numeric_limits<Int>::digits10)
+        return std::nullopt;
+    Int v = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        v = static_cast<Int>(v * 10 + (c - '0'));
+    }
+    return v;
+}
+
 } // namespace
 
 std::int64_t
 parseInt(std::string_view s, std::string_view what)
 {
+    if (const auto v = plainDigits<std::int64_t>(s))
+        return *v;
     const std::string t = trim(s);
     if (t.empty())
         fatal("expected an integer for ", what, ", got an empty string");
@@ -139,6 +177,8 @@ parseInt(std::string_view s, std::string_view what)
 std::uint64_t
 parseUint64(std::string_view s, std::string_view what)
 {
+    if (const auto v = plainDigits<std::uint64_t>(s))
+        return *v;
     const std::string t = trim(s);
     if (t.empty())
         fatal("expected an integer for ", what, ", got an empty string");
@@ -157,6 +197,19 @@ parseUint64(std::string_view s, std::string_view what)
 double
 parseDouble(std::string_view s, std::string_view what)
 {
+    // A plain decimal number: std::from_chars gives the value strtod()
+    // gives, both correctly rounded, without a copy. Everything else
+    // goes to strtod(): whitespace, a leading '+', hex, inf and nan
+    // spellings (whose NaN payloads the two need not agree on), values
+    // out of range, and every error.
+    const char* lead = !s.empty() && s[0] == '-' ? s.data() + 1 : s.data();
+    const char* last = s.data() + s.size();
+    if (lead != last && ((*lead >= '0' && *lead <= '9') || *lead == '.')) {
+        double v = 0.0;
+        const std::from_chars_result r = std::from_chars(s.data(), last, v);
+        if (r.ec == std::errc() && r.ptr == last)
+            return v;
+    }
     const std::string t = trim(s);
     if (t.empty())
         fatal("expected a number for ", what, ", got an empty string");
@@ -176,6 +229,15 @@ parseBool(std::string_view s, std::string_view what)
     if (t == "false" || t == "0" || t == "no")
         return false;
     fatal("malformed boolean '", std::string(s), "' for ", what);
+}
+
+void
+appendNumber(std::string& out, double v)
+{
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 std::string

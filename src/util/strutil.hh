@@ -6,9 +6,11 @@
 #ifndef GEST_UTIL_STRUTIL_HH
 #define GEST_UTIL_STRUTIL_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace gest {
@@ -16,11 +18,22 @@ namespace gest {
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
+/** trim() as a view into @p s, without a copy. */
+std::string_view trimView(std::string_view s);
+
 /** Split on a delimiter character; empty fields are kept. */
 std::vector<std::string> split(std::string_view s, char delim);
 
 /** Split on runs of whitespace; empty fields are dropped. */
 std::vector<std::string> splitWhitespace(std::string_view s);
+
+/**
+ * splitWhitespace() into @p out as views of @p s, replacing what @p out
+ * held; a vector reused from call to call allocates nothing once it
+ * has grown.
+ */
+void splitWhitespaceInto(std::string_view s,
+                         std::vector<std::string_view>& out);
 
 /** Join the elements of @p parts with @p sep between them. */
 std::string join(const std::vector<std::string>& parts,
@@ -78,6 +91,25 @@ std::string jsonEscape(std::string_view s);
  * null when it is not finite: JSON has no literal for inf or nan.
  */
 std::string jsonNumber(double v, int precision);
+
+/**
+ * Append @p v as printf's `%.17g` prints it, NaN and infinities
+ * included: 17 significant digits, enough to round-trip any double.
+ * It goes through std::to_chars, several times faster than snprintf.
+ */
+void appendNumber(std::string& out, double v);
+
+/** Append the decimal digits of @p v, as std::to_string prints them. */
+template <typename Int>
+    requires std::is_integral_v<Int>
+void
+appendNumber(std::string& out, Int v)
+{
+    char buf[24];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, r.ptr);
+}
 
 } // namespace gest
 

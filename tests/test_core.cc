@@ -539,6 +539,64 @@ TEST(Population, DeserializeRejectsGarbage)
         FatalError);
 }
 
+TEST(Population, LoaderErrorTextsArePinned)
+{
+    // The loader's error texts and `<source>:<line>` positions, word for
+    // word, on malformed inputs; CRLF line ends load like LF ones.
+    const isa::InstructionLibrary lib = isa::armLikeLibrary();
+    const std::vector<std::string> base = {
+        "gest-population 1",    "generation 3",
+        "individual 1 0 0 0.5 1", "measurements 2 0.25 0.75",
+        "code 2",               "EOR 0 4 5",
+        "BNEXT",                "end"};
+    // The population of @p lines (line @p at replaced by @p with, or
+    // dropped when @p with is null), ended by @p eol.
+    const auto text = [&](std::size_t at, const char* with,
+                          const char* eol) {
+        std::string out;
+        for (std::size_t i = 0; i < base.size(); ++i) {
+            if (i + 1 == at && !with)
+                continue;
+            out += i + 1 == at ? with : base[i];
+            out += eol;
+        }
+        return out;
+    };
+    const auto error = [&](const std::string& pop_text) -> std::string {
+        try {
+            deserializePopulation(lib, pop_text, "<test>");
+        } catch (const FatalError& err) {
+            return err.what();
+        }
+        return "loaded";
+    };
+
+    const std::string lf = text(0, nullptr, "\n");
+    const std::string crlf = text(0, nullptr, "\r\n");
+    EXPECT_EQ(serializePopulation(lib,
+                                  deserializePopulation(lib, crlf, "<t>")),
+              lf);
+    EXPECT_EQ(error(text(3, "individual 1 0 0 0.5", "\r\n")),
+              "<test>:3: expected 'individual' record, got "
+              "'individual 1 0 0 0.5'");
+    EXPECT_EQ(error(text(8, nullptr, "\n")),
+              "<test>:8: unexpected end of file");
+    EXPECT_EQ(error(text(6, "VFOO 0 4 5", "\n")),
+              "<test>:6: instruction 'VFOO' is not in the current "
+              "library");
+    EXPECT_EQ(error(text(6, "EOR 0 4 4294967296", "\n")),
+              "<test>:6: operand choice '4294967296' is out of range");
+    EXPECT_EQ(error(text(6, "EOR 0 4 99", "\n")),
+              "<test>:6: invalid encoding of instruction 'EOR'");
+    EXPECT_EQ(error(text(4, "measurements 3 0.25 0.75", "\n")),
+              "<test>:4: measurement count mismatch");
+    EXPECT_EQ(error(text(4, "measurements 2 0.25 x", "\n")),
+              "<test>:4: malformed number 'x' for measurement value");
+    EXPECT_EQ(error(text(3, "individual 1 -2 0 0.5 1", "\n")),
+              "<test>:3: expected a non-negative integer for parent1, "
+              "got '-2'");
+}
+
 TEST(Population, SaveLoadFile)
 {
     const isa::InstructionLibrary lib = isa::armLikeLibrary();

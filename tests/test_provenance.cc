@@ -106,6 +106,92 @@ TEST(Sha256, IncrementalUpdatesMatchOneShot)
     EXPECT_EQ(hasher.finishHex(), sha256Hex(text));
 }
 
+/** One-shot digest of @p s through @p rounds, fed in one update(). */
+std::string
+digestWith(Sha256::Rounds rounds, std::string_view s)
+{
+    Sha256 hasher(rounds);
+    hasher.update(s);
+    return hasher.finishHex();
+}
+
+/** The FIPS 180-4 vectors through the compression @p rounds. */
+void
+expectFipsVectors(Sha256::Rounds rounds)
+{
+    EXPECT_EQ(digestWith(rounds, ""),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b"
+              "7852b855");
+    EXPECT_EQ(digestWith(rounds, "abc"),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
+              "f20015ad");
+    // 448 bits: the padding spills into a second block.
+    EXPECT_EQ(digestWith(rounds,
+                         "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlm"
+                         "nomnopnopq"),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd4"
+              "19db06c1");
+    // 896 bits.
+    EXPECT_EQ(digestWith(rounds,
+                         "abcdefghbcdefghicdefghijdefghijkefghijklfghijklm"
+                         "ghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrs"
+                         "mnopqrstnopqrstu"),
+              "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac4503"
+              "7afee9d1");
+    EXPECT_EQ(digestWith(rounds, std::string(1000000, 'a')),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39cc"
+              "c7112cd0");
+}
+
+TEST(Sha256, PortableRoundsPassFipsVectors)
+{
+    expectFipsVectors(Sha256::Rounds::Portable);
+}
+
+TEST(Sha256, ShaExtensionRoundsPassFipsVectors)
+{
+    if (!Sha256::hasShaExtensions())
+        GTEST_SKIP() << "this CPU has no SHA extensions";
+    expectFipsVectors(Sha256::Rounds::Best);
+}
+
+TEST(Sha256, EverySplitMatchesOneShot)
+{
+    // Every two-way split of a 300-byte message, then seeded random
+    // chunkings, through each compression: the whole-block path, the
+    // buffered head and the buffered tail must agree with one update().
+    std::string text;
+    Rng rng(27);
+    for (int i = 0; i < 300; ++i)
+        text += static_cast<char>(rng.nextBelow(256));
+    const std::string_view view(text);
+    std::vector<Sha256::Rounds> all = {Sha256::Rounds::Portable};
+    if (Sha256::hasShaExtensions())
+        all.push_back(Sha256::Rounds::Best);
+    for (const Sha256::Rounds rounds : all) {
+        const std::string whole = digestWith(rounds, text);
+        EXPECT_EQ(whole, sha256Hex(text));
+        for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+            Sha256 hasher(rounds);
+            hasher.update(std::string_view{}); // null data, no bytes
+            hasher.update(view.substr(0, cut));
+            hasher.update(view.substr(cut));
+            EXPECT_EQ(hasher.finishHex(), whole) << "split at " << cut;
+        }
+        for (int trial = 0; trial < 200; ++trial) {
+            Sha256 hasher(rounds);
+            std::size_t pos = 0;
+            while (pos < text.size()) {
+                const std::size_t n = std::min<std::size_t>(
+                    rng.nextBelow(trial % 2 ? 200 : 70), text.size() - pos);
+                hasher.update(view.substr(pos, n));
+                pos += n;
+            }
+            EXPECT_EQ(hasher.finishHex(), whole) << "chunking " << trial;
+        }
+    }
+}
+
 TEST(Sha256, FileHashingMatchesInMemory)
 {
     const std::string dir = makeTempDir("gest-sha");

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 #include "config/config.hh"
 #include "core/engine.hh"
@@ -18,6 +21,7 @@
 #include "signal/waveform_io.hh"
 #include "util/fileutil.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 #include "util/strutil.hh"
 
 namespace gest {
@@ -238,6 +242,115 @@ TEST(WaveformIo, SpectrumNeedsCurrentAndPdnAnnotation)
     EXPECT_EQ(spectrum.rfind("# gest-spectrum v1\n", 0), 0u);
     EXPECT_NE(spectrum.find("frequency_hz,amplitude_a\n"),
               std::string::npos);
+}
+
+/** printf's `%.17g` of @p v: the bytes the CSV renderers must print. */
+std::string
+printfExact(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/**
+ * @p count seeded doubles over the shapes that print differently:
+ * random bit patterns (NaNs and infinities among them), subnormals,
+ * signed zeros, integers and magnitudes near 1e±300.
+ */
+std::vector<double>
+awkwardDoubles(std::size_t count, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> out;
+    for (std::size_t i = 0; i < count; ++i) {
+        const double unit = rng.nextDouble();
+        switch (i % 6) {
+          case 0: out.push_back(std::bit_cast<double>(rng.next())); break;
+          case 1:
+            out.push_back(std::bit_cast<double>(
+                rng.next() & 0x800fffffffffffffULL));
+            break;
+          case 2: out.push_back(rng.nextBool(0.5) ? 0.0 : -0.0); break;
+          case 3:
+            out.push_back(static_cast<double>(rng.nextRange(-1000000,
+                                                            1000000)));
+            break;
+          case 4: out.push_back((unit - 0.5) * 1e300); break;
+          default: out.push_back((unit - 0.5) * 1e-300); break;
+        }
+    }
+    return out;
+}
+
+TEST(WaveformIo, EveryValuePrintsAsPrintfExact)
+{
+    const std::vector<double> values = awkwardDoubles(3000, 41);
+    SignalProbe probe;
+    for (std::size_t i = 0; i < 12; ++i)
+        probe.annotate("a" + std::to_string(i), values[i]);
+    probe.recordWaveform(
+        "w", "V", 3e9 / 7.0,
+        std::vector<double>(values.begin(), values.begin() + 2000), 3);
+    probe.recordWaveform(
+        "slow", "A", 0.7,
+        std::vector<double>(values.begin() + 2000, values.end()));
+    Rng rng(42);
+    for (std::size_t i = 0; i < 200; ++i)
+        probe.mark("l1_miss", i * 3, values[rng.nextBelow(values.size())]);
+
+    // The reference: the same layout, every number through snprintf.
+    std::string want = "# gest-waveforms v1\n";
+    for (const auto& [key, value] : probe.annotations())
+        want += "# annotation " + key + " " + printfExact(value) + "\n";
+    for (const Waveform& w : probe.waveforms())
+        want += "# signal " + w.name + " unit=" + w.unit +
+                " rate_hz=" + printfExact(w.sampleRateHz) +
+                " warmup=" + std::to_string(w.warmupSamples) +
+                " samples=" + std::to_string(w.samples.size()) +
+                " dropped=" + std::to_string(w.dropped) + "\n";
+    want += "signal,kind,index,time_s,value\n";
+    for (const Waveform& w : probe.waveforms())
+        for (std::size_t i = 0; i < w.samples.size(); ++i)
+            want += w.name + ",sample," + std::to_string(i) + "," +
+                    printfExact(w.timeAt(i)) + "," +
+                    printfExact(w.samples[i]) + "\n";
+    for (const EventMark& m : probe.marks())
+        want += m.kind + ",mark," + std::to_string(m.index) + "," +
+                printfExact(m.timeS) + ",1\n";
+    EXPECT_EQ(formatWaveformsCsv(probe), want);
+}
+
+TEST(WaveformIo, SpectrumValuesPrintAsPrintfExact)
+{
+    // Each number must be the %.17g text of the double it parses to:
+    // 17 digits round-trip, so any other rendering of that double
+    // differs from the printf text.
+    Rng rng(43);
+    for (int trial = 0; trial < 8; ++trial) {
+        SignalProbe probe;
+        std::vector<double> current;
+        for (int i = 0; i < 256; ++i)
+            current.push_back(rng.nextDouble() * (trial + 1));
+        if (trial % 2)
+            current[rng.nextBelow(current.size())] = 5e-324;
+        probe.recordWaveform("chip_current_a", "A",
+                             1e9 + rng.nextDouble() * 1e8, current);
+        probe.annotate("pdn_resonance_hz",
+                       5e7 * (1.0 + rng.nextDouble()));
+        const std::string spectrum = formatSpectrumCsv(probe);
+        const std::vector<std::string> lines = split(spectrum, '\n');
+        ASSERT_EQ(lines.size(), 96u + 4u);
+        ASSERT_TRUE(startsWith(lines[1], "# resonance_hz "));
+        EXPECT_EQ(lines[1].substr(15),
+                  printfExact(probe.annotationOr("pdn_resonance_hz", 0)));
+        for (std::size_t i = 3; i + 1 < lines.size(); ++i) {
+            const std::vector<std::string> fields = split(lines[i], ',');
+            ASSERT_EQ(fields.size(), 2u) << lines[i];
+            for (const std::string& f : fields)
+                EXPECT_EQ(f, printfExact(std::strtod(f.c_str(), nullptr)));
+        }
+    }
 }
 
 TEST(WaveformIo, WriteArtifactsSealsCsvAndSpectrum)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 
@@ -43,6 +46,12 @@ TEST(Strutil, SplitWhitespaceDropsEmptyFields)
     EXPECT_EQ(parts[0], "x2");
     EXPECT_EQ(parts[2], "x4");
     EXPECT_TRUE(splitWhitespace("   ").empty());
+
+    std::vector<std::string_view> views = {"stale"};
+    splitWhitespaceInto(" a\tbc \r", views);
+    EXPECT_EQ(views, (std::vector<std::string_view>{"a", "bc"}));
+    splitWhitespaceInto("", views);
+    EXPECT_TRUE(views.empty());
 }
 
 TEST(Strutil, JoinInterleavesSeparator)
@@ -117,6 +126,29 @@ TEST(Strutil, ParseDoubleAndBool)
     EXPECT_FALSE(parseBool("false", "t"));
     EXPECT_FALSE(parseBool("no", "t"));
     EXPECT_THROW(parseBool("maybe", "t"), FatalError);
+}
+
+TEST(Strutil, ParseDoubleMatchesStrtodBitForBit)
+{
+    // Plain decimals take std::from_chars, the rest strtod(); both must
+    // give strtod()'s double.
+    std::vector<std::string> texts = {
+        "0",     "-0",     ".5",       "5.",      "-.25",   "1e5",
+        "1E-5",  "1e400",  "-1e400",   "1e-400",  "4.9e-324",
+        "2.2250738585072011e-308",     "+1.5",    "0x1p-3", "inf",
+        "-nan",  "  7.25 ", "0.1000000000000000055511151231257827"};
+    Rng rng(5);
+    for (int i = 0; i < 3000; ++i) {
+        const double v = std::bit_cast<double>(rng.next());
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), i % 3 ? "%.17g" : "%.6e", v);
+        texts.push_back(buf);
+    }
+    for (const std::string& t : texts)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parseDouble(t, "t")),
+                  std::bit_cast<std::uint64_t>(
+                      std::strtod(t.c_str(), nullptr)))
+            << t;
 }
 
 TEST(Strutil, FormatFixedControlsPrecision)
