@@ -30,14 +30,17 @@ namespace arch {
  */
 constexpr std::size_t maxTraceCycles = 1u << 20;
 
-/** Activity observed in a single cycle. */
+/**
+ * Activity observed in a single cycle. The widest field comes first so
+ * that the byte fields pack behind it without padding.
+ */
 struct CycleStats
 {
-    /** Micro-ops issued this cycle, by instruction class. */
-    std::array<std::uint8_t, isa::numInstrClasses> issued{};
-
     /** Result-bit toggles (Hamming distance) of all ops issued. */
     std::uint32_t toggleBits = 0;
+
+    /** Micro-ops issued this cycle, by instruction class. */
+    std::array<std::uint8_t, isa::numInstrClasses> issued{};
 
     /** Scheduler-window occupancy at the start of the cycle. */
     std::uint8_t windowOccupancy = 0;
@@ -76,10 +79,13 @@ struct SimResult
     double ipc = 0.0;
 
     /**
-     * Per-cycle activity, warmup excluded. When the steady-state fast
-     * path found a period, this stores only the layout described by
-     * `tiling` ([prefix | period | tail]); `cycles` and the aggregate
-     * counters always describe the full virtual run.
+     * Per-cycle activity, warmup excluded, one row per measured cycle
+     * (clipped at maxTraceCycles), whether or not the steady-state
+     * fast path skipped the cycle. When the fast path found the data
+     * recurring along with the timing, every row repeats, and this
+     * stores only the layout described by `tiling`
+     * ([prefix | period | tail]); `cycles` and the aggregate counters
+     * always describe the full virtual run.
      */
     std::vector<CycleStats> trace;
 
@@ -87,9 +93,12 @@ struct SimResult
     util::TraceTiling tiling;
 
     /**
-     * Measured cycles the simulator accounted for one by one, whether
-     * it stepped them or skipped them as idle. Equal to `cycles` when
-     * no period was found; much smaller on a steady hit.
+     * Measured cycles the timing simulator accounted for one by one,
+     * whether it stepped them or skipped them as idle. Equal to
+     * `cycles` when no period was found; on a steady hit, smaller by
+     * the skipped periods, whose counters were tiled from the verified
+     * period and whose toggles came from it too or, when the data did
+     * not recur, from a functional-only pass.
      */
     std::uint64_t simulatedCycles = 0;
 

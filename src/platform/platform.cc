@@ -187,8 +187,8 @@ Platform::evaluateInto(const std::vector<isa::InstructionInstance>& code,
         // the tiled kernel produces just the scalars, reading the
         // (possibly tiled) current trace through the tiling map. With
         // a probe the trace was materialized above and the classic
-        // path records the waveform; both step the same virtual cycles
-        // in the same order, so the results are bit-identical.
+        // path records the waveform; both step the same cycles in the
+        // same order, so the results are bit-identical.
         const pdn::VoltageTrace volts =
             probe ? _pdn->simulate(scratch.amps, _cpu.freqGHz, 256,
                                    probe)

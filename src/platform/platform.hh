@@ -165,8 +165,9 @@ class Platform
      * a worker evaluating many individuals allocates nothing after
      * warm-up. scratch.steadyState selects the periodic-trace fast
      * path (default on); either way @p out is bit-identical to
-     * evaluate()'s result, except that out.sim.trace may store the
-     * tiled layout described by out.sim.tiling when no probe is
+     * evaluate()'s result, except for out.sim.simulatedCycles and
+     * out.sim.skippedCycles, and except that out.sim.trace may store
+     * the tiled layout described by out.sim.tiling when no probe is
      * attached. With a probe the trace is materialized first, so
      * capture sees exactly the full-simulation rows.
      */
