@@ -194,12 +194,7 @@ class RunState
             result.trace = std::move(trace);
         }
         result.iterations = iterations;
-        const std::uint64_t reserve_rows =
-            options.traceReserveCycles > 0
-                ? std::min<std::uint64_t>(options.traceReserveCycles,
-                                          maxTraceCycles)
-                : 4096;
-        result.trace.reserve(static_cast<std::size_t>(reserve_rows));
+        result.trace.reserve(4096);
 
         std::uint64_t fetch_seq = 0;
         // fetch_seq's position in the body and its iteration, kept by
@@ -1365,17 +1360,16 @@ LoopSimulator::runForCyclesInto(const std::vector<MicroOp>& body,
                                 max_instructions / (body.size() + 1));
     need = std::min(need, iter_cap);
 
-    RunOptions main_options = options;
-    if (main_options.traceReserveCycles == 0) {
-        // Reserve the actual cycle horizon (plus one iteration of
-        // slack for the measurement-boundary overshoot) so long
-        // fallback runs never reallocate mid-trace.
-        main_options.traceReserveCycles =
-            min_cycles + static_cast<std::uint64_t>(cycles_per_iter) +
-            64;
-    }
+    // Reserve the actual cycle horizon (plus one iteration of slack for
+    // the measurement-boundary overshoot) so long fallback runs never
+    // reallocate mid-trace. The probe's rows are cleared first, so the
+    // reserve copies none of them.
+    out.trace.clear();
+    out.trace.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        min_cycles + static_cast<std::uint64_t>(cycles_per_iter) + 64,
+        maxTraceCycles)));
     RunState state(_cfg, _init, scratch);
-    state.run(body, need, warmup, main_options, out);
+    state.run(body, need, warmup, options, out);
 }
 
 void

@@ -125,13 +125,6 @@ struct RunOptions
      * simulated in full.
      */
     bool steadyState = true;
-
-    /**
-     * Trace rows to reserve up front (0 = a small default). Callers
-     * that know the cycle horizon pass it here to avoid reallocation
-     * churn on long runs.
-     */
-    std::uint64_t traceReserveCycles = 0;
 };
 
 /**

@@ -6,6 +6,7 @@
 #include "core/population.hh"
 #include "stats/stats.hh"
 #include "util/logging.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace attribution {
@@ -168,20 +169,8 @@ CoverageLedger::onGenerationEvaluated(const core::Population& pop,
     coverageStats().novelCells.inc(fresh);
     coverageStats().touches.inc(touched);
 
-    if (_csv) {
-        char row[256];
-        std::snprintf(row, sizeof(row),
-                      "%d,%llu,%llu,%llu,%.6f,%.6f",
-                      snap.generation,
-                      static_cast<unsigned long long>(snap.newCells),
-                      static_cast<unsigned long long>(snap.cellsSeen),
-                      static_cast<unsigned long long>(snap.cellsTotal),
-                      snap.saturationPct, snap.noveltyRate);
-        std::string line = row;
-        for (int c = 0; c < isa::numInstrClasses; ++c)
-            line += "," + std::to_string(snap.classes[c].seen);
-        _csv->append(line + "\n");
-    }
+    if (_csv)
+        _csv->append(join(coverageCells(snap), ",") + "\n");
     return snap;
 }
 
@@ -214,6 +203,18 @@ std::string
 CoverageLedger::coverageJson() const
 {
     return formatCoverageJson(snapshot());
+}
+
+std::vector<std::string>
+coverageCells(const CoverageLedger::Snapshot& snap)
+{
+    std::vector<std::string> cells = {
+        std::to_string(snap.generation), std::to_string(snap.newCells),
+        std::to_string(snap.cellsSeen), std::to_string(snap.cellsTotal),
+        formatFixed(snap.saturationPct, 6), formatFixed(snap.noveltyRate, 6)};
+    for (int c = 0; c < isa::numInstrClasses; ++c)
+        cells.push_back(std::to_string(snap.classes[c].seen));
+    return cells;
 }
 
 std::string

@@ -142,6 +142,14 @@ class CoverageLedger
     std::optional<ledger::Writer> _csv;
 };
 
+/**
+ * The cells of @p snapshot's coverage.csv row, one per ledger::coverage
+ * column. The telemetry history row's coverage_* values are these
+ * cells too.
+ */
+std::vector<std::string> coverageCells(
+    const CoverageLedger::Snapshot& snapshot);
+
 /** Render @p snapshot as the /coverage JSON payload. */
 std::string formatCoverageJson(const CoverageLedger::Snapshot& snapshot);
 

@@ -345,15 +345,8 @@ Engine::evaluatePopulation()
     if (!_bestEver || best.fitness > _bestEver->fitness)
         _bestEver = best;
 
-    GenerationRecord generationRecord;
-    generationRecord.generation = _population.generation;
-    generationRecord.bestFitness = best.fitness;
-    generationRecord.averageFitness = _population.averageFitness();
-    generationRecord.bestId = best.id;
-    generationRecord.bestUniqueInstructions =
-        uniqueInstructionCount(best);
-    generationRecord.bestBreakdown = classBreakdown(_lib, best);
-    generationRecord.diversity = _population.genotypeDiversity();
+    GenerationRecord generationRecord =
+        summarizeGeneration(_lib, _population);
     generationRecord.cacheHits = hits;
     generationRecord.cacheMisses = toMeasure.size();
     if (record) {

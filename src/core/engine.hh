@@ -37,41 +37,6 @@ class Counter;
 
 namespace core {
 
-/** Per-generation summary appended to the engine's history. */
-struct GenerationRecord
-{
-    int generation = 0;
-    double bestFitness = 0.0;
-    double averageFitness = 0.0;
-    std::uint64_t bestId = 0;
-    std::size_t bestUniqueInstructions = 0;
-    std::array<int, isa::numInstrClasses> bestBreakdown{};
-
-    /** Population genotype diversity (Population::genotypeDiversity). */
-    double diversity = 0.0;
-
-    /**
-     * Evaluations satisfied without running the measurement this
-     * generation: fitness-cache hits plus in-generation duplicate
-     * genomes folded onto one measurement.
-     */
-    std::uint64_t cacheHits = 0;
-
-    /** Measurements actually performed this generation. */
-    std::uint64_t cacheMisses = 0;
-
-    /**
-     * Per-phase wall-clock milliseconds for this generation. All zero
-     * unless stats recording (stats::setEnabled) or a trace writer is
-     * active when the generation runs — timing the phases costs clock
-     * reads the untimed hot path must not pay.
-     */
-    double selectionMs = 0.0;   ///< parent selection inside breed()
-    double crossoverMs = 0.0;   ///< crossover inside breed()
-    double mutationMs = 0.0;    ///< mutation inside breed()
-    double evaluationMs = 0.0;  ///< cache resolution + measurements
-};
-
 /**
  * Drives one GA search. The engine owns the population and the RNG; the
  * caller owns the library, measurement and fitness objects, which must

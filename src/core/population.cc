@@ -80,6 +80,26 @@ Population::averageFitness() const
     return count > 0 ? sum / count : 0.0;
 }
 
+GenerationRecord
+summarizeGeneration(const isa::InstructionLibrary& lib,
+                    const Population& pop)
+{
+    GenerationRecord record;
+    record.generation = pop.generation;
+    record.averageFitness = pop.averageFitness();
+    record.diversity = pop.genotypeDiversity();
+    const int best = pop.bestIndex();
+    if (best >= 0) {
+        const Individual& ind =
+            pop.individuals[static_cast<std::size_t>(best)];
+        record.bestFitness = ind.fitness;
+        record.bestId = ind.id;
+        record.bestUniqueInstructions = uniqueInstructionCount(ind);
+        record.bestBreakdown = classBreakdown(lib, ind);
+    }
+    return record;
+}
+
 void
 appendIndividualRecords(const isa::InstructionLibrary& lib,
                         const Individual& ind, std::string& out)

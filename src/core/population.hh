@@ -44,6 +44,55 @@ struct Population
 };
 
 /**
+ * One generation's facts: the engine's history entry, a history.csv
+ * row read back (output::loadHistory) and a checkpoint summarized
+ * (output::summarizePopulations) are all this record.
+ */
+struct GenerationRecord
+{
+    int generation = 0;
+    double bestFitness = 0.0;
+    double averageFitness = 0.0;
+    std::uint64_t bestId = 0;
+    std::size_t bestUniqueInstructions = 0;
+    std::array<int, isa::numInstrClasses> bestBreakdown{};
+
+    /** Population genotype diversity (Population::genotypeDiversity). */
+    double diversity = 0.0;
+
+    /**
+     * Evaluations satisfied without running the measurement this
+     * generation: fitness-cache hits plus in-generation duplicate
+     * genomes folded onto one measurement.
+     */
+    std::uint64_t cacheHits = 0;
+
+    /** Measurements actually performed this generation. */
+    std::uint64_t cacheMisses = 0;
+
+    /**
+     * Per-phase wall-clock milliseconds for this generation. All zero
+     * unless stats recording (stats::setEnabled) or a trace writer is
+     * active when the generation runs — timing the phases costs clock
+     * reads the untimed hot path must not pay.
+     */
+    double selectionMs = 0.0;   ///< parent selection inside breed()
+    double crossoverMs = 0.0;   ///< crossover inside breed()
+    double mutationMs = 0.0;    ///< mutation inside breed()
+    double evaluationMs = 0.0;  ///< cache resolution + measurements
+};
+
+/**
+ * The record's population-derived fields of @p pop: generation, best
+ * fitness and id, average fitness, the best individual's unique
+ * instructions and class breakdown, and diversity. The best fields stay
+ * 0 when no individual is evaluated; the counters and timings are the
+ * engine's to fill.
+ */
+GenerationRecord summarizeGeneration(const isa::InstructionLibrary& lib,
+                                     const Population& pop);
+
+/**
  * A population rendered in the file format, with the span of its
  * individual records: the text between the `generation` line and the
  * closing `end`. The run pipeline renders each generation once; the

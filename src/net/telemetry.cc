@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "core/individual.hh"
+#include "output/ledger.hh"
 #include "run/pipeline.hh"
 #include "stats/stats.hh"
 #include "util/strutil.hh"
@@ -51,6 +52,24 @@ helpEscape(const std::string& s)
             out.push_back(c);
     }
     return out;
+}
+
+/**
+ * Append `"key": cell` to the JSON object @p row ("{" so far, or with
+ * members): the cell's text as a bare number when it ends in a digit,
+ * as a string otherwise (inf, nan).
+ */
+void
+appendMember(std::string& row, const std::string& key,
+             const std::string& cell)
+{
+    row += row.size() == 1 ? "\"" : ", \"";
+    row += key;
+    row += "\": ";
+    if (!cell.empty() && cell.back() >= '0' && cell.back() <= '9')
+        row += cell;
+    else
+        row += "\"" + jsonEscape(cell) + "\"";
 }
 
 void
@@ -166,10 +185,10 @@ TelemetryService::TelemetryService(const isa::InstructionLibrary& lib,
 }
 
 void
-TelemetryService::onGenerationEvaluated(const core::Population& pop,
-                                        const core::GenerationRecord& rec,
-                                        const run::GenerationFacts& facts,
-                                        std::string status_json)
+TelemetryService::onGenerationEvaluated(
+    const core::Population& pop, const core::GenerationRecord& rec,
+    const std::vector<std::string>& history_cells,
+    const run::GenerationFacts& facts, std::string status_json)
 {
     // Alert frames carry no `id:` line — see the publish() contract:
     // they must not advance a client's Last-Event-ID, and keyless
@@ -183,36 +202,20 @@ TelemetryService::onGenerationEvaluated(const core::Population& pop,
         _events.publish("event: alert\ndata: " + row + "\n\n");
     }
 
-    // History row: same quantities as a history.csv line, as JSON.
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"generation\": %d, \"best_fitness\": %.17g, "
-        "\"average_fitness\": %.17g, \"best_id\": %llu, "
-        "\"diversity\": %.6f, \"cache_hits\": %llu, "
-        "\"cache_misses\": %llu, \"evaluation_ms\": %.3f",
-        rec.generation, rec.bestFitness, rec.averageFitness,
-        static_cast<unsigned long long>(rec.bestId), rec.diversity,
-        static_cast<unsigned long long>(rec.cacheHits),
-        static_cast<unsigned long long>(rec.cacheMisses),
-        rec.evaluationMs);
-    std::string row = buf;
-    // A coverage tick extends the row; without the ledger the schema is
-    // unchanged.
+    std::string row = "{";
+    for (std::size_t i = 0; i < history_cells.size(); ++i)
+        appendMember(row, ledger::history.columns[i], history_cells[i]);
     if (facts.coverage) {
-        const attribution::CoverageLedger::Snapshot& tick = *facts.coverage;
-        std::snprintf(
-            buf, sizeof(buf),
-            ", \"coverage_cells_seen\": %llu, "
-            "\"coverage_cells_total\": %llu, "
-            "\"coverage_cells_new\": %llu, "
-            "\"coverage_saturation_pct\": %.6f, "
-            "\"coverage_novelty_rate\": %.6f",
-            static_cast<unsigned long long>(tick.cellsSeen),
-            static_cast<unsigned long long>(tick.cellsTotal),
-            static_cast<unsigned long long>(tick.newCells),
-            tick.saturationPct, tick.noveltyRate);
-        row += buf;
+        const std::vector<std::string> cells =
+            attribution::coverageCells(*facts.coverage);
+        const std::vector<std::string>& columns = ledger::coverage.columns;
+        for (const char* column : {"cells_seen", "cells_total", "cells_new",
+                                   "saturation_pct", "novelty_rate"}) {
+            const std::size_t at = static_cast<std::size_t>(
+                std::find(columns.begin(), columns.end(), column) -
+                columns.begin());
+            appendMember(row, std::string("coverage_") + column, cells[at]);
+        }
     }
     row += "}";
 

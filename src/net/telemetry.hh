@@ -135,15 +135,23 @@ class TelemetryService
      * Ingest one sealed generation, in this order: publish the alerts
      * @p facts says were raised (keyless `event: alert` SSE frames, so
      * they precede the generation's frame and a resumed stream
-     * redelivers them), take its coverage tick as the /coverage payload
-     * and as extra fields of the history row, append the history row,
-     * refresh the champion on strict improvement, replace /status with
-     * @p status_json, and publish the `event: generation` frame.
+     * redelivers them), take its coverage tick as the /coverage payload,
+     * append the history row, refresh the champion on strict
+     * improvement, replace /status with @p status_json, and publish the
+     * `event: generation` frame.
+     *
+     * The history row, served by /history and as the frame's data, is
+     * a JSON object keyed by the ledger::history columns whose values
+     * are @p history_cells verbatim (output::historyCells), so each
+     * value reads exactly as its history.csv cell; a cell that is not
+     * a number (inf, nan) is a JSON string. A coverage tick adds
+     * coverage_cells_seen, _cells_total, _cells_new, _saturation_pct
+     * and _novelty_rate, the coverage.csv cells of those columns.
      */
-    void onGenerationEvaluated(const core::Population& pop,
-                               const core::GenerationRecord& record,
-                               const run::GenerationFacts& facts,
-                               std::string status_json);
+    void onGenerationEvaluated(
+        const core::Population& pop, const core::GenerationRecord& record,
+        const std::vector<std::string>& history_cells,
+        const run::GenerationFacts& facts, std::string status_json);
 
     /** The `/coverage` payload: the latest coverage-ledger tick. */
     std::string coverageJson() const;

@@ -187,11 +187,17 @@ Decoder::integer(const std::string& column) const
     const int at = position(column);
     if (at < 0)
         return 0;
+    // Up to 18 plain decimal digits cannot overflow; anything else,
+    // a sign, a leading 0x or a longer number included, is parseInt()'s.
     const std::string& cell = _cells[static_cast<std::size_t>(at)];
-    char* end = nullptr;
-    const std::int64_t v = std::strtoll(cell.c_str(), &end, 0);
-    if (end != cell.c_str() && *end == '\0')
+    if (!cell.empty() && cell.size() <= 18 &&
+        std::all_of(cell.begin(), cell.end(),
+                    [](char c) { return c >= '0' && c <= '9'; })) {
+        std::int64_t v = 0;
+        for (const char c : cell)
+            v = v * 10 + (c - '0');
         return v;
+    }
     return parseInt(cell, column + " (" + where() + ")");
 }
 

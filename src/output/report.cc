@@ -61,10 +61,13 @@ loadHistory(const std::string& run_dir, RunHistory& out)
 
     const ledger::Decoder decoder = ledger::decode(
         ledger::history, path, text, [&](const ledger::Decoder& in) {
-            HistoryRow row;
+            core::GenerationRecord row;
             row.generation = static_cast<int>(in.number("generation"));
             row.bestFitness = in.number("best_fitness");
             row.averageFitness = in.number("average_fitness");
+            row.bestId = static_cast<std::uint64_t>(in.integer("best_id"));
+            row.bestUniqueInstructions = static_cast<std::size_t>(
+                in.integer("unique_instructions"));
             row.diversity = in.number("diversity");
             row.cacheHits =
                 static_cast<std::uint64_t>(in.number("cache_hits"));
@@ -74,7 +77,7 @@ loadHistory(const std::string& run_dir, RunHistory& out)
             row.crossoverMs = in.number("crossover_ms");
             row.mutationMs = in.number("mutation_ms");
             row.evaluationMs = in.number("evaluation_ms");
-            row.ioMs = in.number("io_ms");
+            out.ioMs += in.number("io_ms");
             out.rows.push_back(row);
         });
     if (!decoder.hasHeader())
@@ -87,7 +90,7 @@ loadHistory(const std::string& run_dir, RunHistory& out)
     out.firstBest = out.rows.front().bestFitness;
     out.finalAverage = out.rows.back().averageFitness;
     out.finalDiversity = out.rows.back().diversity;
-    for (const HistoryRow& row : out.rows) {
+    for (const core::GenerationRecord& row : out.rows) {
         if (row.bestFitness > out.bestFitness ||
             &row == &out.rows.front()) {
             out.bestFitness = row.bestFitness;
@@ -99,7 +102,6 @@ loadHistory(const std::string& run_dir, RunHistory& out)
         out.crossoverMs += row.crossoverMs;
         out.mutationMs += row.mutationMs;
         out.evaluationMs += row.evaluationMs;
-        out.ioMs += row.ioMs;
     }
     return HistoryFound::Rows;
 }

@@ -31,25 +31,10 @@
 
 #include "analysis/analytics.hh"
 #include "analysis/lineage.hh"
+#include "core/population.hh"
 
 namespace gest {
 namespace output {
-
-/** One parsed history.csv row (absent columns stay 0). */
-struct HistoryRow
-{
-    int generation = 0;
-    double bestFitness = 0.0;
-    double averageFitness = 0.0;
-    double diversity = 0.0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    double selectionMs = 0.0;
-    double crossoverMs = 0.0;
-    double mutationMs = 0.0;
-    double evaluationMs = 0.0;
-    double ioMs = 0.0;
-};
 
 /**
  * history.csv's rows and their run totals: what `gest report`,
@@ -63,7 +48,11 @@ struct RunHistory
     /** True when the file carries the v2 per-phase timing columns. */
     bool hasTimings = false;
 
-    std::vector<HistoryRow> rows;
+    /**
+     * One record per row; a column the file predates reads as 0, and
+     * bestBreakdown, which history.csv does not carry, stays 0.
+     */
+    std::vector<core::GenerationRecord> rows;
 
     // Fitness trajectory.
     double firstBest = 0.0;
@@ -81,7 +70,7 @@ struct RunHistory
     double crossoverMs = 0.0;
     double mutationMs = 0.0;
     double evaluationMs = 0.0;
-    double ioMs = 0.0;
+    double ioMs = 0.0;  ///< io_ms, read as this sum only
 
     /** Cache hit rate in [0, 1]. */
     double cacheHitRate() const;

@@ -4,9 +4,24 @@
 
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace output {
+
+std::vector<std::string>
+historyCells(const core::GenerationRecord& record, double io_ms)
+{
+    std::ostringstream out;
+    out << record.generation << ',' << record.bestFitness << ','
+        << record.averageFitness << ',' << record.bestId << ','
+        << record.bestUniqueInstructions << ',' << record.diversity
+        << ',' << record.cacheHits << ',' << record.cacheMisses << ','
+        << record.selectionMs << ',' << record.crossoverMs << ','
+        << record.mutationMs << ',' << record.evaluationMs << ','
+        << io_ms;
+    return split(out.str(), ',');
+}
 
 RunWriter::RunWriter(std::string root)
     : _root(std::move(root)),
@@ -18,26 +33,24 @@ RunWriter::RunWriter(std::string root)
     ensureDir(_root);
 }
 
-void
+double
 RunWriter::writePopulation(const core::PopulationText& text, int generation)
 {
+    const bool record_io = stats::enabled();
+    const double start = record_io ? stats::nowUs() : 0.0;
     writeFile(_root + "/population_" + std::to_string(generation) + ".pop",
               text.text);
+    if (!record_io)
+        return 0.0;
+    const double elapsed = stats::nowUs() - start;
+    _ioUs.sample(elapsed);
+    return elapsed / 1000.0;
 }
 
 void
-RunWriter::appendHistory(const core::GenerationRecord& record,
-                         double io_ms)
+RunWriter::appendHistory(const std::vector<std::string>& cells)
 {
-    std::ostringstream out;
-    out << record.generation << ',' << record.bestFitness << ','
-        << record.averageFitness << ',' << record.bestId << ','
-        << record.bestUniqueInstructions << ',' << record.diversity
-        << ',' << record.cacheHits << ',' << record.cacheMisses << ','
-        << record.selectionMs << ',' << record.crossoverMs << ','
-        << record.mutationMs << ',' << record.evaluationMs << ','
-        << io_ms << '\n';
-    _history.append(out.str());
+    _history.append(join(cells, ",") + "\n");
 }
 
 void
@@ -48,22 +61,6 @@ RunWriter::writeRunMetadata(const std::string& config_text,
         writeFile(_root + "/run_configuration.xml", config_text);
     if (!template_text.empty())
         writeFile(_root + "/run_template.txt", template_text);
-}
-
-void
-RunWriter::onGenerationEvaluated(const core::PopulationText& text,
-                                 const core::GenerationRecord& record)
-{
-    const bool record_io = stats::enabled();
-    const double start = record_io ? stats::nowUs() : 0.0;
-    writePopulation(text, record.generation);
-    double io_ms = 0.0;
-    if (record_io) {
-        const double elapsed = stats::nowUs() - start;
-        _ioUs.sample(elapsed);
-        io_ms = elapsed / 1000.0;
-    }
-    appendHistory(record, io_ms);
 }
 
 } // namespace output

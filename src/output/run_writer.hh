@@ -21,8 +21,8 @@
 #define GEST_OUTPUT_RUN_WRITER_HH
 
 #include <string>
+#include <vector>
 
-#include "core/engine.hh"
 #include "core/population.hh"
 #include "output/ledger.hh"
 
@@ -33,6 +33,17 @@ class Histogram;
 } // namespace stats
 
 namespace output {
+
+/**
+ * The cells of @p record's history.csv row, one per ledger::history
+ * column: fitness, diversity, the fitness-cache hit/miss counters and
+ * the per-phase milliseconds, then @p io_ms, the time spent writing
+ * the generation's checkpoint. Numbers print as an ostream prints
+ * them (6 significant digits). The row's only rendering: the run
+ * writer appends these cells and the telemetry service serves them.
+ */
+std::vector<std::string> historyCells(const core::GenerationRecord& record,
+                                      double io_ms);
 
 /**
  * Writes one GA run's artifacts under a root directory.
@@ -46,32 +57,21 @@ class RunWriter
     /**
      * Write the checkpoint of generation @p generation,
      * population_<generation>.pop: the population rendered as @p text.
+     * @return the write's milliseconds when stats are enabled
+     *         (stats::enabled(); also sampled into output.io_us), else 0.
      */
-    void writePopulation(const core::PopulationText& text, int generation);
+    double writePopulation(const core::PopulationText& text,
+                           int generation);
 
     /**
-     * Append one generation record to `history.csv` (the ledger's head
-     * written on the first call): fitness, diversity, the
-     * fitness-cache hit/miss counters and the per-phase milliseconds
-     * of that generation. @p io_ms is the time this writer spent
-     * writing the generation's checkpoint (onGenerationEvaluated()
-     * fills it in when stats are enabled and passes 0 otherwise;
-     * direct callers may pass 0).
+     * Append one generation's row to `history.csv` (the ledger's head
+     * written on the first call): @p cells, from historyCells().
      */
-    void appendHistory(const core::GenerationRecord& record,
-                       double io_ms = 0.0);
+    void appendHistory(const std::vector<std::string>& cells);
 
     /** Copy configuration/template text into the run directory. */
     void writeRunMetadata(const std::string& config_text,
                           const std::string& template_text);
-
-    /**
-     * Record one evaluated generation: write its checkpoint, the
-     * population already rendered as @p text, and its history.csv row
-     * with the time spent writing that file.
-     */
-    void onGenerationEvaluated(const core::PopulationText& text,
-                               const core::GenerationRecord& record);
 
   private:
     std::string _root;

@@ -15,27 +15,6 @@ namespace output {
 
 namespace {
 
-GenerationSummary
-summarizeOne(const isa::InstructionLibrary& lib,
-             const core::Population& pop)
-{
-    GenerationSummary summary;
-    summary.generation = pop.generation;
-    summary.averageFitness = pop.averageFitness();
-    summary.diversity = pop.genotypeDiversity();
-    const int best = pop.bestIndex();
-    if (best >= 0) {
-        const core::Individual& ind =
-            pop.individuals[static_cast<std::size_t>(best)];
-        summary.bestFitness = ind.fitness;
-        summary.bestId = ind.id;
-        summary.bestUniqueInstructions =
-            core::uniqueInstructionCount(ind);
-        summary.bestBreakdown = core::classBreakdown(lib, ind);
-    }
-    return summary;
-}
-
 std::vector<core::Population>
 loadRun(const isa::InstructionLibrary& lib, const std::string& run_dir)
 {
@@ -67,20 +46,20 @@ individualFileName(int generation, const core::Individual& ind)
 
 } // namespace
 
-std::vector<GenerationSummary>
+std::vector<core::GenerationRecord>
 summarizeRun(const isa::InstructionLibrary& lib, const std::string& run_dir)
 {
     return summarizePopulations(lib, loadRun(lib, run_dir));
 }
 
-std::vector<GenerationSummary>
+std::vector<core::GenerationRecord>
 summarizePopulations(const isa::InstructionLibrary& lib,
                      const std::vector<core::Population>& pops)
 {
-    std::vector<GenerationSummary> out;
+    std::vector<core::GenerationRecord> out;
     out.reserve(pops.size());
     for (const core::Population& pop : pops)
-        out.push_back(summarizeOne(lib, pop));
+        out.push_back(core::summarizeGeneration(lib, pop));
     return out;
 }
 
@@ -142,12 +121,12 @@ exportIndividuals(const isa::InstructionLibrary& lib,
 }
 
 std::string
-formatSummaryTable(const std::vector<GenerationSummary>& summaries)
+formatSummaryTable(const std::vector<core::GenerationRecord>& summaries)
 {
     std::ostringstream os;
     os << "gen    best_fitness    avg_fitness  diversity  uniq  "
           "ShortInt LongInt Float/SIMD Mem Branch Nop\n";
-    for (const GenerationSummary& s : summaries) {
+    for (const core::GenerationRecord& s : summaries) {
         char line[160];
         std::snprintf(line, sizeof(line),
                       "%3d  %14.4f %14.4f  %9.3f  %4zu  %8d %7d %10d "

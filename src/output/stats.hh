@@ -12,7 +12,6 @@
 #ifndef GEST_OUTPUT_STATS_HH
 #define GEST_OUTPUT_STATS_HH
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -21,27 +20,18 @@
 namespace gest {
 namespace output {
 
-/** One generation's extracted statistics. */
-struct GenerationSummary
-{
-    int generation = 0;
-    double bestFitness = 0.0;
-    double averageFitness = 0.0;
-    std::uint64_t bestId = 0;
-    std::size_t bestUniqueInstructions = 0;
-    std::array<int, isa::numInstrClasses> bestBreakdown{};
-    double diversity = 0.0;
-};
-
 /**
  * Load every `population_<n>.pop` file in @p run_dir and summarize it,
  * ordered by generation. fatal() if the directory holds none.
  */
-std::vector<GenerationSummary> summarizeRun(
+std::vector<core::GenerationRecord> summarizeRun(
     const isa::InstructionLibrary& lib, const std::string& run_dir);
 
-/** Summarize populations already in memory. */
-std::vector<GenerationSummary> summarizePopulations(
+/**
+ * Summarize populations already in memory: each record's
+ * population-derived fields (core::summarizeGeneration).
+ */
+std::vector<core::GenerationRecord> summarizePopulations(
     const isa::InstructionLibrary& lib,
     const std::vector<core::Population>& pops);
 
@@ -70,7 +60,7 @@ std::size_t exportIndividuals(const isa::InstructionLibrary& lib,
 
 /** Render summaries as an aligned text table. */
 std::string formatSummaryTable(
-    const std::vector<GenerationSummary>& summaries);
+    const std::vector<core::GenerationRecord>& summaries);
 
 } // namespace output
 } // namespace gest

@@ -300,7 +300,7 @@ loadTopSnapshot(const std::string& run_dir, TopSnapshot& out)
         out.bestFitness = history.bestFitness;
         out.averageFitness = history.finalAverage;
         out.diversity = history.finalDiversity;
-        for (const HistoryRow& row : history.rows)
+        for (const core::GenerationRecord& row : history.rows)
             out.bestTrajectory.push_back(row.bestFitness);
         out.evaluations = history.totalMeasured;
         out.cacheHitRate = history.cacheHitRate();

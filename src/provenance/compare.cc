@@ -54,7 +54,7 @@ championLines(const std::string& run_dir, std::vector<std::string>& out,
 
 /** Deterministic history columns of one row, comparable exactly. */
 bool
-rowsEqual(const output::HistoryRow& a, const output::HistoryRow& b)
+rowsEqual(const core::GenerationRecord& a, const core::GenerationRecord& b)
 {
     return a.generation == b.generation &&
            a.bestFitness == b.bestFitness &&
@@ -239,9 +239,9 @@ compareRuns(const std::string& baseline_dir,
     // itself. Per-generation evaluation times feed the permutation
     // test; the other metrics are run-level scalars.
     std::vector<double> base_eval_ms, cand_eval_ms;
-    for (const output::HistoryRow& row : base.rows)
+    for (const core::GenerationRecord& row : base.rows)
         base_eval_ms.push_back(row.evaluationMs);
-    for (const output::HistoryRow& row : cand.rows)
+    for (const core::GenerationRecord& row : cand.rows)
         cand_eval_ms.push_back(row.evaluationMs);
     const bool timed = base.evaluationMs > 0.0 && cand.evaluationMs > 0.0;
 

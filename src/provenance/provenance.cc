@@ -54,36 +54,13 @@ ProvenanceRecorder::ProvenanceRecorder(std::string run_dir)
 {}
 
 std::string
-ProvenanceRecorder::seal(const SealInfo& info, const ForEach& for_each,
+ProvenanceRecorder::seal(Manifest m, const ForEach& for_each,
                          output::TraceWriter* trace)
 {
     if (_sealed)
         panic("ProvenanceRecorder::seal called twice for ", _runDir);
     _sealed = true;
 
-    Manifest m;
-    m.configHash = canonicalConfigHash(info.configText);
-    m.configBaseDir = info.configBaseDir;
-    m.measurementClass = info.measurementClass;
-    m.fitnessClass = info.fitnessClass;
-    m.hasSeed = true;
-    m.seed = info.ga.seed;
-    m.populationSize = info.ga.populationSize;
-    m.individualSize = info.ga.individualSize;
-    m.generations = info.ga.generations;
-    m.threads = info.ga.threads;
-    m.fitnessCacheSize = info.ga.fitnessCacheSize;
-    m.elitism = info.ga.elitism;
-    m.steadyStateOverride = info.steadyStateOverride;
-    m.waveformTopK = info.waveformTopK;
-    m.recordStats = info.recordStats;
-    m.recordAnalytics = info.recordAnalytics;
-    m.recordCoverage = info.recordCoverage;
-    m.recordAttribution = info.recordAttribution;
-    m.generationsCompleted = info.generationsCompleted;
-    m.evaluations = info.evaluations;
-    m.bestFitness = info.bestFitness;
-    m.bestId = info.bestId;
     m.digestsSealed = _ledger.rowsSealed();
     m.digestMsTotal = _ledger.digestUsTotal() / 1000.0;
     fillBuildInfo(m);

@@ -25,11 +25,9 @@
 #define GEST_PROVENANCE_PROVENANCE_HH
 
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "core/engine.hh"
-#include "core/ga_params.hh"
 #include "provenance/digest.hh"
 #include "provenance/manifest.hh"
 
@@ -49,28 +47,6 @@ namespace provenance {
 using ForEach = std::function<void(
     std::size_t count, const std::function<void(std::size_t)>& body)>;
 
-/** Everything seal() records that only the run driver knows. */
-struct SealInfo
-{
-    std::string configText;     ///< the run's raw main configuration
-    std::string configBaseDir;  ///< its relative-path anchor
-    std::string measurementClass;
-    std::string fitnessClass;
-    core::GaParams ga;
-    std::optional<bool> steadyStateOverride;
-    int waveformTopK = 0;
-    bool recordStats = true;
-    bool recordAnalytics = true;
-    bool recordCoverage = false;
-    bool recordAttribution = false;
-
-    // Run outcome.
-    int generationsCompleted = 0;
-    std::uint64_t evaluations = 0;
-    double bestFitness = 0.0;
-    std::uint64_t bestId = 0;
-};
-
 class ProvenanceRecorder
 {
   public:
@@ -87,15 +63,18 @@ class ProvenanceRecorder
     std::uint64_t digestsSealed() const { return _ledger.rowsSealed(); }
 
     /**
-     * Checksum every artifact under the run directory and write
-     * manifest.json, each artifact's kind inferred from its name
-     * (inferArtifactKind). The files are hashed through @p for_each;
-     * the table is sorted by path whatever the order. The walk and
-     * the hash are spans on @p trace (null: untraced). Call once,
-     * after all other artifacts are final.
+     * Complete @p manifest and write it as manifest.json. The run
+     * driver fills what only it knows: the configuration, GA and
+     * recording settings and the run outcome. The seal adds the digest
+     * totals, the build and platform fingerprint and a checksum of
+     * every artifact under the run directory, each artifact's kind
+     * inferred from its name (inferArtifactKind). The files are
+     * hashed through @p for_each; the table is sorted by path whatever
+     * the order. The walk and the hash are spans on @p trace (null:
+     * untraced). Call once, after all other artifacts are final.
      * @return the manifest's path.
      */
-    std::string seal(const SealInfo& info, const ForEach& for_each,
+    std::string seal(Manifest manifest, const ForEach& for_each,
                      output::TraceWriter* trace);
 
   private:

@@ -155,7 +155,7 @@ collectSamples(const std::string& run_dir)
     try {
         const output::RunHistory history =
             output::analyzeHistory(run_dir);
-        for (const output::HistoryRow& row : history.rows) {
+        for (const core::GenerationRecord& row : history.rows) {
             out.best.push_back(row.bestFitness);
             if (row.evaluationMs > 0.0 && row.cacheMisses > 0)
                 out.rates.push_back(
@@ -236,9 +236,10 @@ formatRegistryJson(const std::string& workspace,
         const RunEntry& e = entries[i];
         out += i == 0 ? "\n    {" : ",\n    {";
         out += "\n      \"run\": \"" + jsonEscape(e.name) + "\",";
-        out += "\n      \"status\": \"" + e.status + "\",";
-        out += "\n      \"state\": \"" + e.state + "\",";
-        out += "\n      \"config_hash\": \"" + e.configHash + "\",";
+        out += "\n      \"status\": \"" + jsonEscape(e.status) + "\",";
+        out += "\n      \"state\": \"" + jsonEscape(e.state) + "\",";
+        out += "\n      \"config_hash\": \"" + jsonEscape(e.configHash) +
+               "\",";
         // Seed as a JSON string, the manifest's convention (a uint64
         // does not fit a double losslessly); null when unknown.
         out += "\n      \"seed\": ";
@@ -470,22 +471,21 @@ formatBaselineJson(const std::vector<BaselineComparison>& rows)
     std::string out = "[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const BaselineComparison& cmp = rows[i];
-        char buf[512];
-        std::snprintf(
-            buf, sizeof(buf),
-            "\n  {\"baseline\": \"%s\", \"candidate\": \"%s\", "
-            "\"same_seed\": %s, \"fitness_p\": %.6f, "
-            "\"fitness_rel_delta\": %.9g, \"fitness_regression\": %s, "
-            "\"throughput_p\": %.6f, \"throughput_rel_delta\": %.9g, "
-            "\"throughput_drift\": %s, \"error\": \"%s\"}",
-            jsonEscape(cmp.baseline).c_str(),
-            jsonEscape(cmp.candidate).c_str(),
-            cmp.sameSeed ? "true" : "false", cmp.fitnessP,
-            cmp.fitnessRelDelta, cmp.fitnessRegression ? "true" : "false",
-            cmp.throughputP, cmp.throughputRelDelta,
-            cmp.throughputDrift ? "true" : "false",
-            jsonEscape(cmp.error).c_str());
-        out += buf;
+        out += "\n  {\"baseline\": \"" + jsonEscape(cmp.baseline);
+        out += "\", \"candidate\": \"" + jsonEscape(cmp.candidate);
+        out += "\", \"same_seed\": ";
+        out += cmp.sameSeed ? "true" : "false";
+        out += ", \"fitness_p\": " + formatFixed(cmp.fitnessP, 6);
+        out += ", \"fitness_rel_delta\": " +
+               jsonNumber(cmp.fitnessRelDelta, 9);
+        out += ", \"fitness_regression\": ";
+        out += cmp.fitnessRegression ? "true" : "false";
+        out += ", \"throughput_p\": " + formatFixed(cmp.throughputP, 6);
+        out += ", \"throughput_rel_delta\": " +
+               jsonNumber(cmp.throughputRelDelta, 9);
+        out += ", \"throughput_drift\": ";
+        out += cmp.throughputDrift ? "true" : "false";
+        out += ", \"error\": \"" + jsonEscape(cmp.error) + "\"}";
         if (i + 1 < rows.size())
             out += ",";
     }

@@ -235,20 +235,30 @@ RunPipeline::step(const core::Population& pop,
         snapshotSearchCounters(facts);
         status = statusFor(/*running=*/true);
     }
+    // The generation's history.csv cells, rendered once the checkpoint
+    // write has timed io_ms: the run writer appends them and telemetry
+    // serves them as the /history row.
+    std::vector<std::string> history;
     if (writer || recorder) {
         // status.json goes last, so whenever it names generation g,
         // every generation-g file is on disk.
         output::ScopedSpan span(trace, "write run dir", "pipeline", gen);
-        if (writer)
-            writer->onGenerationEvaluated(text(), record);
+        if (writer) {
+            history = output::historyCells(
+                record, writer->writePopulation(text(), record.generation));
+            writer->appendHistory(history);
+        }
         // Atomic replace: a poller either sees the previous heartbeat
         // or this one, never a torn file.
         if (recorder)
             writeFileAtomic(_statusPath, status);
     }
-    if (telemetry)
-        telemetry->service().onGenerationEvaluated(pop, record, facts,
-                                                   std::move(status));
+    if (telemetry) {
+        if (!writer)
+            history = output::historyCells(record, 0.0);
+        telemetry->service().onGenerationEvaluated(
+            pop, record, history, facts, std::move(status));
+    }
 }
 
 void

@@ -14,10 +14,13 @@
  *  6. status — one snapshot rendered for status.json (analytics on)
  *     and the telemetry service (/status, /history, SSE...), with the
  *     eval.* search counters as the generation left them;
- *  7. run writer — population checkpoint and history.csv;
+ *  7. run writer — population checkpoint, then history.csv: the
+ *     generation's history cells (output::historyCells) are rendered
+ *     once the checkpoint write has timed io_ms;
  *  8. status.json, last, so whenever it names generation g every
  *     generation-g file is on disk;
- *  9. telemetry — the snapshot served to clients.
+ *  9. telemetry — the snapshot served to clients, its /history row
+ *     the same history cells (io_ms 0 without a run writer).
  *
  * Sinks 1-6 are each timed into a `pipeline.<sink>_us` histogram and,
  * with a trace attached, a span on the coordinator's tid; 7 and 8

@@ -360,25 +360,31 @@ runFromConfig(const RunConfig& cfg)
     if (pipeline.provenance) {
         // Seal last: every other artifact is final, so the manifest's
         // checksums describe exactly what a verifier will find.
-        provenance::SealInfo info;
-        info.configText = cfg.rawText;
-        info.configBaseDir = cfg.configBaseDir;
-        info.measurementClass = cfg.measurementClass;
-        info.fitnessClass = cfg.fitnessClass;
-        info.ga = cfg.ga;
-        info.steadyStateOverride = cfg.steadyStateOverride;
-        info.waveformTopK = cfg.waveformTopK;
-        info.recordStats = cfg.recordStats;
-        info.recordAnalytics = cfg.recordAnalytics;
-        info.recordCoverage = cfg.recordCoverage;
-        info.recordAttribution = cfg.recordAttribution;
-        info.generationsCompleted =
-            static_cast<int>(result.history.size());
-        info.evaluations = result.evaluations;
-        info.bestFitness = result.best.fitness;
-        info.bestId = result.best.id;
+        provenance::Manifest m;
+        m.configHash = provenance::canonicalConfigHash(cfg.rawText);
+        m.configBaseDir = cfg.configBaseDir;
+        m.measurementClass = cfg.measurementClass;
+        m.fitnessClass = cfg.fitnessClass;
+        m.hasSeed = true;
+        m.seed = cfg.ga.seed;
+        m.populationSize = cfg.ga.populationSize;
+        m.individualSize = cfg.ga.individualSize;
+        m.generations = cfg.ga.generations;
+        m.threads = cfg.ga.threads;
+        m.fitnessCacheSize = cfg.ga.fitnessCacheSize;
+        m.elitism = cfg.ga.elitism;
+        m.steadyStateOverride = cfg.steadyStateOverride;
+        m.waveformTopK = cfg.waveformTopK;
+        m.recordStats = cfg.recordStats;
+        m.recordAnalytics = cfg.recordAnalytics;
+        m.recordCoverage = cfg.recordCoverage;
+        m.recordAttribution = cfg.recordAttribution;
+        m.generationsCompleted = static_cast<int>(result.history.size());
+        m.evaluations = result.evaluations;
+        m.bestFitness = result.best.fitness;
+        m.bestId = result.best.id;
         result.manifestFile = pipeline.provenance->seal(
-            info,
+            std::move(m),
             [&engine](std::size_t count,
                       const std::function<void(std::size_t)>& body) {
                 engine.forEachOnWorkers(

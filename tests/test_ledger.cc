@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -249,6 +250,39 @@ TEST(Ledger, TerminatedShortRowIsFatalWithFileAndLine)
     });
     EXPECT_NE(malformed.find("digests.csv:2"), std::string::npos)
         << malformed;
+}
+
+/** The generation cell @p cell of a digests.csv row read as an integer. */
+std::int64_t
+integerCell(const std::string& cell)
+{
+    std::int64_t value = -1;
+    ledger::decode(ledger::digests, "digests.csv",
+                   "generation,best_fitness,population_digest\n" + cell +
+                       ",1.5,aa\n",
+                   [&](const ledger::Decoder& row) {
+                       value = row.integer("generation");
+                   });
+    return value;
+}
+
+TEST(Ledger, IntegerCellsReadAsParseIntReadsThem)
+{
+    // A leading zero is decimal, not octal.
+    EXPECT_EQ(integerCell("010"), 10);
+    EXPECT_EQ(integerCell("0"), 0);
+    EXPECT_EQ(integerCell("999999999999999999"), 999999999999999999);
+    EXPECT_EQ(integerCell("9223372036854775807"), INT64_MAX);
+    EXPECT_EQ(integerCell("-7"), -7);
+    EXPECT_EQ(integerCell("0x10"), 16);
+
+    // Past INT64_MAX is an error with the cell's context, not a clamp.
+    const std::string overflow =
+        fatalMessage([] { integerCell("99999999999999999999"); });
+    EXPECT_NE(overflow.find("digests.csv:2"), std::string::npos)
+        << overflow;
+    EXPECT_NE(overflow.find("generation"), std::string::npos) << overflow;
+    EXPECT_NE(fatalMessage([] { integerCell("1.5"); }), "");
 }
 
 TEST(Ledger, IncrementalFeedMatchesWholeFileDecode)

@@ -29,12 +29,15 @@
 #include "net/http_client.hh"
 #include "net/http_server.hh"
 #include "net/telemetry.hh"
+#include "output/ledger.hh"
+#include "output/run_writer.hh"
 #include "output/top.hh"
 #include "platform/platform.hh"
 #include "run/pipeline.hh"
 #include "stats/stats.hh"
 #include "util/fileutil.hh"
 #include "util/jsonlite.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace {
@@ -322,9 +325,19 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
     ASSERT_TRUE(json::parse(res.body, history, nullptr)) << res.body;
     ASSERT_TRUE(history.isArray());
     ASSERT_EQ(history.array.size(), 5u);
-    for (std::size_t i = 0; i < history.array.size(); ++i)
-        EXPECT_EQ(history.array[i].numberOr("generation", -1),
-                  static_cast<double>(i));
+    // Each row is the generation's history.csv cells under their
+    // column names (io_ms 0: the pipeline has no run writer).
+    for (std::size_t i = 0; i < history.array.size(); ++i) {
+        const std::vector<std::string> cells =
+            output::historyCells(engine.history()[i], 0.0);
+        const json::Value& row = history.array[i];
+        ASSERT_EQ(row.members.size(), ledger::history.columns.size());
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            EXPECT_EQ(row.members[c].first, ledger::history.columns[c]);
+            EXPECT_EQ(row.members[c].second.number,
+                      parseDouble(cells[c], "cell"));
+        }
+    }
 
     res = net::httpGet(base + "/champion");
     ASSERT_TRUE(res.ok && res.status == 200);

@@ -367,6 +367,36 @@ TEST(Registry, CsvIsWrittenAndJsonIsOnlyRendered)
     removeAll(ws);
 }
 
+TEST(Registry, JsonStaysValidForLongAndQuotedFields)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    writeHistory(ws + "/quoted", {{1.0, 2.0}});
+    writeFile(ws + "/quoted/status.json",
+              "{\"state\": \"half \\\"done\\\"\", "
+              "\"total_generations\": 3}");
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].state, "half \"done\"");
+    json::Value parsed;
+    ASSERT_TRUE(json::parse(registry::formatRegistryJson(ws, entries),
+                            parsed, nullptr));
+    EXPECT_EQ(parsed.find("runs")->array[0].stringOr("state", ""),
+              "half \"done\"");
+
+    registry::BaselineComparison cmp;
+    cmp.baseline = std::string(300, 'b');
+    cmp.candidate = std::string(300, 'c');
+    cmp.error = std::string(300, 'e') + "\"";
+    const std::string text = registry::formatBaselineJson({cmp, cmp});
+    ASSERT_TRUE(json::parse(text, parsed, nullptr)) << text;
+    ASSERT_TRUE(parsed.isArray());
+    ASSERT_EQ(parsed.array.size(), 2u);
+    EXPECT_EQ(parsed.array[1].stringOr("candidate", ""), cmp.candidate);
+    EXPECT_EQ(parsed.array[1].stringOr("error", ""), cmp.error);
+    removeAll(ws);
+}
+
 TEST(Registry, FilterMatchesExactAndPrefix)
 {
     registry::RunEntry entry;

@@ -7,9 +7,11 @@
  * last generation's search counters. The write
  * task never lets status.json run ahead of its generation's files,
  * rethrows a failed write on the caller, and traces on its own thread.
- * The post-run seal writes the same artifacts and manifest table at
- * any thread count and however the run directory is spelled, and its
- * pooled attribution equals a serial one on every champion.
+ * Checkpoints summarized after the run render the history.csv cells
+ * the run wrote. The post-run seal writes the same artifacts and
+ * manifest table at any thread count and however the run directory is
+ * spelled, and its pooled attribution equals a serial one on every
+ * champion.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,9 @@
 #include "measure/sim_measurements.hh"
 #include "net/http_client.hh"
 #include "net/telemetry.hh"
+#include "output/ledger.hh"
+#include "output/run_writer.hh"
+#include "output/stats.hh"
 #include "platform/platform.hh"
 #include "provenance/manifest.hh"
 #include "provenance/provenance.hh"
@@ -71,6 +76,55 @@ const char kAllSinksConfig[] = R"(
           listen="127.0.0.1:0"/>
 </gest_configuration>
 )";
+
+const char kFiveGenerationConfig[] = R"(
+<gest_configuration>
+  <ga population_size="8" individual_size="8" generations="5" seed="11"/>
+  <library name="arm"/>
+  <measurement class="SimPowerMeasurement">
+    <config platform="cortex-a15"/>
+  </measurement>
+  <fitness class="DefaultFitness"/>
+  <output directory="replaced"/>
+</gest_configuration>
+)";
+
+TEST(RunPipeline, CheckpointSummariesRenderTheHistoryCsvCells)
+{
+    const std::string dir = makeTempDir("gest-run");
+    config::RunConfig cfg = config::parseConfig(kFiveGenerationConfig);
+    cfg.outputDirectory = dir;
+    config::runFromConfig(cfg);
+
+    const std::vector<std::string>& columns = ledger::history.columns;
+    std::vector<std::vector<std::string>> csv;
+    ledger::decode(ledger::history, "history.csv",
+                   readFile(dir + "/history.csv"),
+                   [&](const ledger::Decoder& row) {
+                       std::vector<std::string> cells;
+                       for (const std::string& column : columns)
+                           cells.push_back(row.text(column));
+                       csv.push_back(cells);
+                   });
+    const std::vector<core::GenerationRecord> summaries =
+        output::summarizeRun(cfg.library, dir);
+    ASSERT_EQ(csv.size(), 5u);
+    ASSERT_EQ(summaries.size(), 5u);
+    for (std::size_t g = 0; g < summaries.size(); ++g) {
+        const std::vector<std::string> cells =
+            output::historyCells(summaries[g], 0.0);
+        for (const char* column :
+             {"generation", "best_fitness", "average_fitness", "best_id",
+              "unique_instructions", "diversity"}) {
+            const std::size_t at = static_cast<std::size_t>(
+                std::find(columns.begin(), columns.end(), column) -
+                columns.begin());
+            EXPECT_EQ(cells[at], csv[g][at])
+                << "generation " << g << ", " << column;
+        }
+    }
+    removeAll(dir);
+}
 
 TEST(RunPipeline, LiveStatusCountsTheDigestOfItsGeneration)
 {

@@ -28,6 +28,10 @@ whole chain:
   * a same-seed pair differing only in <output health="..."> must
     write byte-identical history.csv, lineage.csv and digests.csv —
     the watchdog is strictly observational.
+  * every /history row read while the run is live and every SSE
+    `generation` frame is that generation's history.csv row: exactly
+    its columns plus the coverage_* keys, each value's text equal to
+    its history.csv cell (coverage_<c> to coverage.csv's <c> cell).
 
 Usage:
   check_fleet.py <workspace>              schema checks only
@@ -44,8 +48,8 @@ import shutil
 import sys
 import time
 
-from gestcheck import (RunEnded, fail, live_run, ok, read_framed, run,
-                       run_gest, scratch)
+from gestcheck import (RunEnded, fail, get, live_run, ok, read_framed,
+                       run, run_gest, scratch)
 
 COHORT_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
@@ -62,7 +66,8 @@ COHORT_CONFIG = """<?xml version="1.0"?>
 
 # health_plateau="3" trips on the first three-generation stall (all but
 # certain within 200 generations); health_collapse_factor="0" disarms
-# the only other rule wall-clock noise could trip on CI.
+# the only other rule wall-clock noise could trip on CI, and
+# health_coverage_stall="0" the rule the coverage ledger would feed.
 PLATEAU_CONFIG = """<?xml version="1.0"?>
 <gest_configuration>
   <ga population_size="24" individual_size="24" generations="200"
@@ -73,8 +78,8 @@ PLATEAU_CONFIG = """<?xml version="1.0"?>
   </measurement>
   <fitness class="DefaultFitness"/>
   <output directory="out" listen="127.0.0.1:0" provenance="false"
-          health="true" health_plateau="3"
-          health_collapse_factor="0"/>
+          coverage="true" health="true" health_plateau="3"
+          health_collapse_factor="0" health_coverage_stall="0"/>
 </gest_configuration>
 """
 
@@ -174,21 +179,36 @@ def validate_workspace(workspace):
 
 # ------------------------------------------------------ drive helpers
 
-def drive_plateau_run(gest, scratch_dir):
-    """Run the health-armed config; scrape /alerts and SSE while live.
+def cell_texts(text, where):
+    """Parse a JSON history row keeping every number's text as written."""
+    try:
+        return json.loads(text, parse_int=str, parse_float=str)
+    except json.JSONDecodeError as err:
+        fail(f"{where} is not valid JSON: {err}\n{text[:400]}")
 
-    Returns (run_dir, live_alert_rows, sse_blocks, resumed_blocks).
+
+def drive_plateau_run(gest, scratch_dir):
+    """Run the health-armed config; scrape /alerts, /history and SSE
+    while live.
+
+    Returns (run_dir, live_alert_rows, live_history_rows, sse_blocks,
+    resumed_blocks).
     """
     work = os.path.join(scratch_dir, "plateau_work")
     with live_run(gest, work, PLATEAU_CONFIG) as live:
         sse = live.events()
 
-        # Poll /alerts until the induced plateau surfaces.
-        live_alerts = []
+        # Poll /history and /alerts until the induced plateau surfaces.
+        live_alerts, live_history = [], []
         for _ in range(2000):
             if not live.alive():
                 break
             try:
+                status, body = get(f"http://{live.listen}/history",
+                                   live.process)
+                if status != 200:
+                    fail(f"GET /history answered {status}: {body[:400]}")
+                live_history = cell_texts(body, "/history")
                 live_alerts = live.get_json("/alerts")
             except RunEnded:
                 break
@@ -205,8 +225,34 @@ def drive_plateau_run(gest, scratch_dir):
         resumed = live.events(last_event_id=10**6)
 
         live.finish()
-        return (os.path.join(work, "out"), live_alerts, sse.blocks(),
-                resumed.blocks())
+        return (os.path.join(work, "out"), live_alerts, live_history,
+                sse.blocks(), resumed.blocks())
+
+
+def check_rows_match_history(run_dir, rows, what):
+    """Each of `rows` (parsed by cell_texts) is the history.csv row of
+    its generation, field by field, coverage_* keys included."""
+    history = read_framed(os.path.join(run_dir, "history.csv"), "history",
+                          version=2).rows
+    coverage = read_framed(os.path.join(run_dir, "coverage.csv"),
+                           "coverage",
+                           preamble={"cells_total": 1, "class": 3}).rows
+    if len(rows) > len(history):
+        fail(f"{what}: {len(rows)} rows but history.csv has "
+             f"{len(history)}")
+    for row, csv_row, cov_row in zip(rows, history, coverage):
+        expected = dict(csv_row)
+        for column in ("cells_seen", "cells_total", "cells_new",
+                       "saturation_pct", "novelty_rate"):
+            expected["coverage_" + column] = cov_row[column]
+        if list(row) != list(expected):
+            fail(f"{what}: keys {list(row)} are not history.csv's "
+                 f"columns plus coverage_*: {list(expected)}")
+        for key, cell in expected.items():
+            if row[key] != cell:
+                fail(f"{what}: generation {csv_row['generation']} {key} "
+                     f"is {row[key]!r}, history.csv {csv_row.where} "
+                     f"says {cell!r}")
 
 
 def check_observer_byte_identity(gest, scratch_dir):
@@ -249,9 +295,22 @@ def drive(gest):
                                  os.path.join(scratch_dir, name + "_work"),
                                  COHORT_CONFIG),
                         os.path.join(workspace, name))
-        plateau_out, live_alerts, sse_blocks, resumed_blocks = \
-            drive_plateau_run(gest, scratch_dir)
+        plateau_out, live_alerts, live_history, sse_blocks, \
+            resumed_blocks = drive_plateau_run(gest, scratch_dir)
         shutil.move(plateau_out, os.path.join(workspace, "run_c"))
+
+        # /history and the SSE generation frames serve history.csv.
+        run_c = os.path.join(workspace, "run_c")
+        if not live_history:
+            fail("/history served no row while the run was live")
+        check_rows_match_history(run_c, live_history, "/history")
+        frames = [cell_texts(b["data"], "SSE generation frame")
+                  for b in sse_blocks if b.get("event") == "generation"]
+        # The server stops as the run ends, which can cut the stream
+        # before its last frames; those it did deliver are compared.
+        if not frames:
+            fail("SSE carried no generation frame")
+        check_rows_match_history(run_c, frames, "SSE generation frame")
 
         # The plateau raised exactly one alert, everywhere.
         if len(live_alerts) != 1:
@@ -341,7 +400,8 @@ def drive(gest):
 
         check_observer_byte_identity(gest, scratch_dir)
         ok("3-run workspace indexed, cohort screened clean, plateau "
-           "alert visible in alerts.csv, /alerts, SSE and the fleet pane")
+           "alert visible in alerts.csv, /alerts, SSE and the fleet "
+           "pane, /history and SSE rows equal to history.csv")
 
 
 def main(argv):
