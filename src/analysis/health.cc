@@ -281,14 +281,14 @@ loadAlerts(const std::string& run_dir, std::vector<Alert>& out)
 std::string
 formatAlertJson(const Alert& alert)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"generation\": %d, \"rule\": \"%s\", "
-                  "\"severity\": \"%s\", \"value\": %.9g, "
-                  "\"threshold\": %.9g, \"message\": ",
-                  alert.generation, alert.rule.c_str(),
-                  alert.severity.c_str(), alert.value, alert.threshold);
-    return std::string(buf) + "\"" + jsonEscape(alert.message) + "\"}";
+    // A non_finite_fitness alert's value is the NaN or inf it caught:
+    // jsonNumber() writes it as null.
+    return "{\"generation\": " + std::to_string(alert.generation) +
+           ", \"rule\": \"" + jsonEscape(alert.rule) +
+           "\", \"severity\": \"" + jsonEscape(alert.severity) +
+           "\", \"value\": " + jsonNumber(alert.value, 9) +
+           ", \"threshold\": " + jsonNumber(alert.threshold, 9) +
+           ", \"message\": \"" + jsonEscape(alert.message) + "\"}";
 }
 
 } // namespace analysis

@@ -1,23 +1,10 @@
 #include "attribution/attribution_io.hh"
 
-#include <cstdio>
-
 #include "util/fileutil.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace attribution {
-
-namespace {
-
-std::string
-g17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-} // namespace
 
 std::string
 formatAttributionCsv(const AttributionResult& result)
@@ -30,11 +17,13 @@ formatAttributionCsv(const AttributionResult& result)
     if (result.generation >= 0)
         out += "# annotation generation " +
                std::to_string(result.generation) + "\n";
-    out += "# annotation baseline_fitness " +
-           g17(result.baselineFitness) + "\n";
-    out += "# annotation sum_delta " + g17(result.sumDelta) + "\n";
-    out += "# annotation whole_ablation_delta " +
-           g17(result.wholeAblationDelta) + "\n";
+    out += "# annotation baseline_fitness ";
+    appendNumber(out, result.baselineFitness);
+    out += "\n# annotation sum_delta ";
+    appendNumber(out, result.sumDelta);
+    out += "\n# annotation whole_ablation_delta ";
+    appendNumber(out, result.wholeAblationDelta);
+    out += "\n";
     out += "# annotation evaluations " +
            std::to_string(result.evaluationsUsed) + "\n";
     out += "# annotation genes " + std::to_string(result.genes.size()) +
@@ -45,8 +34,11 @@ formatAttributionCsv(const AttributionResult& result)
            "fitness_without\n";
     for (const GeneAttribution& g : result.genes) {
         out += std::to_string(g.index) + "," + g.instruction + "," +
-               isa::classToken(g.cls) + "," + g.operands + "," +
-               g17(g.deltaFitness) + "," + g17(g.fitnessWithout) + "\n";
+               isa::classToken(g.cls) + "," + g.operands + ",";
+        appendNumber(out, g.deltaFitness);
+        out += ",";
+        appendNumber(out, g.fitnessWithout);
+        out += "\n";
     }
     return out;
 }

@@ -93,7 +93,7 @@ HttpRequest::header(const std::string& name) const
 bool
 StreamWriter::write(const std::string& data)
 {
-    if (!ok())
+    if (_broken)
         return false;
     if (!sendAll(_fd, data.data(), data.size())) {
         _broken = true;
@@ -105,7 +105,7 @@ StreamWriter::write(const std::string& data)
 bool
 StreamWriter::ok() const
 {
-    return !_broken && !_stopping.load(std::memory_order_relaxed);
+    return !_broken && !_stopping.load(std::memory_order_acquire);
 }
 
 void
@@ -225,7 +225,9 @@ HttpServer::stop()
 {
     if (!_running.load(std::memory_order_relaxed))
         return;
-    _stopping.store(true, std::memory_order_relaxed);
+    // Release: a stream handler that sees the stop also sees whatever
+    // the stopping thread published before it.
+    _stopping.store(true, std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(_queueMutex);
         _queueCv.notify_all();
@@ -307,12 +309,14 @@ HttpServer::workerLoop()
 void
 HttpServer::handleConnection(int fd)
 {
-    // Bound the request-head read so a silent client cannot park a
-    // worker past the timeout.
+    // Bound the request-head read and every send, so neither a silent
+    // client nor one that stops reading can park a worker (and stop())
+    // past the timeout.
     timeval timeout{};
     timeout.tv_sec = _options.requestTimeoutMs / 1000;
     timeout.tv_usec = (_options.requestTimeoutMs % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 

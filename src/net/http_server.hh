@@ -66,12 +66,14 @@ struct HttpResponse
  * (Server-Sent Events). Headers are already on the wire when the
  * handler runs; write() appends raw bytes. A streaming handler must
  * return promptly once ok() goes false (client disconnected or the
- * server is stopping).
+ * server is stopping). It may first flush what it has: write() keeps
+ * working after a stop until the client is gone, and each send is
+ * bounded by the request timeout.
  */
 class StreamWriter
 {
   public:
-    /** @return false when the client is gone or the server stops. */
+    /** @return false when the client is gone or stopped reading. */
     bool write(const std::string& data);
 
     /** @return whether the connection is still worth writing to. */
@@ -114,7 +116,10 @@ class HttpServer
         /** Request line + headers cap in bytes; beyond it: 431. */
         std::size_t maxRequestBytes = 8192;
 
-        /** Timeout for reading the request head, milliseconds. */
+        /**
+         * Timeout for reading the request head, and for each send a
+         * client leaves unread, milliseconds.
+         */
         int requestTimeoutMs = 2000;
     };
 

@@ -237,17 +237,11 @@ TelemetryService::onGenerationEvaluated(
             std::string json = "{\n  \"generation\": " +
                                std::to_string(rec.generation) +
                                ",\n  \"id\": " + std::to_string(best.id);
-            char fit[64];
-            std::snprintf(fit, sizeof(fit), "%.17g", best.fitness);
-            json += ",\n  \"fitness\": ";
-            json += fit;
+            json += ",\n  \"fitness\": " + jsonNumber(best.fitness, 17);
             json += ",\n  \"measurements\": [";
             for (std::size_t i = 0; i < best.measurements.size(); ++i) {
-                char m[64];
-                std::snprintf(m, sizeof(m), "%.17g",
-                              best.measurements[i]);
                 json += i == 0 ? "" : ", ";
-                json += m;
+                json += jsonNumber(best.measurements[i], 17);
             }
             json += "],\n  \"code\": [";
             const std::vector<std::string> lines =
@@ -420,7 +414,12 @@ TelemetryServer::TelemetryServer(std::string listen_address,
         if (!writer.write("retry: 1000\n\n"))
             return;
         std::size_t sent = 0;
-        while (writer.ok()) {
+        for (;;) {
+            // Checked before the drain: the server stops only after
+            // the run's last publish, so one more drain delivers the
+            // final frames and the end event to a client that is
+            // still reading.
+            const bool last = !writer.ok();
             const GenerationEventBuffer& events = _service.events();
             const std::size_t available = events.size();
             while (sent < available) {
@@ -439,6 +438,8 @@ TelemetryServer::TelemetryServer(std::string listen_address,
                     "event: end\ndata: {\"state\": \"completed\"}\n\n");
                 return;
             }
+            if (last)
+                return;
             writer.waitBriefly(25);
         }
     });

@@ -1,10 +1,10 @@
 #include "output/flight_recorder.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/fileutil.hh"
 #include "util/logging.hh"
+#include "util/strutil.hh"
 
 namespace gest {
 namespace output {
@@ -85,12 +85,10 @@ FlightRecorder::writeIndex(
         const Entry& e = _entries[rank];
         const signal::WaveformArtifacts& art = captures[rank];
         const std::string basename = std::to_string(e.id);
-        char fitness_text[40];
-        std::snprintf(fitness_text, sizeof(fitness_text), "%.17g",
-                      e.fitness);
         index += std::to_string(rank + 1) + "," + basename + "," +
-                 std::to_string(e.generation) + "," + fitness_text + "," +
-                 basename + ".csv," +
+                 std::to_string(e.generation) + ",";
+        appendNumber(index, e.fitness);
+        index += "," + basename + ".csv," +
                  (art.spectrumPath.empty()
                       ? std::string()
                       : basename + "_spectrum.csv") +

@@ -303,28 +303,6 @@ formatReport(const RunReport& report)
     return os.str();
 }
 
-namespace {
-
-/** A double as a JSON number (always finite here). */
-std::string
-jsonNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonNumber(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-} // namespace
-
 std::string
 formatReportJson(const RunReport& report)
 {
@@ -333,63 +311,59 @@ formatReportJson(const RunReport& report)
        << "  \"run_dir\": \"" << jsonEscape(report.runDir) << "\",\n"
        << "  \"history_version\": " << report.historyVersion << ",\n"
        << "  \"generations\": " << report.rows.size() << ",\n"
-       << "  \"first_best\": " << jsonNumber(report.firstBest) << ",\n"
-       << "  \"best_fitness\": " << jsonNumber(report.bestFitness)
+       << "  \"first_best\": " << jsonNumber(report.firstBest, 17)
+       << ",\n"
+       << "  \"best_fitness\": " << jsonNumber(report.bestFitness, 17)
        << ",\n"
        << "  \"best_generation\": " << report.bestGeneration << ",\n"
-       << "  \"final_average\": " << jsonNumber(report.finalAverage)
+       << "  \"final_average\": " << jsonNumber(report.finalAverage, 17)
        << ",\n"
-       << "  \"final_diversity\": " << jsonNumber(report.finalDiversity)
-       << ",\n"
-       << "  \"total_measured\": " << jsonNumber(report.totalMeasured)
-       << ",\n"
-       << "  \"total_cache_hits\": "
-       << jsonNumber(report.totalCacheHits) << ",\n"
-       << "  \"cache_hit_rate\": " << jsonNumber(report.cacheHitRate())
-       << ",\n"
+       << "  \"final_diversity\": "
+       << jsonNumber(report.finalDiversity, 17) << ",\n"
+       << "  \"total_measured\": " << report.totalMeasured << ",\n"
+       << "  \"total_cache_hits\": " << report.totalCacheHits << ",\n"
+       << "  \"cache_hit_rate\": "
+       << jsonNumber(report.cacheHitRate(), 17) << ",\n"
        << "  \"has_timings\": "
        << (report.hasTimings ? "true" : "false") << ",\n"
        << "  \"evaluations_per_second\": "
-       << jsonNumber(report.evaluationsPerSecond()) << ",\n";
+       << jsonNumber(report.evaluationsPerSecond(), 17) << ",\n";
     os << "  \"phase_ms\": {"
-       << "\"selection\": " << jsonNumber(report.selectionMs) << ", "
-       << "\"crossover\": " << jsonNumber(report.crossoverMs) << ", "
-       << "\"mutation\": " << jsonNumber(report.mutationMs) << ", "
-       << "\"evaluation\": " << jsonNumber(report.evaluationMs) << ", "
-       << "\"io\": " << jsonNumber(report.ioMs) << "},\n";
+       << "\"selection\": " << jsonNumber(report.selectionMs, 17) << ", "
+       << "\"crossover\": " << jsonNumber(report.crossoverMs, 17) << ", "
+       << "\"mutation\": " << jsonNumber(report.mutationMs, 17) << ", "
+       << "\"evaluation\": " << jsonNumber(report.evaluationMs, 17)
+       << ", "
+       << "\"io\": " << jsonNumber(report.ioMs, 17) << "},\n";
     if (report.hasSteadyStats) {
         os << "  \"steady_state\": {"
-           << "\"hits\": " << jsonNumber(report.steadyHits) << ", "
-           << "\"evaluations\": " << jsonNumber(report.simEvaluations)
+           << "\"hits\": " << report.steadyHits << ", "
+           << "\"evaluations\": " << report.simEvaluations << ", "
+           << "\"hit_rate\": " << jsonNumber(report.steadyHitRate(), 17)
            << ", "
-           << "\"hit_rate\": " << jsonNumber(report.steadyHitRate())
-           << ", "
-           << "\"cycles_simulated\": "
-           << jsonNumber(report.cyclesSimulated) << ", "
-           << "\"cycles_skipped\": " << jsonNumber(report.cyclesSkipped)
-           << ", "
-           << "\"cycles_tiled\": " << jsonNumber(report.cyclesTiled)
-           << ", "
+           << "\"cycles_simulated\": " << report.cyclesSimulated << ", "
+           << "\"cycles_skipped\": " << report.cyclesSkipped << ", "
+           << "\"cycles_tiled\": " << report.cyclesTiled << ", "
            << "\"tiled_cycle_fraction\": "
-           << jsonNumber(report.tiledCycleFraction()) << "},\n";
+           << jsonNumber(report.tiledCycleFraction(), 17) << "},\n";
     } else {
         os << "  \"steady_state\": null,\n";
     }
     if (report.hasAnalytics) {
         os << "  \"analytics\": {\n"
            << "    \"final_gene_entropy_bits\": "
-           << jsonNumber(report.finalGeneEntropyBits) << ",\n"
+           << jsonNumber(report.finalGeneEntropyBits, 17) << ",\n"
            << "    \"final_pairwise_diversity\": "
-           << jsonNumber(report.finalPairwiseDiversity) << ",\n"
-           << "    \"crossover_children\": "
-           << jsonNumber(report.crossoverChildren) << ",\n"
-           << "    \"crossover_improved\": "
-           << jsonNumber(report.crossoverImproved) << ",\n"
-           << "    \"mutation_children\": "
-           << jsonNumber(report.mutationChildren) << ",\n"
-           << "    \"mutation_improved\": "
-           << jsonNumber(report.mutationImproved) << ",\n"
-           << "    \"elite_copies\": " << jsonNumber(report.eliteCopies)
+           << jsonNumber(report.finalPairwiseDiversity, 17) << ",\n"
+           << "    \"crossover_children\": " << report.crossoverChildren
+           << ",\n"
+           << "    \"crossover_improved\": " << report.crossoverImproved
+           << ",\n"
+           << "    \"mutation_children\": " << report.mutationChildren
+           << ",\n"
+           << "    \"mutation_improved\": " << report.mutationImproved
+           << ",\n"
+           << "    \"elite_copies\": " << report.eliteCopies
            << "\n  }\n";
     } else {
         os << "  \"analytics\": null\n";

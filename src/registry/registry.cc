@@ -18,11 +18,6 @@ namespace registry {
 
 namespace {
 
-const char* const registryColumns =
-    "run,status,state,config_hash,seed,git_sha,measurement,fitness,"
-    "created,generations,generations_completed,evaluations,"
-    "best_fitness,best_id,alerts,listen,note";
-
 /** CSV cells must stay one-field: commas and newlines become ';'. */
 std::string
 csvSanitize(const std::string& s)
@@ -35,13 +30,80 @@ csvSanitize(const std::string& s)
     return out;
 }
 
-std::string
-fitnessString(double v)
+/**
+ * One registry cell: its text, which `--filter` matches and
+ * registry.csv writes (a String through csvSanitize), and its JSON
+ * form: a quoted String, a bare Number, or null.
+ */
+struct Cell
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    enum class Json { String, Number, Null };
+    std::string text;
+    Json json;
+};
+
+Cell
+text(std::string s)
+{
+    return {std::move(s), Cell::Json::String};
 }
+
+template <typename Int>
+Cell
+integer(Int v)
+{
+    return {std::to_string(v), Cell::Json::Number};
+}
+
+/** `%.17g`, which round-trips the double; null in JSON unless finite. */
+Cell
+number(double v)
+{
+    Cell cell{"", std::isfinite(v) ? Cell::Json::Number : Cell::Json::Null};
+    appendNumber(cell.text, v);
+    return cell;
+}
+
+/** One RunEntry field as a registry column. */
+struct Column
+{
+    const char* name;     ///< registry.csv header and --filter key
+    const char* jsonKey;  ///< `gest runs --json` key
+    Cell (*cell)(const RunEntry&);
+};
+
+const Column columns[] = {
+    {"run", "run", [](const RunEntry& e) { return text(e.name); }},
+    {"status", "status", [](const RunEntry& e) { return text(e.status); }},
+    {"state", "state", [](const RunEntry& e) { return text(e.state); }},
+    {"config_hash", "config_hash",
+     [](const RunEntry& e) { return text(e.configHash); }},
+    // A JSON string, the manifest's convention (a uint64 does not fit
+    // a double losslessly); null when unknown.
+    {"seed", "seed",
+     [](const RunEntry& e) {
+         return e.hasSeed ? text(std::to_string(e.seed))
+                          : Cell{"", Cell::Json::Null};
+     }},
+    {"git_sha", "git_sha", [](const RunEntry& e) { return text(e.gitSha); }},
+    {"measurement", "measurement_class",
+     [](const RunEntry& e) { return text(e.measurementClass); }},
+    {"fitness", "fitness_class",
+     [](const RunEntry& e) { return text(e.fitnessClass); }},
+    {"created", "created", [](const RunEntry& e) { return text(e.created); }},
+    {"generations", "generations",
+     [](const RunEntry& e) { return integer(e.generations); }},
+    {"generations_completed", "generations_completed",
+     [](const RunEntry& e) { return integer(e.generationsCompleted); }},
+    {"evaluations", "evaluations",
+     [](const RunEntry& e) { return integer(e.evaluations); }},
+    {"best_fitness", "best_fitness",
+     [](const RunEntry& e) { return number(e.bestFitness); }},
+    {"best_id", "best_id", [](const RunEntry& e) { return integer(e.bestId); }},
+    {"alerts", "alerts", [](const RunEntry& e) { return integer(e.alerts); }},
+    {"listen", "listen", [](const RunEntry& e) { return text(e.listen); }},
+    {"note", "note", [](const RunEntry& e) { return text(e.note); }},
+};
 
 /** Fill @p entry from the run's status.json, when present/parseable. */
 void
@@ -203,23 +265,19 @@ formatRegistryCsv(const std::vector<RunEntry>& entries)
 {
     std::string out = "# gest-registry v" +
                       std::to_string(registryVersion) + "\n";
-    out += registryColumns;
+    for (const Column& column : columns) {
+        out += &column == columns ? "" : ",";
+        out += column.name;
+    }
     out += "\n";
     for (const RunEntry& e : entries) {
-        out += csvSanitize(e.name) + "," + e.status + "," + e.state +
-               "," + e.configHash + ",";
-        out += e.hasSeed ? std::to_string(e.seed) : "";
-        out += "," + csvSanitize(e.gitSha) + "," +
-               csvSanitize(e.measurementClass) + "," +
-               csvSanitize(e.fitnessClass) + "," +
-               csvSanitize(e.created) + ",";
-        out += std::to_string(e.generations) + "," +
-               std::to_string(e.generationsCompleted) + "," +
-               std::to_string(e.evaluations) + "," +
-               fitnessString(e.bestFitness) + "," +
-               std::to_string(e.bestId) + "," +
-               std::to_string(e.alerts) + "," + csvSanitize(e.listen) +
-               "," + csvSanitize(e.note) + "\n";
+        for (const Column& column : columns) {
+            out += &column == columns ? "" : ",";
+            const Cell cell = column.cell(e);
+            out += cell.json == Cell::Json::String ? csvSanitize(cell.text)
+                                                  : cell.text;
+        }
+        out += "\n";
     }
     return out;
 }
@@ -233,36 +291,20 @@ formatRegistryJson(const std::string& workspace,
     out += "  \"workspace\": \"" + jsonEscape(workspace) + "\",\n";
     out += "  \"runs\": [";
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        const RunEntry& e = entries[i];
         out += i == 0 ? "\n    {" : ",\n    {";
-        out += "\n      \"run\": \"" + jsonEscape(e.name) + "\",";
-        out += "\n      \"status\": \"" + jsonEscape(e.status) + "\",";
-        out += "\n      \"state\": \"" + jsonEscape(e.state) + "\",";
-        out += "\n      \"config_hash\": \"" + jsonEscape(e.configHash) +
-               "\",";
-        // Seed as a JSON string, the manifest's convention (a uint64
-        // does not fit a double losslessly); null when unknown.
-        out += "\n      \"seed\": ";
-        out += e.hasSeed ? "\"" + std::to_string(e.seed) + "\"" : "null";
-        out += ",";
-        out += "\n      \"git_sha\": \"" + jsonEscape(e.gitSha) + "\",";
-        out += "\n      \"measurement_class\": \"" +
-               jsonEscape(e.measurementClass) + "\",";
-        out += "\n      \"fitness_class\": \"" +
-               jsonEscape(e.fitnessClass) + "\",";
-        out += "\n      \"created\": \"" + jsonEscape(e.created) + "\",";
-        out += "\n      \"generations\": " +
-               std::to_string(e.generations) + ",";
-        out += "\n      \"generations_completed\": " +
-               std::to_string(e.generationsCompleted) + ",";
-        out += "\n      \"evaluations\": " +
-               std::to_string(e.evaluations) + ",";
-        out += "\n      \"best_fitness\": " +
-               fitnessString(e.bestFitness) + ",";
-        out += "\n      \"best_id\": " + std::to_string(e.bestId) + ",";
-        out += "\n      \"alerts\": " + std::to_string(e.alerts) + ",";
-        out += "\n      \"listen\": \"" + jsonEscape(e.listen) + "\",";
-        out += "\n      \"note\": \"" + jsonEscape(e.note) + "\"";
+        for (const Column& column : columns) {
+            out += &column == columns ? "\n      \"" : ",\n      \"";
+            out += column.jsonKey;
+            out += "\": ";
+            const Cell cell = column.cell(entries[i]);
+            switch (cell.json) {
+              case Cell::Json::String:
+                out += "\"" + jsonEscape(cell.text) + "\"";
+                break;
+              case Cell::Json::Number: out += cell.text; break;
+              case Cell::Json::Null: out += "null"; break;
+            }
+        }
         out += "\n    }";
     }
     out += entries.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -281,40 +323,10 @@ writeRegistry(const std::string& workspace,
 std::string
 entryField(const RunEntry& e, const std::string& key)
 {
-    if (key == "run")
-        return e.name;
-    if (key == "status")
-        return e.status;
-    if (key == "state")
-        return e.state;
-    if (key == "config_hash")
-        return e.configHash;
-    if (key == "seed")
-        return e.hasSeed ? std::to_string(e.seed) : "";
-    if (key == "git_sha")
-        return e.gitSha;
-    if (key == "measurement")
-        return e.measurementClass;
-    if (key == "fitness")
-        return e.fitnessClass;
-    if (key == "created")
-        return e.created;
-    if (key == "generations")
-        return std::to_string(e.generations);
-    if (key == "generations_completed")
-        return std::to_string(e.generationsCompleted);
-    if (key == "evaluations")
-        return std::to_string(e.evaluations);
-    if (key == "best_fitness")
-        return fitnessString(e.bestFitness);
-    if (key == "best_id")
-        return std::to_string(e.bestId);
-    if (key == "alerts")
-        return std::to_string(e.alerts);
-    if (key == "listen")
-        return e.listen;
-    if (key == "note")
-        return e.note;
+    for (const Column& column : columns) {
+        if (key == column.name)
+            return column.cell(e).text;
+    }
     return "";
 }
 

@@ -13,9 +13,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -363,6 +365,106 @@ TEST(Telemetry, EndpointsServeTheRunAndStreamEvents)
             << res.body;
     EXPECT_NE(res.body.find("event: end"), std::string::npos);
     pipeline->telemetry->stop();
+}
+
+/**
+ * Open /events on 127.0.0.1:@p port over a raw socket and read until
+ * the handler's retry line, so the stream is attached when this
+ * returns. @p rcvbuf, when positive, shrinks the receive buffer first.
+ */
+int
+attachEventStream(int port, int rcvbuf = 0)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (rcvbuf > 0)
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string request = "GET /events HTTP/1.1\r\nHost: t\r\n\r\n";
+    EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    std::string head;
+    char c;
+    while (head.find("retry: 1000\n\n") == std::string::npos &&
+           ::recv(fd, &c, 1, 0) == 1)
+        head += c;
+    EXPECT_NE(head.find("retry: 1000\n\n"), std::string::npos) << head;
+    return fd;
+}
+
+TEST(Telemetry, AttachedStreamGetsEveryFrameAndTheEndWhenTheRunStops)
+{
+    const auto a15 = platform::cortexA15Platform();
+    const isa::InstructionLibrary& lib = a15->library();
+    measure::SimPowerMeasurement meas(lib, a15);
+    fitness::DefaultFitness fit;
+    Engine engine(smallParams(11, 12), lib, meas, fit);
+
+    const auto pipeline = servedPipeline(lib, 12);
+    pipeline->attach(engine);
+    const int fd = attachEventStream(pipeline->telemetry->port());
+
+    // The run driver's order: the last generation, then finish(), then
+    // stop() straight away.
+    engine.run();
+    pipeline->finish();
+    pipeline->telemetry->stop();
+
+    std::string stream;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+        stream.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+
+    int frames = 0;
+    for (std::size_t at = stream.find("event: generation\n");
+         at != std::string::npos;
+         at = stream.find("event: generation\n", at + 1))
+        ++frames;
+    EXPECT_EQ(frames, 12) << stream;
+    const std::string end = "event: end\ndata: {\"state\": \"completed\"}\n\n";
+    ASSERT_GE(stream.size(), end.size());
+    EXPECT_EQ(stream.substr(stream.size() - end.size()), end);
+}
+
+TEST(Telemetry, StreamThatStopsReadingCannotHoldUpStop)
+{
+    const auto a15 = platform::cortexA15Platform();
+    net::HttpServer::Options options;
+    options.requestTimeoutMs = 200;
+    net::TelemetryServer server("127.0.0.1:0", a15->library(), 64,
+                                options);
+    server.start();
+    // Read only the retry line, then nothing: the frames below (about
+    // 6 MiB) overflow both socket buffers.
+    const int fd = attachEventStream(server.port(), /*rcvbuf=*/4096);
+
+    const core::Population pop;
+    for (int g = 0; g < 48; ++g) {
+        core::GenerationRecord record;
+        record.generation = g;
+        server.service().onGenerationEvaluated(
+            pop, record, {std::string(128 * 1024, '7')},
+            run::GenerationFacts(), "{}");
+    }
+    server.service().noteRunCompleted("{}");
+    // Let the handler wake and block in a send before the stop.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const auto start = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    ::close(fd);
 }
 
 TEST(Telemetry, ConcurrentScrapersDuringARealRun)

@@ -157,6 +157,11 @@ TEST(HealthWatchdog, NonFiniteFitnessIsCritical)
     EXPECT_EQ(dog.alerts().front().rule, "non_finite_fitness");
     EXPECT_EQ(dog.alerts().front().severity, "critical");
     EXPECT_EQ(dog.alerts().front().generation, 1);
+    // The NaN it caught is the alert's value: null in /alerts and SSE.
+    json::Value parsed;
+    const std::string row = analysis::formatAlertJson(dog.alerts().front());
+    ASSERT_TRUE(json::parse(row, parsed, nullptr)) << row;
+    EXPECT_TRUE(parsed.find("value")->isNull());
 }
 
 TEST(HealthWatchdog, ThroughputCollapseAgainstRunMedian)
@@ -394,6 +399,63 @@ TEST(Registry, JsonStaysValidForLongAndQuotedFields)
     ASSERT_EQ(parsed.array.size(), 2u);
     EXPECT_EQ(parsed.array[1].stringOr("candidate", ""), cmp.candidate);
     EXPECT_EQ(parsed.array[1].stringOr("error", ""), cmp.error);
+    removeAll(ws);
+}
+
+TEST(Registry, CommasInStateAndHashKeepTheCsvColumns)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    writeManifest(ws + "/sealed", "hash,with,commas", 1, 2.0);
+    writeFile(ws + "/sealed/status.json",
+              "{\"state\": \"odd,state\", \"total_generations\": 4}");
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].state, "odd,state");
+    EXPECT_EQ(entries[0].configHash, "hash,with,commas");
+
+    const std::vector<std::string> lines =
+        split(registry::formatRegistryCsv(entries), '\n');
+    ASSERT_GE(lines.size(), 3u);
+    const std::vector<std::string> header = split(lines[1], ',');
+    const std::vector<std::string> row = split(lines[2], ',');
+    ASSERT_EQ(row.size(), header.size()) << lines[2];
+    EXPECT_EQ(row[2], "odd;state");
+    EXPECT_EQ(row[3], "hash;with;commas");
+    // --filter and the JSON index keep the recorded text.
+    EXPECT_TRUE(registry::matchesFilter(entries[0], "state", "odd,"));
+    json::Value parsed;
+    ASSERT_TRUE(json::parse(registry::formatRegistryJson(ws, entries),
+                            parsed, nullptr));
+    EXPECT_EQ(parsed.find("runs")->array[0].stringOr("config_hash", ""),
+              "hash,with,commas");
+    removeAll(ws);
+}
+
+TEST(Registry, NonFiniteFitnessIsJsonNull)
+{
+    const std::string ws = makeTempDir("gest-registry");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    writeHistory(ws + "/nan", {{nan, 2.0}});
+    writeHistory(ws + "/inf", {{1.0, 2.0}, {inf, 2.0}});
+    const std::vector<registry::RunEntry> entries =
+        registry::scanWorkspace(ws);
+    ASSERT_EQ(entries.size(), 2u);
+
+    json::Value parsed;
+    const std::string runs = registry::formatRegistryJson(ws, entries);
+    ASSERT_TRUE(json::parse(runs, parsed, nullptr)) << runs;
+    for (const json::Value& run : parsed.find("runs")->array) {
+        ASSERT_NE(run.find("best_fitness"), nullptr);
+        EXPECT_TRUE(run.find("best_fitness")->isNull()) << runs;
+    }
+    for (const char* name : {"nan", "inf"}) {
+        const std::string report =
+            output::formatReportJson(output::analyzeRun(ws + "/" + name));
+        ASSERT_TRUE(json::parse(report, parsed, nullptr)) << report;
+        EXPECT_TRUE(parsed.find("best_fitness")->isNull()) << report;
+    }
     removeAll(ws);
 }
 

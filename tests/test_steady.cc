@@ -163,30 +163,92 @@ checkParity(const platform::Platform& plat,
 
 // ------------------------------------------------ randomized parity
 
-class SteadyParityTest
-    : public ::testing::TestWithParam<std::tuple<std::string, int>>
+/**
+ * The cycle horizon each platform's shipped config measures over:
+ * athlon_didt's voltage-noise measurement uses 8192 cycles and
+ * xgene2_llc_stress's cache measurement 16384.
+ */
+std::uint64_t
+shippedHorizon(const std::string& platform_name)
+{
+    return platform_name == "athlon-x4"    ? 8192
+           : platform_name == "xgene2-llc" ? 16384
+                                           : 4096;
+}
+
+class SteadyParityTest : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(SteadyParityTest, RandomBodiesBitIdentical)
 {
-    const auto& [platform_name, seed] = GetParam();
+    const std::string& platform_name = GetParam();
     const auto plat = platform::Platform::byName(platform_name);
     // Vary body size with the seed so both short (highly periodic)
     // and long (window-straddling) loops are covered.
-    const int size = 4 + (seed * 7) % 37;
-    const auto code = randomBody(plat->library(), size,
-                                 static_cast<std::uint64_t>(seed));
-    checkParity(*plat, code,
-                platform_name + " seed " + std::to_string(seed) +
-                    " size " + std::to_string(size));
+    for (int seed = 1; seed <= 12; ++seed) {
+        const int size = 4 + (seed * 7) % 37;
+        checkParity(*plat,
+                    randomBody(plat->library(), size,
+                               static_cast<std::uint64_t>(seed)),
+                    platform_name + " seed " + std::to_string(seed) +
+                        " size " + std::to_string(size));
+    }
+}
+
+TEST_P(SteadyParityTest, RandomBodiesAtTheShippedHorizon)
+{
+    const std::string& platform_name = GetParam();
+    const auto plat = platform::Platform::byName(platform_name);
+    const std::uint64_t horizon = shippedHorizon(platform_name);
+    for (int i = 0; i < 16; ++i) {
+        const int size = 16 + (i * 13) % 45;
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(i);
+        checkParity(*plat, randomBody(plat->library(), size, seed),
+                    platform_name + " seed " + std::to_string(seed) +
+                        " size " + std::to_string(size),
+                    horizon);
+    }
+}
+
+/**
+ * The first 8 random bodies from seed 77000 up that tile at least 75%
+ * of their cycles at the shipped horizon: the bodies whose fitness the
+ * fast path, not the stepped simulation, produces.
+ */
+TEST_P(SteadyParityTest, TilingBodiesAtTheShippedHorizon)
+{
+    const std::string& platform_name = GetParam();
+    const auto plat = platform::Platform::byName(platform_name);
+    const isa::InstructionLibrary& lib = plat->library();
+    const std::uint64_t horizon = shippedHorizon(platform_name);
+    const bool want_voltage = plat->pdnModel() != nullptr;
+
+    platform::EvalScratch scratch;
+    platform::Evaluation probe;
+    int tiling = 0;
+    for (int i = 0; i < 400 && tiling < 8; ++i) {
+        const int size = 16 + (i * 13) % 45;
+        const std::uint64_t seed = 77000 + static_cast<std::uint64_t>(i);
+        const auto code = randomBody(lib, size, seed);
+        plat->evaluateInto(code, lib, want_voltage, horizon, nullptr,
+                           scratch, probe);
+        if (!probe.sim.steadyHit() ||
+            probe.sim.simulatedCycles * 4 > probe.sim.cycles)
+            continue;
+        EXPECT_TRUE(checkParity(*plat, code,
+                                platform_name + " seed " +
+                                    std::to_string(seed) + " size " +
+                                    std::to_string(size),
+                                horizon));
+        ++tiling;
+    }
+    EXPECT_GE(tiling, 1) << platform_name
+                         << ": no probed body tiles 75% of its cycles";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPlatforms, SteadyParityTest,
-    ::testing::Combine(::testing::Values("cortex-a15", "cortex-a7",
-                                         "xgene2", "athlon-x4",
-                                         "xgene2-llc"),
-                       ::testing::Range(1, 13)));
+    ::testing::ValuesIn(platform::Platform::presetNames()));
 
 // ------------------------------------------------ degenerate bodies
 

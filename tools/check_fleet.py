@@ -31,7 +31,9 @@ whole chain:
   * every /history row read while the run is live and every SSE
     `generation` frame is that generation's history.csv row: exactly
     its columns plus the coverage_* keys, each value's text equal to
-    its history.csv cell (coverage_<c> to coverage.csv's <c> cell).
+    its history.csv cell (coverage_<c> to coverage.csv's <c> cell);
+  * the SSE stream attached while the run is live carries one
+    `generation` frame per history.csv row and ends with `event: end`.
 
 Usage:
   check_fleet.py <workspace>              schema checks only
@@ -306,10 +308,16 @@ def drive(gest):
         check_rows_match_history(run_c, live_history, "/history")
         frames = [cell_texts(b["data"], "SSE generation frame")
                   for b in sse_blocks if b.get("event") == "generation"]
-        # The server stops as the run ends, which can cut the stream
-        # before its last frames; those it did deliver are compared.
-        if not frames:
-            fail("SSE carried no generation frame")
+        # Attached while the run was live, the stream carries every
+        # generation and closes with the end event, though the server
+        # stops as soon as the run ends.
+        generations = len(read_framed(os.path.join(run_c, "history.csv"),
+                                      "history", version=2).rows)
+        if len(frames) != generations:
+            fail(f"SSE carried {len(frames)} generation frames for "
+                 f"{generations} history.csv rows")
+        if not sse_blocks or sse_blocks[-1].get("event") != "end":
+            fail("SSE stream did not close with the end event")
         check_rows_match_history(run_c, frames, "SSE generation frame")
 
         # The plateau raised exactly one alert, everywhere.
